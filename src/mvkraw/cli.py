@@ -15,8 +15,14 @@ are rejected.  Every CSV output starts with a comment line naming its
 manifest, a JSON file recording the command, inputs, package version, and
 residual summaries (no timestamps, so reruns are byte-identical).
 
+The table against its generating-function oracle (``table --level full``,
+``gen-oracle``, ``verify --level full``) is judged on the orthonormal
+scale: max |T_table - T_oracle| with T = sqrt(W) P sqrt(C(N,m) eta_bar^m),
+where every |T| <= 1, while raw P values grow like C(N, m).
+
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
-3 exceptional (coincident) parameters, 4 size cap exceeded.
+3 exceptional (coincident) parameters, 4 size cap exceeded, 5 a solver did
+not converge, 6 a simulation reached an absorbing state.
 """
 
 from __future__ import annotations
@@ -32,7 +38,13 @@ import numpy as np
 
 from . import __version__
 from .bdcore import verify_structure
-from .errors import CapExceeded, ExceptionalParameters, ValidationError
+from .errors import (
+    AbsorbingState,
+    CapExceeded,
+    ExceptionalParameters,
+    NoConvergence,
+    ValidationError,
+)
 from .lattice import DEFAULT_CAP, StateSpace
 from .model import ModelParams, rates, weight_vector
 from .polynomials import (
@@ -44,6 +56,7 @@ from .polynomials import (
     table_via_generating_function,
 )
 from .rational import RationalParams, derive_dual_pair, verify_recurrence
+from .report import Report
 from .simulate import (
     evolve_distribution,
     gillespie_run,
@@ -134,6 +147,10 @@ def _cmd_spectrum(args) -> int:
     for j, v in enumerate(spec.secular_residuals, start=1):
         rows.append(("secular_residual", j, "", float(v)))
 
+    report = Report()
+    report.add("secular-residuals", float(np.max(spec.secular_residuals)),
+               args.tol, detail="at the refined roots")
+
     _write_csv(out, "spectrum.csv", "spectrum.json",
                ("quantity", "i", "j", "value"), rows)
     _write_manifest(out, "spectrum.json", {
@@ -141,7 +158,9 @@ def _cmd_spectrum(args) -> int:
         "version": __version__,
         "params": _params_echo(params),
         "band": args.band,
+        "tol": args.tol,
         "outputs": ["spectrum.csv"],
+        "report": report.as_dict(),
         "summary": {
             "eigenvalues": [float(v) for v in spec.lam],
             "max_secular_residual": float(np.max(spec.secular_residuals)),
@@ -150,8 +169,10 @@ def _cmd_spectrum(args) -> int:
     })
     print(f"eigenvalues: {', '.join(f'{v:.12g}' for v in spec.lam)}")
     print(f"max secular residual: {np.max(spec.secular_residuals):.3e}")
+    for line in report.lines():
+        print(line)
     print(f"wrote {os.path.join(out, 'spectrum.csv')}")
-    return 0
+    return 0 if report.passed else 1
 
 
 def _table_rows(space: StateSpace, tab: np.ndarray):
@@ -161,6 +182,11 @@ def _table_rows(space: StateSpace, tab: np.ndarray):
         for xr, x in enumerate(space.points)
     ]
     return header, rows
+
+
+def _oracle_residual(params, spec, space: StateSpace, tab, oracle) -> float:
+    """max |T_table - T_oracle| on the orthonormal scale, |T| <= 1."""
+    return float(np.abs(orthonormal_map(params, spec, space, tab - oracle)).max())
 
 
 def _cmd_table(args) -> int:
@@ -176,8 +202,9 @@ def _cmd_table(args) -> int:
     failed = False
     if args.level == "full":
         oracle = table_via_generating_function(spec, space)
-        diff = float(np.abs(tab - oracle).max())
+        diff = _oracle_residual(params, spec, space, tab, oracle)
         summary["generating_function_max_abs_diff"] = diff
+        summary["residual_scale"] = "orthonormal"
         failed = diff > args.tol
     _write_manifest(out, "table.json", {
         "command": "table",
@@ -193,7 +220,7 @@ def _cmd_table(args) -> int:
         status = "FAIL" if failed else "PASS"
         print(f"[{status}] generating-function-agreement: "
               f"residual={summary['generating_function_max_abs_diff']:.3e} "
-              f"tol={args.tol:.1e}")
+              f"tol={args.tol:.1e} (orthonormal scale)")
     return 1 if failed else 0
 
 
@@ -203,7 +230,7 @@ def _cmd_gen_oracle(args) -> int:
     spec = solve_spectrum(params, band=args.band)
     tab = table(spec, space)
     oracle = table_via_generating_function(spec, space)
-    diff = float(np.abs(tab - oracle).max())
+    diff = _oracle_residual(params, spec, space, tab, oracle)
     out = _outdir(args)
 
     header, rows = _table_rows(space, oracle)
@@ -214,11 +241,12 @@ def _cmd_gen_oracle(args) -> int:
         "params": _params_echo(params),
         "tol": args.tol,
         "outputs": ["gen_oracle.csv"],
-        "summary": {"cross_check_max_abs_diff": diff, "size": space.size},
+        "summary": {"cross_check_max_abs_diff": diff, "size": space.size,
+                    "residual_scale": "orthonormal"},
     })
     status = "FAIL" if diff > args.tol else "PASS"
     print(f"[{status}] cross-check max |direct - generating function| = {diff:.3e} "
-          f"(tol {args.tol:.1e})")
+          f"on the orthonormal scale (tol {args.tol:.1e})")
     print(f"wrote {os.path.join(out, 'gen_oracle.csv')}")
     return 1 if diff > args.tol else 0
 
@@ -241,7 +269,8 @@ def _cmd_verify(args) -> int:
         tab = table(spec, space)
         oracle = table_via_generating_function(spec, space)
         report.add("generating-function-agreement",
-                   float(np.abs(tab - oracle).max()), args.tol)
+                   _oracle_residual(params, spec, space, tab, oracle), args.tol,
+                   detail="orthonormal scale")
         report.add("eigen-equation",
                    float(eigen_residuals(params, spec, space, tab).max()),
                    max(args.tol, 1e-8))
@@ -492,6 +521,12 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: size cap exceeded: {exc}", file=sys.stderr)
         return 4
+    except NoConvergence as exc:
+        print(f"error: no convergence: {exc}", file=sys.stderr)
+        return 5
+    except AbsorbingState as exc:
+        print(f"error: absorbing state: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -1,16 +1,25 @@
 """Eigenpolynomial evaluation and the orthogonality apparatus.
 
-P_m(x) is a truncated hypergeometric sum over n x n nonnegative-integer
-matrices c:
+P_m(x) is the normalized coefficient of a product of linear forms:
+
+    C(N, m) P_m(x) = coefficient of t0^{m0} t^m in prod_{i=0}^{n} (a_i . t)^{x_i},
+
+with x0 = N - |x|, m0 = N - |m| and `a` the bordered coupling matrix (first
+row and column of ones, block 1 - u).  `table` builds the whole table at
+once as the N-th symmetric power of `a` (`sympower.coefficient_power`);
+this is the production route.
+
+Two independent routes stay as oracles.  `eval_P` sums the truncated
+hypergeometric series over n x n nonnegative-integer matrices c,
 
     P_m(x) = sum_c  prod_i (-x_i)_{row_i(c)} prod_j (-m_j)_{col_j(c)}
-                    / (-N)_{|c|} * prod_ij u_ij^{c_ij} / c_ij!
+                    / (-N)_{|c|} * prod_ij u_ij^{c_ij} / c_ij!,
 
-The shifted factorials vanish once a row sum exceeds x_i or a column sum
-exceeds m_j, so the sum is finite and is enumerated depth-first with exact
-budget pruning.  An independent oracle evaluates the same quantities by
-expanding the generating function prod_i (sum_j a_ij t_j)^{x_i} and reading
-homogeneous coefficients.
+enumerated depth-first with exact budget pruning (the shifted factorials
+vanish once a row sum exceeds x_i or a column sum exceeds m_j).
+`eval_P_via_generating_function` expands the product for one x at a time;
+`table_via_generating_function` is the row-by-row table that `verify
+--level full` compares with `table`.
 
 The dual polynomials Q_x(m) are the same expression read as functions of m,
 so eval_Q delegates to eval_P.  The module also provides the Gram matrices
@@ -31,6 +40,7 @@ from .errors import ValidationError
 from .lattice import StateSpace
 from .model import ModelParams, multinomial_vector, rates, weight_vector
 from .spectrum import SpectralData
+from .sympower import coefficient_power
 
 DEFAULT_EIGEN_TOL = 1e-8
 DEFAULT_ORTHO_TOL = 1e-10
@@ -50,8 +60,13 @@ def _check_point(name: str, v, n: int, N: int) -> list[int]:
     return out
 
 
+def _multinomials(space: StateSpace) -> np.ndarray:
+    """C(N, m) for every m rank."""
+    return np.array([multinomial(space.N, m) for m in space.points])
+
+
 def eval_P(spec, m, x, N: int) -> float:
-    """One polynomial value P_m(x) by direct summation.
+    """One polynomial value P_m(x) by direct summation of the series (oracle).
 
     `spec` is a SpectralData or a bare (n, n) u-matrix.  Always finite: the
     depth-first enumeration only visits c-matrices whose row sums stay
@@ -104,16 +119,19 @@ def eval_Q(spec, x, m, N: int) -> float:
 
 
 def table(spec, space: StateSpace) -> np.ndarray:
-    """Full polynomial table; rows are x ranks, columns are m ranks."""
+    """Full polynomial table; rows are x ranks, columns are m ranks.
+
+    `spec` is a SpectralData or a bare (n, n) u-matrix; the table is the
+    symmetric power of the bordered matrix a = [[1, 1], [1, 1 - u]]
+    divided by C(N, m).
+    """
     u = _u_matrix(spec)
-    if u.shape[0] != space.n:
+    n = u.shape[0]
+    if n != space.n:
         raise ValidationError("spectral data dimension does not match the lattice")
-    size = space.size
-    out = np.empty((size, size))
-    for mr, m in enumerate(space.points):
-        for xr, x in enumerate(space.points):
-            out[xr, mr] = eval_P(u, m, x, space.N)
-    return out
+    a = np.ones((n + 1, n + 1))
+    a[1:, 1:] = 1.0 - u
+    return coefficient_power(a, space) / _multinomials(space)
 
 
 def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
@@ -145,12 +163,12 @@ def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
                 new[mask] += row[j + 1] * coeff[down[mask, j]]
             coeff = new
 
-    binom = np.array([multinomial(space.N, m) for m in space.points])
-    return coeff / binom
+    return coeff / _multinomials(space)
 
 
 def table_via_generating_function(spec, space: StateSpace) -> np.ndarray:
-    """Independent full table used as the oracle against `table`."""
+    """Independent full table, one generating-function expansion per row;
+    the oracle `verify --level full` compares `table` with."""
     size = space.size
     out = np.empty((size, size))
     for xr, x in enumerate(space.points):

@@ -11,6 +11,13 @@ to machine width and polished by a few extended-precision Newton steps.
 From the roots everything else follows: u[i, j] = lam_j/(lam_j - q_i), the
 coefficient matrix a (first row and column of ones, block 1 - u), the norm
 reciprocals eta_bar, and the dual probabilities eta_dual.
+
+The numeric eigenbasis needs none of this: the N particles move
+independently, so the eigenvectors of the symmetric operator H are the N-th
+symmetric power (`sympower.coefficient_power`) of the eigenvectors of the
+(n+1) x (n+1) symmetrized one-body generator.  It holds for every valid
+model, coincident q included.  A dense eigendecomposition of H is the
+reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .bdcore import DENSE_CAP, symmetrized_from_tables, tabulate_rates
+from .bdcore import DENSE_CAP
 from .errors import CapExceeded, ExceptionalParameters, NoConvergence, ValidationError
 from .lattice import StateSpace
-from .model import ModelParams, rates
+from .model import ModelParams
 from .report import Report
+from .sympower import coefficient_power
 
 _LD = np.longdouble
 
@@ -341,18 +348,33 @@ class EigenBasis:
 def numeric_eigenbasis(
     params: ModelParams, space: StateSpace, dense_cap: int = DENSE_CAP
 ) -> EigenBasis:
-    """Full eigendecomposition of the symmetric operator H.
+    """Full orthonormal eigenbasis of the symmetric operator H.
 
-    Works for any valid params, including the coincident-q regime where the
-    closed-form construction fails.
+    One particle is symmetrized to h = [[sum p, -sqrt(p q)^T],
+    [-sqrt(p q), diag(q)]] with eigenpairs (lam_k, V[:, k]); the N-particle
+    eigenvector with mode occupations m (m_0 = N - |m|) is column m of the
+    normalized symmetric power of V, with eigenvalue sum_k m_k lam_k.
+    Columns are sorted by eigenvalue.  Works for any valid params,
+    including the coincident-q regime where the closed-form construction
+    fails.  The output is dense, so `dense_cap` bounds the lattice size.
     """
+    if space.n != params.n or space.N != params.N:
+        raise ValidationError("state space does not match params")
     if space.size > dense_cap:
         raise CapExceeded(
-            f"dense eigendecomposition needs {space.size} <= cap {dense_cap}"
+            f"dense eigenbasis needs {space.size} <= cap {dense_cap}"
         )
-    B, D = tabulate_rates(rates(params), space)
-    H = symmetrized_from_tables(B, D, space).toarray()
-    evals, vecs = scipy.linalg.eigh(H)
+    p = np.asarray(params.p, dtype=float)
+    q = np.asarray(params.q, dtype=float)
+    h = np.diag(np.concatenate(([p.sum()], q)))
+    h[0, 1:] = h[1:, 0] = -np.sqrt(p * q)
+    lam, V = np.linalg.eigh(h)
+
+    occupations = np.column_stack((space.N - space.degrees, space.coords))
+    evals = occupations @ lam
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    vecs = coefficient_power(V, space, normalized=True)[:, order]
     norm = max(abs(evals[0]), abs(evals[-1]), 1e-300)
     gaps = np.diff(evals)
     degenerate = bool(len(gaps) and gaps.min() < 1e-8 * norm)

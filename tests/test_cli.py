@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from mvkraw import AbsorbingState, NoConvergence, cli
+
 CLI = [sys.executable, "-m", "mvkraw"]
 
 
@@ -58,6 +60,23 @@ def test_verify_full_passes(tmp_path, params_file):
     assert "generating-function-agreement" in names
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        # raw P reaches ~1e5 here; only the orthonormal scale is meaningful
+        {"n": 2, "N": 20, "p": [1.0, 2.0], "q": [1.0, 4.0]},
+        {"n": 4, "N": 8, "p": [1.0, 2.0, 1.5, 0.7], "q": [1.0, 3.0, 6.0, 2.2]},
+    ],
+)
+def test_verify_full_passes_where_raw_values_are_large(tmp_path, model):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    res = run_cli("verify", "--params", path, "--out", tmp_path / "run")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "[FAIL]" not in res.stdout
+    assert "generating-function-agreement" in res.stdout
+
+
 def test_verify_fault_injection_fails(tmp_path, params_file):
     out = tmp_path / "run"
     res = run_cli("verify", "--params", params_file, "--out", out,
@@ -78,6 +97,36 @@ def test_coincident_parameters_exit_code(tmp_path):
     assert res.returncode == 3
     assert "exceptional parameters" in res.stderr
     assert "coincident" in res.stderr
+
+
+def test_spectrum_fails_on_secular_residual(tmp_path):
+    # just outside the coincidence band the bisection cannot resolve the root
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "n": 2, "N": 6, "p": [1.0, 2.0], "q": [2.0, 2.000000003]}
+    ))
+    out = tmp_path / "run"
+    res = run_cli("spectrum", "--params", path, "--out", out)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "[FAIL] secular-residuals" in res.stdout
+    manifest = json.loads((out / "spectrum.json").read_text())
+    assert manifest["report"]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "error, code", [(NoConvergence, 5), (AbsorbingState, 6)]
+)
+def test_runtime_failures_have_own_exit_codes(
+    tmp_path, params_file, monkeypatch, capsys, error, code
+):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "solve_spectrum", fail)
+    rc = cli.main(["spectrum", "--params", str(params_file), "--out", str(tmp_path)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "injected" in err
 
 
 def test_invalid_inputs_exit_code(tmp_path, params_file):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import draw_model
+from conftest import draw_model, series_table
 
 from mvkraw import (
     ModelParams,
@@ -78,6 +78,27 @@ def test_oracle_equivalence_scaled_random():
         oracle = table_via_generating_function(spec, space)
         scale = max(1.0, np.abs(direct).max())
         assert np.abs(direct - oracle).max() / scale < 1e-13
+
+
+def test_table_matches_series_entrywise():
+    rng = np.random.default_rng(20260815)
+    for n, N in ((1, 8), (2, 5), (3, 4), (4, 3)):
+        for _ in range(3):
+            params = draw_model(rng, n, N)
+            spec = solve_spectrum(params)
+            space = StateSpace(n, N)
+            series = series_table(spec, space)
+            scale = np.maximum(1.0, np.abs(series))
+            assert np.abs(table(spec, space) - series).max() / scale.max() < 1e-12
+
+
+def test_table_accepts_bare_u_matrix():
+    params = canonical(3)
+    spec = solve_spectrum(params)
+    space = StateSpace(3, 3)
+    assert np.array_equal(table(spec.u, space), table(spec, space))
+    with pytest.raises(ValidationError):
+        table(spec.u, StateSpace(2, 3))
 
 
 def test_generating_function_at_unit_arguments():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import draw_model
 
 from mvkraw import (
+    CapExceeded,
     ExceptionalParameters,
     ModelParams,
     StateSpace,
@@ -164,6 +166,40 @@ def test_numeric_eigenbasis_coincident_q():
     H = symmetrized_from_tables(B, D, space).toarray()
     assert np.abs(H @ V - V * lam[None, :]).max() < 1e-12
     assert basis.degenerate
+
+
+@pytest.mark.parametrize(
+    "p, q, N",
+    [
+        ((1.0, 2.0, 1.5), (1.0, 3.0, 6.0), 5),
+        ((1.0, 2.0, 1.5), (3.0, 3.0, 5.0), 5),
+        ((1.0, 2.0), (3.0, 3.0), 6),
+        # a single parent per row would lose all digits here
+        ((1.0,), (2.0,), 200),
+    ],
+)
+def test_numeric_eigenbasis_against_dense_eigh(p, q, N):
+    params = ModelParams(n=len(p), N=N, p=p, q=q)
+    space = StateSpace(params.n, N)
+    basis = numeric_eigenbasis(params, space)
+    V, lam = basis.vectors, basis.eigenvalues
+    B, D = tabulate_rates(rates(params), space)
+    H = symmetrized_from_tables(B, D, space).toarray()
+    reference = scipy.linalg.eigh(H, eigvals_only=True)
+    scale = max(1.0, float(np.abs(reference).max()))
+    assert np.all(np.diff(lam) >= 0)
+    assert np.abs(lam - reference).max() / scale < 1e-12
+    assert np.abs(V.T @ V - np.eye(space.size)).max() < 1e-12
+    assert np.abs(H @ V - V * lam[None, :]).max() / scale < 1e-12
+    assert basis.degenerate == bool(np.diff(reference).min() < 1e-8 * scale)
+
+
+def test_numeric_eigenbasis_guards():
+    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 3.0))
+    with pytest.raises(CapExceeded):
+        numeric_eigenbasis(params, StateSpace(2, 4), dense_cap=10)
+    with pytest.raises(ValidationError):
+        numeric_eigenbasis(params, StateSpace(2, 5))
 
 
 def test_exceptional_degree_one_eigenvector():
