@@ -7,14 +7,13 @@ uniformized evolution."""
 __version__ = "0.1.0"
 
 from .bdcore import (
-    RateField,
-    build_A,
-    build_H,
-    build_Htilde,
-    build_L_BD,
     check_compatibility,
+    check_rate_tables,
+    difference_operator_from_tables,
+    generator_from_tables,
+    ladder_from_tables,
     stationary_weight_generic,
-    tabulate_rates,
+    symmetrized_from_tables,
     verify_structure,
 )
 from .errors import (
@@ -26,7 +25,13 @@ from .errors import (
     ValidationError,
 )
 from .lattice import StateSpace, enumerate_states, simplex_size
-from .model import ModelParams, multinomial_weight, probabilities, rates, weight_vector
+from .model import (
+    ModelParams,
+    multinomial_weight,
+    probabilities,
+    rate_tables,
+    weight_vector,
+)
 from .polynomials import (
     dual_gram,
     eigen_residuals,

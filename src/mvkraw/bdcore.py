@@ -1,8 +1,10 @@
 """Generic multidimensional birth-death framework on the truncated lattice.
 
 A rate field assigns a birth rate B_j(x) to the move x -> x + e_j and a
-death rate D_j(x) to x -> x - e_j.  From a tabulated rate field this module
-assembles, as sparse matrices over the state space:
+death rate D_j(x) to x -> x - e_j.  Every function here takes the field as
+two tables B and D of shape (size, n), row r holding the rates at the
+lattice point of rank r (`model.rate_tables` builds the model's), and
+assembles from them, as sparse matrices over the state space:
 
 * the generator L of the continuous-time chain (columns sum to zero),
 * the symmetrized operator H = -W^{-1/2} L W^{1/2}, whose entries only need
@@ -14,14 +16,14 @@ assembles, as sparse matrices over the state space:
 It also derives the stationary weight W from the two-term relation
 W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j) (checking path-independence), verifies the
 pairwise compatibility condition that makes that relation consistent, and
-bundles all structural identities into one report.
+bundles all structural identities into one report.  Tables entering those
+three are validated by `check_rate_tables`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -34,45 +36,25 @@ from .report import Report
 DEFAULT_IDENTITY_TOL = 1e-10
 DENSE_CAP = 5000
 
-RateFn = Callable[[int, tuple], float]
 
+def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a rate field given as tables; returns them as float arrays.
 
-@dataclass(frozen=True)
-class RateField:
-    """Per-direction birth/death rates.
-
-    ``birth(j, x)`` is the rate of x -> x + e_j and ``death(j, x)`` of
-    x -> x - e_j, with j in 0..n-1.  Both must be nonnegative and must
-    vanish whenever the target point leaves the lattice.
+    Raises ValidationError for tables of the wrong shape, non-finite or
+    negative rates, and boundary violations (a nonzero rate pointing
+    outside the lattice).
     """
-
-    n: int
-    birth: RateFn
-    death: RateFn
-
-
-def tabulate_rates(
-    rates: RateField, space: StateSpace, require_nonnegative: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a rate field on every lattice point.
-
-    Returns (B, D) arrays of shape (size, n).  Raises ValidationError for
-    non-finite rates, negative rates (when required) and boundary
-    violations (a nonzero rate pointing outside the lattice).
-    """
-    if rates.n != space.n:
-        raise ValidationError(f"rate field has n={rates.n}, lattice has n={space.n}")
-    size, n = space.size, space.n
-    B = np.empty((size, n))
-    D = np.empty((size, n))
-    for i, pt in enumerate(space.points):
-        for j in range(n):
-            B[i, j] = rates.birth(j, pt)
-            D[i, j] = rates.death(j, pt)
+    B = np.asarray(B, dtype=float)
+    D = np.asarray(D, dtype=float)
+    shape = (space.size, space.n)
+    if B.shape != shape or D.shape != shape:
+        raise ValidationError(
+            f"rate tables have shapes {B.shape} and {D.shape}, lattice needs {shape}"
+        )
     if not (np.isfinite(B).all() and np.isfinite(D).all()):
         i, j = np.argwhere(~(np.isfinite(B) & np.isfinite(D)))[0]
         raise ValidationError(f"non-finite rate in direction {j} at {space.points[i]}")
-    if require_nonnegative and ((B < 0).any() or (D < 0).any()):
+    if (B < 0).any() or (D < 0).any():
         i, j = np.argwhere((B < 0) | (D < 0))[0]
         raise ValidationError(f"negative rate in direction {j} at {space.points[i]}")
     bad_up = (space.up < 0) & (B != 0)
@@ -158,6 +140,8 @@ def difference_operator_from_tables(
 
 def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) -> sp.csr_matrix:
     """Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
+    if not 0 <= j < space.n:
+        raise ValidationError(f"direction {j} out of range for n={space.n}")
     size = B.shape[0]
     rows, cols, vals = [], [], []
     rows.extend(range(size))
@@ -171,32 +155,8 @@ def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) 
     return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def build_L_BD(rates: RateField, space: StateSpace) -> sp.csr_matrix:
-    B, D = tabulate_rates(rates, space)
-    return generator_from_tables(B, D, space)
-
-
-def build_H(rates: RateField, space: StateSpace, W: np.ndarray | None = None) -> sp.csr_matrix:
-    # W is not needed to build H (entries use sqrt(B*D) only); the argument
-    # is accepted so callers holding a weight can pass it uniformly.
-    B, D = tabulate_rates(rates, space)
-    return symmetrized_from_tables(B, D, space)
-
-
-def build_Htilde(rates: RateField, space: StateSpace) -> sp.csr_matrix:
-    B, D = tabulate_rates(rates, space)
-    return difference_operator_from_tables(B, D, space)
-
-
-def build_A(rates: RateField, space: StateSpace, j: int) -> sp.csr_matrix:
-    if not 0 <= j < space.n:
-        raise ValidationError(f"direction {j} out of range for n={space.n}")
-    B, D = tabulate_rates(rates, space)
-    return ladder_from_tables(B, D, space, j)
-
-
 def stationary_weight_generic(
-    rates: RateField, space: StateSpace, tol: float = 1e-10
+    B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
 ) -> np.ndarray:
     """Stationary weight from the two-term relation, normalized to sum 1.
 
@@ -205,7 +165,7 @@ def stationary_weight_generic(
     alternative parent direction is checked, so agreement here is exactly
     path-independence of the two-term relation.
     """
-    B, D = tabulate_rates(rates, space)
+    B, D = check_rate_tables(B, D, space)
     size = space.size
     logw = np.empty(size)
     logw[0] = 0.0
@@ -252,15 +212,15 @@ class CompatibilityResult:
 
 
 def check_compatibility(
-    rates: RateField, space: StateSpace, tol: float = 1e-10
+    B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
 ) -> CompatibilityResult:
     """Check the pairwise ratio condition that makes the two-term weight
     consistent: around every elementary plaquette (x, x+e_j, x+e_k,
     x+e_j+e_k) the products of birth/death ratios along the two paths must
     agree.  Ratios with a vanishing death denominator are skipped; a
-    non-finite rate is an error (raised by tabulation).
+    non-finite rate is an error (raised by `check_rate_tables`).
     """
-    B, D = tabulate_rates(rates, space)
+    B, D = check_rate_tables(B, D, space)
     worst = 0.0
     witness = None
     checked = 0
@@ -294,7 +254,8 @@ def check_compatibility(
 
 
 def verify_structure(
-    rates: RateField,
+    B: np.ndarray,
+    D: np.ndarray,
     space: StateSpace,
     W: np.ndarray | None = None,
     tol: float = DEFAULT_IDENTITY_TOL,
@@ -307,9 +268,9 @@ def verify_structure(
     meaningful across rate magnitudes.  The positive-semidefiniteness check
     uses a dense eigendecomposition and is capped at `dense_cap` points.
     """
-    B, D = tabulate_rates(rates, space)
+    B, D = check_rate_tables(B, D, space)
     if W is None:
-        W = stationary_weight_generic(rates, space)
+        W = stationary_weight_generic(B, D, space)
     L = generator_from_tables(B, D, space)
     H = symmetrized_from_tables(B, D, space)
     Ht = difference_operator_from_tables(B, D, space)

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import DEFAULT_CAP, StateSpace
-from .model import ModelParams, rates, weight_vector
+from .model import ModelParams, rate_tables, weight_vector
 from .polynomials import (
     dual_gram,
     eigen_residuals,
@@ -184,16 +184,24 @@ def _table_rows(space: StateSpace, tab: np.ndarray):
     return header, rows
 
 
-def _oracle_residual(params, spec, space: StateSpace, tab, oracle) -> float:
-    """max |T_table - T_oracle| on the orthonormal scale, |T| <= 1."""
-    return float(np.abs(orthonormal_map(params, spec, space, tab - oracle)).max())
-
-
-def _cmd_table(args) -> int:
+def _load_table(args):
+    """The model, its lattice, spectral data and polynomial table."""
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
     spec = solve_spectrum(params, band=args.band)
-    tab = table(spec, space)
+    return params, space, spec, table(spec, space)
+
+
+def _oracle_residual(params, spec, space: StateSpace, tab):
+    """The generating-function oracle table and max |T_table - T_oracle| on
+    the orthonormal scale, |T| <= 1."""
+    oracle = table_via_generating_function(spec, space)
+    diff = float(np.abs(orthonormal_map(params, spec, space, tab - oracle)).max())
+    return oracle, diff
+
+
+def _cmd_table(args) -> int:
+    params, space, spec, tab = _load_table(args)
     out = _outdir(args)
 
     header, rows = _table_rows(space, tab)
@@ -201,8 +209,7 @@ def _cmd_table(args) -> int:
     summary = {"size": space.size, "coupling_magnitude": spec.u_magnitude}
     failed = False
     if args.level == "full":
-        oracle = table_via_generating_function(spec, space)
-        diff = _oracle_residual(params, spec, space, tab, oracle)
+        _, diff = _oracle_residual(params, spec, space, tab)
         summary["generating_function_max_abs_diff"] = diff
         summary["residual_scale"] = "orthonormal"
         failed = diff > args.tol
@@ -225,12 +232,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gen_oracle(args) -> int:
-    params = _load_params(args.params)
-    space = StateSpace(params.n, params.N, cap=args.cap)
-    spec = solve_spectrum(params, band=args.band)
-    tab = table(spec, space)
-    oracle = table_via_generating_function(spec, space)
-    diff = _oracle_residual(params, spec, space, tab, oracle)
+    params, space, spec, tab = _load_table(args)
+    oracle, diff = _oracle_residual(params, spec, space, tab)
     out = _outdir(args)
 
     header, rows = _table_rows(space, oracle)
@@ -254,7 +257,7 @@ def _cmd_gen_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
-    report = verify_structure(rates(params), space, tol=args.tol)
+    report = verify_structure(*rate_tables(params, space), space, tol=args.tol)
 
     spec = solve_spectrum(params, band=args.band)
     if args.inject_u_perturbation:
@@ -267,9 +270,8 @@ def _cmd_verify(args) -> int:
 
     if args.level == "full":
         tab = table(spec, space)
-        oracle = table_via_generating_function(spec, space)
-        report.add("generating-function-agreement",
-                   _oracle_residual(params, spec, space, tab, oracle), args.tol,
+        _, diff = _oracle_residual(params, spec, space, tab)
+        report.add("generating-function-agreement", diff, args.tol,
                    detail="orthonormal scale")
         report.add("eigen-equation",
                    float(eigen_residuals(params, spec, space, tab).max()),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdcore import RateField
 from .combinatorics import EXACT_N_MAX, log_multinomial, multinomial
 from .errors import ValidationError
 from .lattice import StateSpace
@@ -65,21 +64,20 @@ class ModelParams:
         return self.coincidence_gap <= band
 
 
-def rates(params: ModelParams) -> RateField:
-    """Rate field B_j(x) = (N - |x|) p_j, D_j(x) = q_j x_j.
+def linear_rate_tables(p, q, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Rate tables B = (N - |x|) p and D = x q of shape (size, n), in rank
+    order; births vanish on |x| = N and deaths at x_j = 0."""
+    rem = (space.N - space.degrees).astype(float)
+    B = rem[:, None] * np.asarray(p, dtype=float)[None, :]
+    D = space.coords.astype(float) * np.asarray(q, dtype=float)[None, :]
+    return B, D
 
-    Boundary conditions hold automatically: births vanish on |x| = N and
-    deaths vanish at x_j = 0.
-    """
-    N, p, q = params.N, params.p, params.q
 
-    def birth(j: int, x) -> float:
-        return (N - sum(x)) * p[j]
-
-    def death(j: int, x) -> float:
-        return q[j] * x[j]
-
-    return RateField(params.n, birth, death)
+def rate_tables(params: ModelParams, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The model's birth and death rates on every lattice point."""
+    if space.n != params.n or space.N != params.N:
+        raise ValidationError("state space does not match params")
+    return linear_rate_tables(params.p, params.q, space)
 
 
 @dataclass(frozen=True)
@@ -122,13 +120,36 @@ def _multinomial_pmf(N: int, eta0: float, eta, x) -> float:
 
 
 def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
-    """Multinomial pmf over the whole lattice, in rank order."""
-    eta = tuple(float(v) for v in eta)
+    """Multinomial pmf over the whole lattice, in rank order.
+
+    Up to EXACT_N_MAX the coefficients are exact integers and every value
+    equals `multinomial_weight`'s bit for bit; above it the pmf is
+    accumulated in log space.  With eta0 = 1 the values are C(N, x) eta^x.
+    """
+    eta = np.array(eta, dtype=float)
     if len(eta) != space.n:
         raise ValidationError(f"need {space.n} cell probabilities, got {len(eta)}")
-    return np.array(
-        [_multinomial_pmf(space.N, eta0, eta, pt) for pt in space.points]
-    )
+    N = space.N
+    counts = np.column_stack((N - space.degrees, space.coords))
+    cells = np.concatenate(([float(eta0)], eta))
+    if N <= EXACT_N_MAX:
+        # N!/(x0! x!) as a product of binomials C(N - x_1 - .. - x_{j-1}, x_j),
+        # each partial product a multinomial itself, so no int64 overflow
+        binom = np.array([[math.comb(a, b) for b in range(N + 1)]
+                          for a in range(N + 1)], dtype=np.int64)
+        left = N - np.cumsum(counts[:, 1:], axis=1) + counts[:, 1:]
+        coeff = np.prod(binom[left, counts[:, 1:]], axis=1)
+        # powers tabulated per cell, multiplied in multinomial_weight's order
+        value = coeff.astype(float)
+        for c, v in enumerate(cells):
+            value *= np.array([float(v)**k for k in range(N + 1)])[counts[:, c]]
+        return value
+    # log k! as running sums of log k in extended precision: lgamma values
+    # near log N! carry absolute errors that become relative errors of W
+    logk = np.log(np.arange(1, N + 1, dtype=np.longdouble))
+    lgf = np.concatenate(([0.0], np.cumsum(logk)))
+    logv = lgf[N] - lgf[counts].sum(axis=1) + counts @ np.log(cells.astype(np.longdouble))
+    return np.exp(logv).astype(float)
 
 
 def weight_vector(params: ModelParams, space: StateSpace) -> np.ndarray:

@@ -34,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bdcore import difference_operator_from_tables, tabulate_rates
-from .combinatorics import multinomial
+from .bdcore import difference_operator_from_tables
 from .errors import ValidationError
 from .lattice import StateSpace
-from .model import ModelParams, multinomial_vector, rates, weight_vector
+from .model import ModelParams, multinomial_vector, rate_tables, weight_vector
 from .spectrum import SpectralData
 from .sympower import coefficient_power
 
@@ -58,11 +57,6 @@ def _check_point(name: str, v, n: int, N: int) -> list[int]:
     if len(out) != n or any(c < 0 for c in out) or sum(out) > N:
         raise ValidationError(f"{name}={tuple(v)} is not in the lattice (n={n}, N={N})")
     return out
-
-
-def _multinomials(space: StateSpace) -> np.ndarray:
-    """C(N, m) for every m rank."""
-    return np.array([multinomial(space.N, m) for m in space.points])
 
 
 def eval_P(spec, m, x, N: int) -> float:
@@ -131,7 +125,7 @@ def table(spec, space: StateSpace) -> np.ndarray:
         raise ValidationError("spectral data dimension does not match the lattice")
     a = np.ones((n + 1, n + 1))
     a[1:, 1:] = 1.0 - u
-    return coefficient_power(a, space) / _multinomials(space)
+    return coefficient_power(a, space) / multinomial_vector(space, 1.0, np.ones(n))
 
 
 def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
@@ -143,6 +137,11 @@ def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
     Coefficients are stored on the lattice itself: rank(k) holds the
     monomial with t-part k and implicit t0-exponent degree - |k|.
     """
+    return _expand_row(spec, x, space) / multinomial_vector(space, 1.0, np.ones(space.n))
+
+
+def _expand_row(spec, x, space: StateSpace) -> np.ndarray:
+    """C(N, m) P_m(x) for every m rank, one factor of the product at a time."""
     a = spec.a if isinstance(spec, SpectralData) else np.asarray(spec, dtype=float)
     n = space.n
     if a.shape != (n + 1, n + 1):
@@ -162,18 +161,14 @@ def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
                 mask = masks[j]
                 new[mask] += row[j + 1] * coeff[down[mask, j]]
             coeff = new
-
-    return coeff / _multinomials(space)
+    return coeff
 
 
 def table_via_generating_function(spec, space: StateSpace) -> np.ndarray:
     """Independent full table, one generating-function expansion per row;
     the oracle `verify --level full` compares `table` with."""
-    size = space.size
-    out = np.empty((size, size))
-    for xr, x in enumerate(space.points):
-        out[xr] = eval_P_via_generating_function(spec, x, space)
-    return out
+    rows = np.array([_expand_row(spec, x, space) for x in space.points])
+    return rows / multinomial_vector(space, 1.0, np.ones(space.n))
 
 
 def degree_eigenvalues(spec: SpectralData, space: StateSpace) -> np.ndarray:
@@ -185,8 +180,7 @@ def eigen_residuals(
     params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
 ) -> np.ndarray:
     """Per-column relative defect of the eigen equation Ht P_m = E(m) P_m."""
-    B, D = tabulate_rates(rates(params), space)
-    Ht = difference_operator_from_tables(B, D, space)
+    Ht = difference_operator_from_tables(*rate_tables(params, space), space)
     E = degree_eigenvalues(spec, space)
     defect = Ht @ tab - tab * E[None, :]
     scale = np.maximum(1.0, np.abs(tab).max(axis=0))
@@ -197,8 +191,21 @@ def eigen_residuals(
 class GramCheck:
     gram: np.ndarray
     expected_diagonal: np.ndarray
-    worst_offdiagonal: float      # |G_mm'| / sqrt(G_mm G_m'm'), m != m'
-    worst_diagonal_rel: float     # |G_mm - expected| / expected
+    worst_offdiagonal: float      # |G_ij| / sqrt(G_ii G_jj), i != j
+    worst_diagonal_rel: float     # |G_ii - expected| / expected
+
+
+def gram_check(G: np.ndarray, expected: np.ndarray) -> GramCheck:
+    """Normalized off-diagonal and relative diagonal residuals of a Gram matrix."""
+    d = np.sqrt(np.diag(G))
+    normalized = np.abs(G) / np.outer(d, d)
+    np.fill_diagonal(normalized, 0.0)
+    return GramCheck(
+        G,
+        expected,
+        float(normalized.max()),
+        float(np.max(np.abs(np.diag(G) - expected) / expected)),
+    )
 
 
 def gram_matrix(
@@ -208,46 +215,18 @@ def gram_matrix(
     compared against the closed-form diagonal 1/(C(N,m) eta_bar^m)."""
     W = weight_vector(params, space)
     G = tab.T @ (W[:, None] * tab)
-    expected = np.array(
-        [
-            1.0 / (multinomial(space.N, m) * np.prod(spec.eta_bar ** np.asarray(m)))
-            for m in space.points
-        ]
-    )
-    d = np.sqrt(np.diag(G))
-    normalized = np.abs(G) / np.outer(d, d)
-    np.fill_diagonal(normalized, 0.0)
-    worst_off = float(normalized.max())
-    worst_diag = float(np.max(np.abs(np.diag(G) - expected) / expected))
-    return GramCheck(G, expected, worst_off, worst_diag)
-
-
-@dataclass(frozen=True)
-class DualGramCheck:
-    gram: np.ndarray
-    expected_diagonal: np.ndarray
-    worst_offdiagonal: float
-    worst_diagonal_rel: float
+    return gram_check(G, 1.0 / multinomial_vector(space, 1.0, spec.eta_bar))
 
 
 def dual_gram(
     params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
-) -> DualGramCheck:
+) -> GramCheck:
     """Gram matrix of the table rows (dual polynomials Q_x) under the dual
     multinomial weight, against the closed form (eta0_dual)^N / W(eta; x)."""
     Wd = multinomial_vector(space, spec.eta_dual[0], spec.eta_dual[1:])
     G = tab @ (Wd[:, None] * tab.T)
     W = weight_vector(params, space)
-    expected = spec.eta_dual[0] ** space.N / W
-    d = np.sqrt(np.diag(G))
-    normalized = np.abs(G) / np.outer(d, d)
-    np.fill_diagonal(normalized, 0.0)
-    return DualGramCheck(
-        G,
-        expected,
-        float(normalized.max()),
-        float(np.max(np.abs(np.diag(G) - expected) / expected)),
-    )
+    return gram_check(G, spec.eta_dual[0] ** space.N / W)
 
 
 def orthonormal_map(
@@ -255,12 +234,7 @@ def orthonormal_map(
 ) -> np.ndarray:
     """T[x, m] = sqrt(W(x)) P_m(x) sqrt(C(N,m) eta_bar^m); orthogonal both ways."""
     W = weight_vector(params, space)
-    norms = np.array(
-        [
-            multinomial(space.N, m) * np.prod(spec.eta_bar ** np.asarray(m))
-            for m in space.points
-        ]
-    )
+    norms = multinomial_vector(space, 1.0, spec.eta_bar)
     return np.sqrt(W)[:, None] * tab * np.sqrt(norms)[None, :]
 
 

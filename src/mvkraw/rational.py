@@ -28,7 +28,8 @@ import numpy as np
 from .bdcore import difference_operator_from_tables
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
-from .model import multinomial_vector
+from .model import linear_rate_tables, multinomial_vector
+from .polynomials import gram_check, table
 from .report import Report
 
 SINGULAR_REL_TOL = 1e-12
@@ -322,22 +323,19 @@ def eval_rational(pair: DualPair, m, x, N: int) -> float:
 
 
 def rational_table(pair: DualPair, space: StateSpace) -> np.ndarray:
-    """Full table of the rational family; rows x ranks, columns m ranks."""
+    """Full table of the rational family; rows x ranks, columns m ranks.
+
+    The symmetric-power kernel of `polynomials.table` with u = pair.U;
+    `eval_rational` is its entry-by-entry oracle.
+    """
     if space.n != 2:
         raise ValidationError("the rational family is two-dimensional")
-    out = np.empty((space.size, space.size))
-    for mr, m in enumerate(space.points):
-        for xr, x in enumerate(space.points):
-            out[xr, mr] = eval_rational(pair, m, x, space.N)
-    return out
+    return table(pair.U, space)
 
 
 def dual_rate_tables(pair: DualPair, space: StateSpace):
     """Signed dual birth/death tables over the m lattice."""
-    rem = (space.N - space.degrees).astype(float)
-    B = rem[:, None] * np.asarray(pair.dual_p)[None, :]
-    D = space.coords.astype(float) * np.asarray(pair.dual_q)[None, :]
-    return B, D
+    return linear_rate_tables(pair.dual_p, pair.dual_q, space)
 
 
 def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
@@ -392,29 +390,13 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     W = multinomial_vector(space, pair.eta[0], pair.eta[1:])
     Wd = multinomial_vector(space, pair.eta_dual[0], pair.eta_dual[1:])
 
-    G1 = R.T @ (W[:, None] * R)
-    expected1 = pair.eta[0] ** N / Wd
-    d1 = np.sqrt(np.diag(G1))
-    off1 = np.abs(G1) / np.outer(d1, d1)
-    np.fill_diagonal(off1, 0.0)
+    m_side = gram_check(R.T @ (W[:, None] * R), pair.eta[0] ** N / Wd)
     # Gram entries cancel across strongly contrasting norms, so the scaled
     # off-diagonal floor sits above the recurrence checks.
-    report.add("m-orthogonality", float(off1.max()), max(tol, 1e-9))
-    report.add(
-        "m-norms-closed-form",
-        float(np.max(np.abs(np.diag(G1) - expected1) / expected1)),
-        max(tol, 1e-8),
-    )
+    report.add("m-orthogonality", m_side.worst_offdiagonal, max(tol, 1e-9))
+    report.add("m-norms-closed-form", m_side.worst_diagonal_rel, max(tol, 1e-8))
 
-    G2 = R @ (Wd[:, None] * R.T)
-    expected2 = pair.eta_dual[0] ** N / W
-    d2 = np.sqrt(np.diag(G2))
-    off2 = np.abs(G2) / np.outer(d2, d2)
-    np.fill_diagonal(off2, 0.0)
-    report.add("x-orthogonality", float(off2.max()), max(tol, 1e-9))
-    report.add(
-        "x-norms-closed-form",
-        float(np.max(np.abs(np.diag(G2) - expected2) / expected2)),
-        max(tol, 1e-8),
-    )
+    x_side = gram_check(R @ (Wd[:, None] * R.T), pair.eta_dual[0] ** N / W)
+    report.add("x-orthogonality", x_side.worst_offdiagonal, max(tol, 1e-9))
+    report.add("x-norms-closed-form", x_side.worst_diagonal_rel, max(tol, 1e-8))
     return report

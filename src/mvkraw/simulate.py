@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bdcore import generator_from_tables, tabulate_rates
+from .bdcore import check_rate_tables, generator_from_tables
 from .errors import AbsorbingState, NoConvergence, ValidationError
 from .lattice import StateSpace
-from .model import ModelParams, rates, weight_vector
+from .model import ModelParams, rate_tables, weight_vector
 
 RNG_FAMILY = "numpy-PCG64"
 _BLOCK = 1 << 14
@@ -96,16 +96,12 @@ def gillespie_from_tables(
     initial_rank: int = 0,
     reference: np.ndarray | None = None,
 ) -> GillespieResult:
-    B = np.asarray(B, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if B.shape != (space.size, space.n) or D.shape != (space.size, space.n):
-        raise ValidationError("rate tables do not match the lattice")
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(D))):
-        raise ValidationError("rate tables must be finite")
-    if np.any(B < 0) or np.any(D < 0):
+    if np.any(np.asarray(B) < 0) or np.any(np.asarray(D) < 0):
         raise ValidationError(
             "negative rates: only stochastic (nonnegative) systems can be simulated"
         )
+    # a nonzero rate off the lattice would jump to rank -1, the last point
+    B, D = check_rate_tables(B, D, space)
     if n_events < 1:
         raise ValidationError("n_events must be at least 1")
 
@@ -159,7 +155,7 @@ def gillespie_run(
     seed: int,
     initial=None,
 ) -> GillespieResult:
-    B, D = tabulate_rates(rates(params), space)
+    B, D = rate_tables(params, space)
     W = weight_vector(params, space)
     rank = 0 if initial is None else space.rank(tuple(initial))
     return gillespie_from_tables(
@@ -177,7 +173,7 @@ def run_replicas(
 ) -> list[GillespieResult]:
     """Independent runs with child seeds spawned from one root seed."""
     children = np.random.SeedSequence(seed).spawn(replicas)
-    B, D = tabulate_rates(rates(params), space)
+    B, D = rate_tables(params, space)
     W = weight_vector(params, space)
     rank = 0 if initial is None else space.rank(tuple(initial))
     out = []
@@ -218,7 +214,7 @@ def evolve_distribution(
         raise ValidationError(f"horizon T must be positive, got {T}")
     if steps < 1:
         raise ValidationError("steps must be at least 1")
-    B, D = tabulate_rates(rates(params), space)
+    B, D = rate_tables(params, space)
     L = generator_from_tables(B, D, space)
     W = weight_vector(params, space)
 

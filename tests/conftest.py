@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 
+import mvkraw
 from mvkraw import ModelParams
+
+# CLI tests start `python -m mvkraw` in child interpreters; they import the
+# same package as this process, also when it was found through pytest's
+# `pythonpath` setting rather than PYTHONPATH or an install
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(mvkraw.__file__).resolve().parents[1])]
+    + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+)
 
 
 def draw_model(rng, n, N, lo=0.1, hi=10.0, q_sep=0.05):

@@ -21,7 +21,6 @@ from mvkraw import (
     ModelParams,
     RationalParams,
     StateSpace,
-    build_H,
     derive_dual_pair,
     dual_gram,
     eigen_residuals,
@@ -32,9 +31,10 @@ from mvkraw import (
     kr_P,
     numeric_eigenbasis,
     orthonormal_map,
-    rates,
+    rate_tables,
     relaxation_rate,
     solve_spectrum,
+    symmetrized_from_tables,
     table,
     table_via_generating_function,
     verify_recurrence,
@@ -74,7 +74,7 @@ def test_criterion_01_structural_identities(capsys):
         params = draw_model(rng, n, N)
         space = StateSpace(n, N)
         report = verify_structure(
-            rates(params), space, W=weight_vector(params, space)
+            *rate_tables(params, space), space, W=weight_vector(params, space)
         )
         for check in report.checks:
             worst[check.name] = max(worst.get(check.name, 0.0), check.residual)
@@ -337,7 +337,7 @@ def test_criterion_11_exceptional_guard(capsys, tmp_path):
     space = StateSpace(2, 4)
     basis = numeric_eigenbasis(params, space)
     V = basis.vectors
-    H = build_H(rates(params), space).toarray()
+    H = symmetrized_from_tables(*rate_tables(params, space), space).toarray()
     ortho = float(np.abs(V.T @ V - np.eye(space.size)).max())
     defect = float(np.abs(H @ V - V * basis.eigenvalues).max())
 

@@ -6,26 +6,32 @@ from conftest import draw_model
 
 from mvkraw import (
     ModelParams,
-    RateField,
     StateSpace,
     ValidationError,
-    build_A,
-    build_H,
-    build_Htilde,
-    build_L_BD,
     check_compatibility,
-    rates,
+    check_rate_tables,
+    difference_operator_from_tables,
+    generator_from_tables,
+    ladder_from_tables,
+    rate_tables,
     stationary_weight_generic,
-    tabulate_rates,
+    symmetrized_from_tables,
     verify_structure,
     weight_vector,
 )
 
 
+def tables_of(space, birth, death):
+    """Rate tables of a field given point by point: birth(j, x), death(j, x)."""
+    B = np.array([[birth(j, x) for j in range(space.n)] for x in space.points])
+    D = np.array([[death(j, x) for j in range(space.n)] for x in space.points])
+    return B, D
+
+
 def test_tabulate_rates_anchor():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 3)
-    B, D = tabulate_rates(rates(params), space)
+    B, D = rate_tables(params, space)
     r = space.rank((1, 1))
     assert B[r].tolist() == [1.0, 2.0]          # (N - |x|) p = 1 * (1, 2)
     assert D[r].tolist() == [3.0, 5.0]          # q x = (3, 5)
@@ -33,30 +39,61 @@ def test_tabulate_rates_anchor():
     assert B[top].tolist() == [0.0, 0.0]
     assert D[top].tolist() == [0.0, 15.0]
 
+    # the array expressions against the per-point formula on random lattices
+    rng = np.random.default_rng(20260815)
+    for _ in range(10):
+        n = int(rng.integers(1, 5))
+        N = int(rng.integers(1, 9))
+        params = draw_model(rng, n, N)
+        space = StateSpace(n, N)
+        B, D = rate_tables(params, space)
+        B1, D1 = tables_of(
+            space,
+            lambda j, x: (N - sum(x)) * params.p[j],
+            lambda j, x: params.q[j] * x[j],
+        )
+        assert np.array_equal(B, B1) and np.array_equal(D, D1)
+        assert not B[space.degrees == N].any()
+        assert not D[space.coords == 0].any()
+        check_rate_tables(B, D, space)
+    with pytest.raises(ValidationError, match="does not match"):
+        rate_tables(params, StateSpace(params.n, params.N + 1))
+
 
 def test_tabulate_rejects_bad_fields():
     space = StateSpace(2, 2)
-    negative = RateField(2, birth=lambda j, x: -1.0, death=lambda j, x: float(x[j]))
-    with pytest.raises(ValidationError):
-        tabulate_rates(negative, space)
+    ok_birth = lambda j, x: 1.0 if sum(x) < 2 else 0.0  # noqa: E731
+    ok_death = lambda j, x: float(x[j])  # noqa: E731
+    check_rate_tables(*tables_of(space, ok_birth, ok_death), space)
+    negative = tables_of(space, lambda j, x: -1.0, ok_death)
+    with pytest.raises(ValidationError, match="negative rate"):
+        check_rate_tables(*negative, space)
     # birth off the top boundary must vanish
-    leaky = RateField(2, birth=lambda j, x: 1.0, death=lambda j, x: float(x[j]))
-    with pytest.raises(ValidationError):
-        tabulate_rates(leaky, space)
+    leaky = tables_of(space, lambda j, x: 1.0, ok_death)
+    with pytest.raises(ValidationError, match="vanish at the ceiling"):
+        check_rate_tables(*leaky, space)
     # death must vanish on the zero faces
-    bad_death = RateField(
-        2,
-        birth=lambda j, x: 1.0 if sum(x) < 2 else 0.0,
-        death=lambda j, x: 1.0,
-    )
-    with pytest.raises(ValidationError):
-        tabulate_rates(bad_death, space)
+    bad_death = tables_of(space, ok_birth, lambda j, x: 1.0)
+    with pytest.raises(ValidationError, match="vanish at zero population"):
+        check_rate_tables(*bad_death, space)
+    for value in (np.nan, np.inf):
+        B, D = tables_of(space, ok_birth, ok_death)
+        D[space.rank((1, 1)), 0] = value
+        with pytest.raises(ValidationError, match="non-finite rate"):
+            check_rate_tables(B, D, space)
+    B, D = tables_of(space, ok_birth, ok_death)
+    with pytest.raises(ValidationError, match="shapes"):
+        check_rate_tables(B[:, :1], D[:, :1], space)
+    # every consumer of a rate field validates it
+    for consume in (verify_structure, stationary_weight_generic, check_compatibility):
+        with pytest.raises(ValidationError, match="vanish at the ceiling"):
+            consume(*leaky, space)
 
 
 def test_generator_shape_and_columns():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 3)
-    L = build_L_BD(rates(params), space)
+    L = generator_from_tables(*rate_tables(params, space), space)
     assert scipy.sparse.issparse(L)
     dense = L.toarray()
     assert dense.shape == (10, 10)
@@ -71,7 +108,7 @@ def test_generator_shape_and_columns():
 def test_generator_kills_stationary_weight():
     params = ModelParams(n=2, N=4, p=(0.5, 2.5), q=(1.5, 4.0))
     space = StateSpace(2, 4)
-    L = build_L_BD(rates(params), space)
+    L = generator_from_tables(*rate_tables(params, space), space)
     W = weight_vector(params, space)
     assert np.abs(L @ W).max() < 1e-14
 
@@ -79,12 +116,12 @@ def test_generator_kills_stationary_weight():
 def test_symmetrized_operator():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 3)
-    field = rates(params)
-    H = build_H(field, space).toarray()
+    B, D = rate_tables(params, space)
+    H = symmetrized_from_tables(B, D, space).toarray()
     assert np.abs(H - H.T).max() == 0.0
     W = weight_vector(params, space)
     s = np.sqrt(W)
-    L = build_L_BD(field, space).toarray()
+    L = generator_from_tables(B, D, space).toarray()
     # H = -W^{-1/2} L W^{1/2}, entrywise -L[x, y] sqrt(W[y] / W[x])
     assert np.abs(H + (L * s[None, :]) / s[:, None]).max() < 1e-12
     assert np.abs(H @ s).max() < 1e-13
@@ -95,22 +132,26 @@ def test_symmetrized_operator():
 def test_ladder_factorization():
     params = ModelParams(n=3, N=3, p=(1.0, 2.0, 0.5), q=(1.0, 2.5, 6.0))
     space = StateSpace(3, 3)
-    field = rates(params)
-    H = build_H(field, space).toarray()
+    B, D = rate_tables(params, space)
+    H = symmetrized_from_tables(B, D, space).toarray()
     acc = np.zeros_like(H)
     W = weight_vector(params, space)
     s = np.sqrt(W)
     for j in range(3):
-        A = build_A(field, space, j).toarray()
+        A = ladder_from_tables(B, D, space, j).toarray()
         acc += A.T @ A
         assert np.abs(A @ s).max() < 1e-13
     assert np.abs(H - acc).max() < 1e-12
+    for j in (-1, 3):
+        with pytest.raises(ValidationError, match="out of range"):
+            ladder_from_tables(B, D, space, j)
 
 
 def test_difference_operator():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 3)
-    Ht = build_Htilde(rates(params), space)
+    B, D = rate_tables(params, space)
+    Ht = difference_operator_from_tables(B, D, space)
     ones = np.ones(space.size)
     assert np.abs(Ht @ ones).max() == 0.0
     # action on the coordinate function x1 at an interior point:
@@ -118,7 +159,6 @@ def test_difference_operator():
     f = np.array([float(x[0]) for x in space.points])
     out = Ht @ f
     r = space.rank((1, 1))
-    B, D = tabulate_rates(rates(params), space)
     assert out[r] == pytest.approx(-B[r, 0] + D[r, 0], abs=1e-14)
 
 
@@ -130,30 +170,30 @@ def test_stationary_weight_generic_matches_closed_form():
         params = draw_model(rng, n, N)
         space = StateSpace(n, N)
         W1 = weight_vector(params, space)
-        W2 = stationary_weight_generic(rates(params), space)
+        W2 = stationary_weight_generic(*rate_tables(params, space), space)
         assert np.abs(W1 - W2).max() < 1e-13
 
 
 def test_path_dependent_rates_rejected():
     N = 4
     space = StateSpace(2, N)
-    bad = RateField(
-        2,
-        birth=lambda j, x: 0.0 if sum(x) >= N else (1.0 + x[1] if j == 0 else 1.0),
-        death=lambda j, x: float(x[j]),
+    bad = tables_of(
+        space,
+        lambda j, x: 0.0 if sum(x) >= N else (1.0 + x[1] if j == 0 else 1.0),
+        lambda j, x: float(x[j]),
     )
-    comp = check_compatibility(bad, space)
+    comp = check_compatibility(*bad, space)
     assert not comp.passed
     assert comp.worst_residual > 0.1
     assert comp.witness is not None
     with pytest.raises(ValidationError, match="path-dependent"):
-        stationary_weight_generic(bad, space)
+        stationary_weight_generic(*bad, space)
 
 
 def test_compatibility_passes_for_model():
     params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 4)
-    comp = check_compatibility(rates(params), space)
+    comp = check_compatibility(*rate_tables(params, space), space)
     assert comp.passed
     assert comp.pairs_checked > 0
     assert comp.worst_residual < 1e-14
@@ -161,7 +201,8 @@ def test_compatibility_passes_for_model():
 
 def test_compatibility_vacuous_for_n1():
     params = ModelParams(n=1, N=4, p=(1.0,), q=(2.0,))
-    comp = check_compatibility(rates(params), StateSpace(1, 4))
+    space = StateSpace(1, 4)
+    comp = check_compatibility(*rate_tables(params, space), space)
     assert comp.passed
     assert comp.pairs_checked == 0
 
@@ -173,7 +214,7 @@ def test_verify_structure_anchor_instances():
     ]
     for params in cases:
         space = StateSpace(params.n, params.N)
-        report = verify_structure(rates(params), space, tol=1e-12)
+        report = verify_structure(*rate_tables(params, space), space, tol=1e-12)
         assert report.passed, "\n".join(report.lines())
 
 
@@ -184,5 +225,5 @@ def test_verify_structure_random_loop():
         N = int(rng.integers(1, 7))
         params = draw_model(rng, n, N)
         space = StateSpace(n, N)
-        report = verify_structure(rates(params), space)
+        report = verify_structure(*rate_tables(params, space), space)
         assert report.passed, "\n".join(report.lines())

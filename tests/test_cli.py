@@ -255,3 +255,11 @@ def test_rational_command(tmp_path):
     assert manifest["dual"]["q"] == [-0.5, pytest.approx(1 / 3)]
     assert manifest["dual"]["couplings"]["t"] == pytest.approx(1.2)
     assert "denominator" in manifest["note"]
+
+
+def test_rational_command_at_larger_N(tmp_path):
+    # the table of the rational family comes from the symmetric-power
+    # kernel; the four-index series failed m-orthogonality here (1.4e-4)
+    res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 10, "--out", tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "[FAIL]" not in res.stdout

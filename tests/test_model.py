@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +72,6 @@ def test_weight_is_multinomial():
     e0 = Fraction(probs.eta0)
     e = [Fraction(v) for v in probs.eta]
     # exact multinomial pmf via Fractions on the float probabilities
-    import math
     for r, x in enumerate(space.points):
         coeff = math.factorial(4) // (
             math.factorial(x[0]) * math.factorial(x[1]) * math.factorial(4 - sum(x))
@@ -88,6 +88,35 @@ def test_multinomial_weight_single_point():
         multinomial_weight(params, (2, 2))
     with pytest.raises(ValidationError):
         multinomial_weight(params, (-1, 0))
+
+
+def test_multinomial_vector_matches_per_point_values():
+    from mvkraw.combinatorics import multinomial
+    from mvkraw.model import _multinomial_pmf
+
+    rng = np.random.default_rng(20260815)
+    for n, N in ((1, 20), (2, 20), (3, 12), (4, 7), (2, 1)):
+        space = StateSpace(n, N)
+        cells = rng.dirichlet(np.ones(n + 1))
+        W = multinomial_vector(space, cells[0], cells[1:])
+        per_point = [_multinomial_pmf(N, cells[0], cells[1:], x) for x in space.points]
+        assert np.array_equal(W, per_point)
+        ones = multinomial_vector(space, 1.0, np.ones(n))
+        assert np.array_equal(ones, [multinomial(N, x) for x in space.points])
+    # log path, against the exact rational pmf of the float cells (the
+    # per-point log_multinomial route itself is off by up to 1e-13 at N=80)
+    for n, N in ((2, 25), (3, 25), (2, 80)):
+        space = StateSpace(n, N)
+        cells = rng.dirichlet(np.ones(n + 1))
+        W = multinomial_vector(space, cells[0], cells[1:])
+        exact = [Fraction(v) for v in cells]
+        powers = [[c**k for k in range(N + 1)] for c in exact]
+        for r, x in enumerate(space.points):
+            counts = (N - sum(x),) + x
+            value = math.factorial(N)
+            for c, k in enumerate(counts):
+                value = value * powers[c][k] / math.factorial(k)
+            assert abs(W[r] / float(value) - 1.0) < 1e-13, (x, W[r], float(value))
 
 
 def test_large_N_log_path_consistent():

@@ -104,13 +104,15 @@ def test_recurrence_whole_lattice(pair):
 
 
 def test_evaluator_agreement(pair):
-    # independent series implementations must agree
+    # the kernel table and both independent series must agree
     space = StateSpace(2, 5)
     R = rational_table(pair, space)
     for mr, m in enumerate(space.points):
         for xr, x in enumerate(space.points):
             generic = eval_P(pair.U, m, x, 5)
+            literal = eval_rational(pair, m, x, 5)
             assert R[xr, mr] == pytest.approx(generic, rel=1e-12, abs=1e-12)
+            assert R[xr, mr] == pytest.approx(literal, rel=1e-12, abs=1e-12)
 
 
 def test_level_one_values(pair):

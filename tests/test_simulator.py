@@ -7,11 +7,11 @@ from mvkraw import (
     ModelParams,
     StateSpace,
     ValidationError,
-    build_L_BD,
     evolve_distribution,
+    generator_from_tables,
     gillespie_run,
     kl_divergence,
-    rates,
+    rate_tables,
     relaxation_rate,
     run_replicas,
     total_variation,
@@ -82,6 +82,13 @@ def test_rate_table_validation(setup):
     B3[0, 0] = np.nan
     with pytest.raises(ValidationError):
         gillespie_from_tables(B3, D, space, 10, seed=0)
+    # nonzero rates pointing off the lattice
+    B4, D4 = rate_tables(params, space)
+    B4[space.degrees == space.N] = 1.0
+    with pytest.raises(ValidationError, match="vanish at the ceiling"):
+        gillespie_from_tables(B4, D4, space, 10, seed=0)
+    with pytest.raises(ValidationError, match="vanish at zero population"):
+        gillespie_from_tables(rate_tables(params, space)[0], D, space, 10, seed=0)
 
 
 def test_replicas_use_distinct_streams(setup):
@@ -98,7 +105,7 @@ def test_replicas_use_distinct_streams(setup):
 def test_uniformization_matches_matrix_exponential():
     params = ModelParams(2, 3, (1.0, 2.0), (3.0, 5.0))
     space = StateSpace(2, 3)
-    L = build_L_BD(rates(params), space).toarray()
+    L = generator_from_tables(*rate_tables(params, space), space).toarray()
     v0 = np.zeros(space.size)
     v0[0] = 1.0
     res = evolve_distribution(params, space, "origin", T=1.8, steps=3)

@@ -18,8 +18,8 @@ from mvkraw import (
     secular_function,
     solve_spectrum,
 )
-from mvkraw.bdcore import symmetrized_from_tables, tabulate_rates
-from mvkraw.model import rates
+from mvkraw.bdcore import difference_operator_from_tables, symmetrized_from_tables
+from mvkraw.model import rate_tables
 from mvkraw.spectrum import characteristic_matrix
 
 
@@ -162,7 +162,7 @@ def test_numeric_eigenbasis_coincident_q():
     basis = numeric_eigenbasis(params, space)
     V, lam = basis.vectors, basis.eigenvalues
     assert np.abs(V.T @ V - np.eye(space.size)).max() < 1e-12
-    B, D = tabulate_rates(rates(params), space)
+    B, D = rate_tables(params, space)
     H = symmetrized_from_tables(B, D, space).toarray()
     assert np.abs(H @ V - V * lam[None, :]).max() < 1e-12
     assert basis.degenerate
@@ -183,7 +183,7 @@ def test_numeric_eigenbasis_against_dense_eigh(p, q, N):
     space = StateSpace(params.n, N)
     basis = numeric_eigenbasis(params, space)
     V, lam = basis.vectors, basis.eigenvalues
-    B, D = tabulate_rates(rates(params), space)
+    B, D = rate_tables(params, space)
     H = symmetrized_from_tables(B, D, space).toarray()
     reference = scipy.linalg.eigh(H, eigvals_only=True)
     scale = max(1.0, float(np.abs(reference).max()))
@@ -206,8 +206,6 @@ def test_exceptional_degree_one_eigenvector():
     # with q1 = q2 = q, f(x) = p2 x1 - p1 x2 satisfies Ht f = q f
     params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 3.0))
     space = StateSpace(2, 4)
-    from mvkraw import build_Htilde
-
-    Ht = build_Htilde(rates(params), space)
+    Ht = difference_operator_from_tables(*rate_tables(params, space), space)
     f = np.array([params.p[1] * x[0] - params.p[0] * x[1] for x in space.points])
     assert np.abs(Ht @ f - params.q[0] * f).max() < 1e-12
