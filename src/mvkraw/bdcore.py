@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace
 from .report import Report
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_IDENTITY_TOL = 1e-10
 DENSE_CAP = 5000
@@ -72,48 +74,42 @@ def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return B, D
 
 
+def _csr(size: int, pieces) -> sp.csr_matrix:
+    """(size, size) CSR matrix from COO pieces (rows, cols, vals), taken in
+    order; duplicate entries are summed."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
 def generator_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Generator L: L[x, x-e_j] = B_j(x-e_j), L[x, x+e_j] = D_j(x+e_j),
     diagonal -(sum_j B_j + D_j)."""
     size, n = B.shape
-    rows, cols, vals = [], [], []
-    rows.extend(range(size))
-    cols.extend(range(size))
-    vals.extend((-(B.sum(axis=1) + D.sum(axis=1))).tolist())
+    diag = np.arange(size)
+    pieces = [(diag, diag, -(B.sum(axis=1) + D.sum(axis=1)))]
     for j in range(n):
-        has_up = space.up[:, j] >= 0
-        src = np.nonzero(has_up)[0]
         # column x contributes B_j(x) at row x+e_j and D reciprocally
-        rows.extend(space.up[src, j].tolist())
-        cols.extend(src.tolist())
-        vals.extend(B[src, j].tolist())
-        has_down = space.down[:, j] >= 0
-        src = np.nonzero(has_down)[0]
-        rows.extend(space.down[src, j].tolist())
-        cols.extend(src.tolist())
-        vals.extend(D[src, j].tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        src = np.nonzero(space.up[:, j] >= 0)[0]
+        pieces.append((space.up[src, j], src, B[src, j]))
+        src = np.nonzero(space.down[:, j] >= 0)[0]
+        pieces.append((space.down[src, j], src, D[src, j]))
+    return _csr(size, pieces)
 
 
 def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
     off-diagonal -sqrt(B_j(x) D_j(x+e_j)) placed symmetrically."""
     size, n = B.shape
-    rows, cols, vals = [], [], []
-    rows.extend(range(size))
-    cols.extend(range(size))
-    vals.extend((B.sum(axis=1) + D.sum(axis=1)).tolist())
+    diag = np.arange(size)
+    pieces = [(diag, diag, B.sum(axis=1) + D.sum(axis=1))]
     for j in range(n):
         src = np.nonzero(space.up[:, j] >= 0)[0]
         tgt = space.up[src, j]
         coup = -np.sqrt(B[src, j] * D[tgt, j])
-        rows.extend(src.tolist())
-        cols.extend(tgt.tolist())
-        vals.extend(coup.tolist())
-        rows.extend(tgt.tolist())
-        cols.extend(src.tolist())
-        vals.extend(coup.tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        pieces += [(src, tgt, coup), (tgt, src, coup)]
+    return _csr(size, pieces)
 
 
 def difference_operator_from_tables(
@@ -122,20 +118,14 @@ def difference_operator_from_tables(
     """Difference operator Ht acting on functions f of the lattice point:
     (Ht f)(x) = sum_j B_j(x)(f(x) - f(x+e_j)) + D_j(x)(f(x) - f(x-e_j))."""
     size, n = B.shape
-    rows, cols, vals = [], [], []
-    rows.extend(range(size))
-    cols.extend(range(size))
-    vals.extend((B.sum(axis=1) + D.sum(axis=1)).tolist())
+    diag = np.arange(size)
+    pieces = [(diag, diag, B.sum(axis=1) + D.sum(axis=1))]
     for j in range(n):
         src = np.nonzero(space.up[:, j] >= 0)[0]
-        rows.extend(src.tolist())
-        cols.extend(space.up[src, j].tolist())
-        vals.extend((-B[src, j]).tolist())
+        pieces.append((src, space.up[src, j], -B[src, j]))
         src = np.nonzero(space.down[:, j] >= 0)[0]
-        rows.extend(src.tolist())
-        cols.extend(space.down[src, j].tolist())
-        vals.extend((-D[src, j]).tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+        pieces.append((src, space.down[src, j], -D[src, j]))
+    return _csr(size, pieces)
 
 
 def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) -> sp.csr_matrix:
@@ -143,16 +133,10 @@ def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) 
     if not 0 <= j < space.n:
         raise ValidationError(f"direction {j} out of range for n={space.n}")
     size = B.shape[0]
-    rows, cols, vals = [], [], []
-    rows.extend(range(size))
-    cols.extend(range(size))
-    vals.extend(np.sqrt(B[:, j]).tolist())
+    diag = np.arange(size)
     src = np.nonzero(space.up[:, j] >= 0)[0]
     tgt = space.up[src, j]
-    rows.extend(src.tolist())
-    cols.extend(tgt.tolist())
-    vals.extend((-np.sqrt(D[tgt, j])).tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    return _csr(size, [(diag, diag, np.sqrt(B[:, j])), (src, tgt, -np.sqrt(D[tgt, j]))])
 
 
 def stationary_weight_generic(
@@ -268,6 +252,8 @@ def verify_structure(
     meaningful across rate magnitudes.  The positive-semidefiniteness check
     uses a dense eigendecomposition and is capped at `dense_cap` points.
     """
+    import scipy.sparse as sp
+
     B, D = check_rate_tables(B, D, space)
     if W is None:
         W = stationary_weight_generic(B, D, space)
@@ -306,6 +292,8 @@ def verify_structure(
     report.add("symmetrized-annihilates-sqrt-weight", np.abs(H @ sqw).max() / scale, tol)
 
     if psd:
+        import scipy.linalg
+
         if space.size > dense_cap:
             raise CapExceeded(
                 f"dense eigendecomposition needs {space.size} <= cap {dense_cap}"

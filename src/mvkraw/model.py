@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import EXACT_N_MAX, log_multinomial, multinomial
+from .combinatorics import EXACT_N_MAX, multinomial
 from .errors import ValidationError
 from .lattice import StateSpace
 
@@ -114,9 +114,21 @@ def _multinomial_pmf(N: int, eta0: float, eta, x) -> float:
         for ei, xi in zip(eta, x):
             value *= ei**xi
         return value
-    logv = log_multinomial(N, x) + x0 * math.log(eta0)
-    logv += math.fsum(xi * math.log(ei) for ei, xi in zip(eta, x) if xi)
-    return math.exp(logv)
+    cells = np.concatenate(([float(eta0)], np.asarray(eta, dtype=float)))
+    return float(_log_route_pmf(N, np.array([[x0, *x]]), cells)[0])
+
+
+def _log_route_pmf(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Multinomial pmf of each row of `counts` (x0, x_1..x_n) with cell
+    probabilities `cells`, summed in log space.
+
+    log k! are running sums of log k in extended precision (where numpy has
+    one): lgamma values near log N! carry absolute errors that become
+    relative errors of the pmf."""
+    logk = np.log(np.arange(1, N + 1, dtype=np.longdouble))
+    lgf = np.concatenate(([0.0], np.cumsum(logk)))
+    logv = lgf[N] - lgf[counts].sum(axis=1) + counts @ np.log(cells.astype(np.longdouble))
+    return np.exp(logv).astype(float)
 
 
 def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
@@ -124,7 +136,8 @@ def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
 
     Up to EXACT_N_MAX the coefficients are exact integers and every value
     equals `multinomial_weight`'s bit for bit; above it the pmf is
-    accumulated in log space.  With eta0 = 1 the values are C(N, x) eta^x.
+    accumulated in log space by `multinomial_weight`'s route, again bit for
+    bit.  With eta0 = 1 the values are C(N, x) eta^x.
     """
     eta = np.array(eta, dtype=float)
     if len(eta) != space.n:
@@ -144,12 +157,7 @@ def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
         for c, v in enumerate(cells):
             value *= np.array([float(v)**k for k in range(N + 1)])[counts[:, c]]
         return value
-    # log k! as running sums of log k in extended precision: lgamma values
-    # near log N! carry absolute errors that become relative errors of W
-    logk = np.log(np.arange(1, N + 1, dtype=np.longdouble))
-    lgf = np.concatenate(([0.0], np.cumsum(logk)))
-    logv = lgf[N] - lgf[counts].sum(axis=1) + counts @ np.log(cells.astype(np.longdouble))
-    return np.exp(logv).astype(float)
+    return _log_route_pmf(N, counts, cells)
 
 
 def weight_vector(params: ModelParams, space: StateSpace) -> np.ndarray:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bdcore import difference_operator_from_tables
 from .errors import ValidationError
@@ -242,6 +241,8 @@ def degree_structure_residuals(space: StateSpace, tab: np.ndarray) -> np.ndarray
     """Least-squares defect of fitting each column by monomials x^alpha of
     total degree at most |m|; near zero iff the column is a polynomial of
     the right degree."""
+    import scipy.linalg
+
     monomials = np.empty((space.size, space.size))
     coords = space.coords.astype(float)
     for ar, alpha in enumerate(space.points):

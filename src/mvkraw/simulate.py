@@ -2,10 +2,17 @@
 
 Two engines:
 
-* ``gillespie_run`` draws the embedded jump chain event by event with
-  exponential holding times and accumulates the time-weighted occupation
-  measure.  Randomness comes from numpy's PCG64 generator; a run is fully
-  determined by its seed.
+* ``gillespie_run`` draws the embedded jump chain with exponential
+  holding times and accumulates the time-weighted occupation measure.
+  Each state's positive-rate moves, their cumulative jump probabilities
+  (last bound +inf) and targets are tabulated once with array operations;
+  per event the loop only walks the chain, one ``bisect_left`` of a
+  uniform into the current state's bounds.  Per block of events it draws
+  the exponentials, then the uniforms, and adds the holding times to the
+  occupation with ``np.add.at`` in event order, so the sums are those of
+  an event-by-event loop, bit for bit.  Randomness comes from numpy's
+  PCG64 generator; a run is fully determined by its seed, and
+  ``tests/test_simulator.py`` pins the output of two seeds by digest.
 
 * ``evolve_distribution`` pushes a distribution through exp(tL) by
   uniformization: with rate bound Lam the transition kernel
@@ -19,10 +26,10 @@ systems by construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .bdcore import check_rate_tables, generator_from_tables
 from .errors import AbsorbingState, NoConvergence, ValidationError
@@ -61,30 +68,28 @@ class GillespieResult:
     tv_to_stationary: float | None
 
 
-def _jump_structure(B: np.ndarray, D: np.ndarray, space: StateSpace):
-    """Per-state cumulative jump probabilities and targets."""
-    size, n = B.shape
-    totals = (B.sum(axis=1) + D.sum(axis=1)).tolist()
-    cums: list[list[float]] = []
-    targets: list[list[int]] = []
-    for r in range(size):
-        rate_acc = 0.0
-        cum: list[float] = []
-        tgt: list[int] = []
-        for j in range(n):
-            if B[r, j] > 0.0:
-                rate_acc += B[r, j]
-                cum.append(rate_acc)
-                tgt.append(int(space.up[r, j]))
-        for j in range(n):
-            if D[r, j] > 0.0:
-                rate_acc += D[r, j]
-                cum.append(rate_acc)
-                tgt.append(int(space.down[r, j]))
-        total = totals[r]
-        cums.append([c / total for c in cum] if total > 0 else [])
-        targets.append(tgt)
-    return totals, cums, targets
+def _jump_tables(B: np.ndarray, D: np.ndarray, space: StateSpace):
+    """Per-state jump tables of the embedded chain, as lists for the event
+    loop: row r holds the cumulative probabilities of the positive-rate
+    moves of state r (births, then deaths, each in direction order) and
+    their targets.  The last move's bound and the padding after it are
+    +inf, so `bisect_left` stays inside the row; a state with zero total
+    rate gets a self-loop and is flagged absorbing."""
+    n = B.shape[1]
+    rates = np.hstack((B, D))
+    dest = np.hstack((space.up, space.down))
+    totals = B.sum(axis=1) + D.sum(axis=1)
+    absorbing = totals <= 0.0
+    keep = rates > 0.0
+    # zero rates add nothing to the running sums
+    cums = np.cumsum(rates, axis=1) / np.where(absorbing, 1.0, totals)[:, None]
+    # kept moves first, in their order; one stable sort per row
+    order = np.argsort(~keep, axis=1, kind="stable")
+    cums = np.take_along_axis(cums, order, axis=1)
+    targets = np.take_along_axis(dest, order, axis=1)
+    cums[np.arange(2 * n) >= keep.sum(axis=1)[:, None] - 1] = np.inf
+    targets[absorbing, 0] = np.nonzero(absorbing)[0]
+    return totals, absorbing, cums.tolist(), targets.tolist()
 
 
 def gillespie_from_tables(
@@ -104,37 +109,39 @@ def gillespie_from_tables(
     B, D = check_rate_tables(B, D, space)
     if n_events < 1:
         raise ValidationError("n_events must be at least 1")
+    state = int(initial_rank)
+    if not 0 <= state < space.size:
+        raise ValidationError(
+            f"initial rank {state} is outside the lattice of {space.size} points"
+        )
 
-    totals, cums, targets = _jump_structure(B, D, space)
-    occupation = [0.0] * space.size
+    totals, absorbing, cums, targets = _jump_tables(B, D, space)
+    occupation = np.zeros(space.size)
     visits = np.zeros(space.size, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    state = int(initial_rank)
     done = 0
     while done < n_events:
         block = min(_BLOCK, n_events - done)
-        exps = rng.standard_exponential(block).tolist()
+        exps = rng.standard_exponential(block)
         unis = rng.random(block).tolist()
-        for e, r in zip(exps, unis):
-            total = totals[state]
-            if total <= 0.0:
-                raise AbsorbingState(
-                    f"state {space.points[state]} has zero total rate"
-                )
-            occupation[state] += e / total
-            cum = cums[state]
-            pos = 0
-            last = len(cum) - 1
-            while pos < last and cum[pos] < r:
-                pos += 1
-            visits[state] += 1
-            state = targets[state][pos]
+        path = []
+        append = path.append
+        for u in unis:
+            append(state)
+            state = targets[state][bisect_left(cums[state], u)]
+        held = np.array(path)
+        stuck = absorbing[held]
+        if stuck.any():
+            first = int(held[stuck.argmax()])
+            raise AbsorbingState(f"state {space.points[first]} has zero total rate")
+        # unbuffered, in event order: the same sums as one event at a time
+        np.add.at(occupation, held, exps / totals[held])
+        visits += np.bincount(held, minlength=space.size)
         done += block
 
-    occ = np.asarray(occupation)
-    total_time = float(occ.sum())
-    occ = occ / total_time
+    total_time = float(occupation.sum())
+    occ = occupation / total_time
     tv = total_variation(occ, reference) if reference is not None else None
     return GillespieResult(
         occupation=occ,
@@ -210,6 +217,8 @@ def evolve_distribution(
     "stationary".  Snapshots are taken at steps+1 equally spaced times
     from 0 to T.
     """
+    import scipy.sparse
+
     if not (math.isfinite(T) and T > 0):
         raise ValidationError(f"horizon T must be positive, got {T}")
     if steps < 1:

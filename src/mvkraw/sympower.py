@@ -29,7 +29,6 @@ adds up: the defect stays near 1e-13 at n=1, N=600.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .lattice import StateSpace, simplex_size
@@ -48,6 +47,8 @@ def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndar
     orthogonal when M is and bounded by 1, where plain coefficients of an
     orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
     """
+    import scipy.sparse as sp
+
     M = np.asarray(M, dtype=float)
     n = space.n
     if M.shape != (n + 1, n + 1):

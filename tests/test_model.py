@@ -88,6 +88,12 @@ def test_multinomial_weight_single_point():
         multinomial_weight(params, (2, 2))
     with pytest.raises(ValidationError):
         multinomial_weight(params, (-1, 0))
+    # above EXACT_N_MAX too, the single point is the lattice-wide value
+    params = ModelParams(n=3, N=80, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
+    space = StateSpace(3, 80)
+    W = weight_vector(params, space)
+    ranks = np.random.default_rng(80).choice(space.size, 300, replace=False)
+    assert np.array_equal(W[ranks], [multinomial_weight(params, space.points[r]) for r in ranks])
 
 
 def test_multinomial_vector_matches_per_point_values():
@@ -103,12 +109,14 @@ def test_multinomial_vector_matches_per_point_values():
         assert np.array_equal(W, per_point)
         ones = multinomial_vector(space, 1.0, np.ones(n))
         assert np.array_equal(ones, [multinomial(N, x) for x in space.points])
-    # log path, against the exact rational pmf of the float cells (the
-    # per-point log_multinomial route itself is off by up to 1e-13 at N=80)
+    # log path: the per-point route is the lattice-wide one, bit for bit,
+    # and both match the exact rational pmf of the float cells
     for n, N in ((2, 25), (3, 25), (2, 80)):
         space = StateSpace(n, N)
         cells = rng.dirichlet(np.ones(n + 1))
         W = multinomial_vector(space, cells[0], cells[1:])
+        per_point = [_multinomial_pmf(N, cells[0], cells[1:], x) for x in space.points]
+        assert np.array_equal(W, per_point)
         exact = [Fraction(v) for v in cells]
         powers = [[c**k for k in range(N + 1)] for c in exact]
         for r, x in enumerate(space.points):

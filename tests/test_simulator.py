@@ -1,3 +1,8 @@
+import hashlib
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -60,12 +65,73 @@ def test_convergence_toward_stationary(setup):
     )
 
 
+def _digest(res):
+    return (
+        hashlib.sha256(res.occupation.tobytes()).hexdigest(),
+        hashlib.sha256(res.visits.tobytes()).hexdigest(),
+        res.final_state,
+    )
+
+
+def test_streams_are_pinned(setup):
+    # a seed fixes the output bit for bit; these digests must not change
+    params, space = setup
+    res = gillespie_run(params, space, 20_000, seed=7)
+    assert _digest(res) == (
+        "84971427861309110b476d2c2e3e73a1a6caf95ca25b41615abce897c4274849",
+        "4893df7bfa543ddc7b45dc39216b8caf58059834fd5f4eeab17b63830ee4080e",
+        (2, 0),
+    )
+    params = ModelParams(3, 6, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
+    res = gillespie_run(params, StateSpace(3, 6), 50_000, seed=11, initial=(1, 2, 1))
+    assert _digest(res) == (
+        "d61b9df4410f89563701c74010d86ae2f5fc306968ac3b4e13ba631c7c08fb98",
+        "8b963f5f9799da0626aef979798fe2ffe134f34896c49d7850a65c5e4d35c7b5",
+        (2, 0, 0),
+    )
+
+
 def test_absorbing_state_detected():
     space = StateSpace(1, 2)
     B = np.zeros((space.size, 1))
     D = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(AbsorbingState):
         gillespie_from_tables(B, D, space, 100, seed=1, initial_rank=0)
+
+
+def test_absorbing_state_reached_mid_run():
+    # no births: deaths walk (3,) down to (0,), which has no move at all
+    space = StateSpace(1, 3)
+    B = np.zeros((space.size, 1))
+    D = space.coords.astype(float)
+    with pytest.raises(AbsorbingState, match=r"state \(0,\) has zero total rate"):
+        gillespie_from_tables(B, D, space, 100, seed=1, initial_rank=space.rank((3,)))
+    # three events reach (0,) without leaving from it
+    res = gillespie_from_tables(B, D, space, 3, seed=1, initial_rank=space.rank((3,)))
+    assert res.final_state == (0,)
+    assert res.visits.tolist() == [0, 1, 1, 1]
+
+
+def test_gillespie_leaves_scipy_unloaded(tmp_path):
+    # neither the import nor a Gillespie run needs scipy
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": 1,
+        "params": {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]},
+        "mode": "gillespie", "events": 1000, "seed": 3,
+    }))
+    code = (
+        "import sys, mvkraw\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "from mvkraw.cli import main\n"
+        f"rc = main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "occupation.csv").exists()
 
 
 def test_rate_table_validation(setup):
@@ -89,6 +155,10 @@ def test_rate_table_validation(setup):
         gillespie_from_tables(B4, D4, space, 10, seed=0)
     with pytest.raises(ValidationError, match="vanish at zero population"):
         gillespie_from_tables(rate_tables(params, space)[0], D, space, 10, seed=0)
+    for rank in (-1, space.size):
+        with pytest.raises(ValidationError, match="outside the lattice"):
+            gillespie_from_tables(*rate_tables(params, space), space, 10, seed=0,
+                                  initial_rank=rank)
 
 
 def test_replicas_use_distinct_streams(setup):
