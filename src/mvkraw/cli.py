@@ -21,8 +21,9 @@ scale: max |T_table - T_oracle| with T = sqrt(W) P sqrt(C(N,m) eta_bar^m),
 where every |T| <= 1, while raw P values grow like C(N, m).
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
-3 exceptional (coincident) parameters, 4 size cap exceeded, 5 a solver did
-not converge, 6 a simulation reached an absorbing state.
+3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
+points for ``table``, ``gen-oracle``, ``verify --level full``, ``rational -N
+99`` and up), 5 a solver did not converge, 6 an absorbing state was reached.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _require_keys(obj: dict, what: str, required: set, optional: set = frozenset
 def _load_params(path: str) -> ModelParams:
     obj = _load_json(path)
     _require_keys(obj, "params file", {"schema", "n", "N", "p", "q"})
-    return ModelParams(n=obj["n"], N=obj["N"], p=tuple(obj["p"]), q=tuple(obj["q"]))
+    return ModelParams(n=obj["n"], N=obj["N"], p=obj["p"], q=obj["q"])
 
 
 def _params_echo(params: ModelParams) -> dict:
@@ -317,9 +318,18 @@ def _load_sim_config(path: str):
     if not isinstance(pobj, dict):
         raise ValidationError("simulate config: params must be an object")
     _require_keys(pobj, "simulate config params", {"schema", "n", "N", "p", "q"})
-    params = ModelParams(n=pobj["n"], N=pobj["N"],
-                         p=tuple(pobj["p"]), q=tuple(pobj["q"]))
+    params = ModelParams(n=pobj["n"], N=pobj["N"], p=pobj["p"], q=pobj["q"])
     return obj, params
+
+
+def _config_number(cfg: dict, key: str, kind):
+    """cfg[key] converted by `kind`; ValidationError if missing or not a number."""
+    if key not in cfg:
+        raise ValidationError(f"simulate config: {cfg['mode']} mode needs '{key}'")
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"simulate config: {key!r} is not a number") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -329,16 +339,12 @@ def _cmd_simulate(args) -> int:
     out = _outdir(args)
 
     if mode == "gillespie":
-        if "events" not in cfg:
-            raise ValidationError("simulate config: gillespie mode needs 'events'")
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        if seed is None:
-            raise ValidationError("simulate config: gillespie mode needs a seed")
+        events = _config_number(cfg, "events", int)
+        seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
         initial = cfg.get("initial")
         if initial == "origin":
             initial = None
-        result = gillespie_run(params, space, int(cfg["events"]), int(seed),
-                               initial=initial)
+        result = gillespie_run(params, space, events, seed, initial=initial)
         W = weight_vector(params, space)
         rows = [
             (r, _label(x), float(result.occupation[r]), float(W[r]))
@@ -351,8 +357,8 @@ def _cmd_simulate(args) -> int:
             "version": __version__,
             "mode": mode,
             "params": _params_echo(params),
-            "events": int(cfg["events"]),
-            "seed": int(seed),
+            "events": events,
+            "seed": seed,
             "rng_family": result.rng_family,
             "summary": {
                 "tv_to_stationary": result.tv_to_stationary,
@@ -366,14 +372,10 @@ def _cmd_simulate(args) -> int:
         return 0
 
     if mode == "uniformization":
-        for key in ("time", "steps"):
-            if key not in cfg:
-                raise ValidationError(
-                    f"simulate config: uniformization mode needs '{key}'"
-                )
+        time = _config_number(cfg, "time", float)
+        steps = _config_number(cfg, "steps", int)
         initial = cfg.get("initial", "origin")
-        result = evolve_distribution(params, space, initial,
-                                     float(cfg["time"]), int(cfg["steps"]))
+        result = evolve_distribution(params, space, initial, time, steps)
         rows = [
             (float(t), float(tv), float(kl))
             for t, tv, kl in zip(result.times, result.tv_to_stationary,
@@ -396,8 +398,8 @@ def _cmd_simulate(args) -> int:
             "version": __version__,
             "mode": mode,
             "params": _params_echo(params),
-            "time": float(cfg["time"]),
-            "steps": int(cfg["steps"]),
+            "time": time,
+            "steps": steps,
             "summary": summary,
         })
         print(f"uniformization: tv(T) = {summary['final_tv']:.3e}, "

@@ -1,9 +1,8 @@
-"""Multinomial coefficients with an exact integer path for small N.
+"""Multinomial coefficients N!/(x_1! ... x_n! x0!) with x0 = N - sum(x).
 
-Coefficients are N!/(x_1! ... x_n! x0!) with x0 = N - sum(x).  Up to
-EXACT_N_MAX the value is built from integer binomials and is exact; beyond
-that, log-gamma accumulation avoids factorial overflow (usable to N of a
-few hundred).
+They are built from integer binomials, so they are exact.  The stationary
+weight uses them up to EXACT_N_MAX and sums its pmf in log space above
+(`model._log_route_pmf`).
 """
 
 import math
@@ -11,30 +10,14 @@ import math
 EXACT_N_MAX = 20
 
 
-def log_multinomial(N: int, parts) -> float:
-    """log of N! / (prod parts_i! * (N - sum parts)!)."""
-    parts = [int(v) for v in parts]
-    rest = N - sum(parts)
-    if rest < 0 or any(v < 0 for v in parts):
-        raise ValueError("parts must be nonnegative with sum at most N")
-    return (
-        math.lgamma(N + 1)
-        - math.lgamma(rest + 1)
-        - sum(math.lgamma(v + 1) for v in parts)
-    )
-
-
 def multinomial(N: int, parts) -> float:
     """N! / (prod parts_i! * (N - sum parts)!) as a float."""
     parts = [int(v) for v in parts]
-    rest = N - sum(parts)
-    if rest < 0 or any(v < 0 for v in parts):
+    if N - sum(parts) < 0 or any(v < 0 for v in parts):
         raise ValueError("parts must be nonnegative with sum at most N")
-    if N <= EXACT_N_MAX:
-        out = 1
-        remaining = N
-        for v in parts:
-            out *= math.comb(remaining, v)
-            remaining -= v
-        return float(out)
-    return math.exp(log_multinomial(N, parts))
+    out = 1
+    remaining = N
+    for v in parts:
+        out *= math.comb(remaining, v)
+        remaining -= v
+    return float(out)

@@ -32,6 +32,13 @@ def _degree_block(n: int, total: int):
             yield (first,) + rest
 
 
+def _point_key(x) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in x)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{x!r} is not a lattice point") from None
+
+
 class StateSpace:
     """Graded-lex enumeration of {x in Z_{>=0}^n : |x| <= N}.
 
@@ -91,11 +98,11 @@ class StateSpace:
         return len(self.points)
 
     def __contains__(self, x) -> bool:
-        return tuple(int(v) for v in x) in self._rank
+        return _point_key(x) in self._rank
 
     def rank(self, x) -> int:
         """Index of a lattice point; ValidationError if outside."""
-        key = tuple(int(v) for v in x)
+        key = _point_key(x)
         try:
             return self._rank[key]
         except KeyError:

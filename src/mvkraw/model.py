@@ -32,8 +32,11 @@ class ModelParams:
             raise ValidationError("n and N must be integers")
         if self.n < 1 or self.N < 1:
             raise ValidationError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
-        p = tuple(float(v) for v in self.p)
-        q = tuple(float(v) for v in self.q)
+        try:
+            p = tuple(float(v) for v in self.p)
+            q = tuple(float(v) for v in self.q)
+        except (TypeError, ValueError):
+            raise ValidationError("p and q must be lists of numbers") from None
         if len(p) != self.n or len(q) != self.n:
             raise ValidationError(
                 f"p and q must have length n={self.n}, got {len(p)} and {len(q)}"
@@ -124,10 +127,14 @@ def _log_route_pmf(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
     log k! are running sums of log k in extended precision (where numpy has
     one): lgamma values near log N! carry absolute errors that become
-    relative errors of the pmf."""
+    relative errors of the pmf.  A zero count contributes nothing, also in a
+    zero cell (0 log 0 = 0); a positive count there gives pmf 0."""
     logk = np.log(np.arange(1, N + 1, dtype=np.longdouble))
     lgf = np.concatenate(([0.0], np.cumsum(logk)))
-    logv = lgf[N] - lgf[counts].sum(axis=1) + counts @ np.log(cells.astype(np.longdouble))
+    empty = cells == 0
+    logc = np.log(np.where(empty, 1.0, cells).astype(np.longdouble))
+    logv = lgf[N] - lgf[counts].sum(axis=1) + counts @ logc
+    logv[(counts[:, empty] > 0).any(axis=1)] = -np.inf
     return np.exp(logv).astype(float)
 
 

@@ -164,7 +164,7 @@ def gillespie_run(
 ) -> GillespieResult:
     B, D = rate_tables(params, space)
     W = weight_vector(params, space)
-    rank = 0 if initial is None else space.rank(tuple(initial))
+    rank = 0 if initial is None else space.rank(initial)
     return gillespie_from_tables(
         B, D, space, n_events, seed, initial_rank=rank, reference=W
     )
@@ -182,7 +182,7 @@ def run_replicas(
     children = np.random.SeedSequence(seed).spawn(replicas)
     B, D = rate_tables(params, space)
     W = weight_vector(params, space)
-    rank = 0 if initial is None else space.rank(tuple(initial))
+    rank = 0 if initial is None else space.rank(initial)
     out = []
     for child in children:
         rng_seed = int(child.generate_state(1, dtype=np.uint64)[0])
@@ -236,7 +236,10 @@ def evolve_distribution(
         else:
             raise ValidationError(f"unknown initial distribution {initial!r}")
     else:
-        v = np.asarray(initial, dtype=float)
+        try:
+            v = np.asarray(initial, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"initial {initial!r} is not a distribution") from None
         if v.shape != (space.size,):
             raise ValidationError("initial distribution does not match the lattice")
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdcore import DENSE_CAP
-from .errors import CapExceeded, ExceptionalParameters, NoConvergence, ValidationError
+from .errors import ExceptionalParameters, NoConvergence, ValidationError
 from .lattice import StateSpace
 from .model import ModelParams
 from .report import Report
@@ -91,19 +90,16 @@ def _bracket_root(p: np.ndarray, q: np.ndarray, lo_pole: float, hi: float,
                   hi_is_pole: bool) -> float:
     """Bisection on the secular function inside one bracket, to machine width."""
 
-    def f(lam: float) -> float:
-        return math.fsum(pi / (lam - qi) for pi, qi in zip(p, q)) - 1.0
-
     lo = np.nextafter(lo_pole, math.inf)
     hi_pt = np.nextafter(hi, -math.inf) if hi_is_pole else hi
-    fhi = f(hi_pt)
+    fhi = secular_function(hi_pt, p, q)
     if fhi == 0.0:
         return hi_pt
     if fhi > 0.0:
         # only possible for the unbounded-side bracket under heavy rounding
         for _ in range(60):
             hi_pt += float(np.sum(p)) + 1.0
-            if f(hi_pt) <= 0.0:
+            if secular_function(hi_pt, p, q) <= 0.0:
                 break
         else:
             raise NoConvergence("could not bracket the largest eigenvalue")
@@ -112,7 +108,7 @@ def _bracket_root(p: np.ndarray, q: np.ndarray, lo_pole: float, hi: float,
         mid = 0.5 * (lo + hi_pt)
         if mid == lo or mid == hi_pt:
             return 0.5 * (lo + hi_pt)
-        if f(mid) > 0.0:
+        if secular_function(mid, p, q) > 0.0:
             lo = mid
         else:
             hi_pt = mid
@@ -345,9 +341,7 @@ class EigenBasis:
     degenerate: bool     # some eigenvalue gap < 1e-8 * norm: basis not unique
 
 
-def numeric_eigenbasis(
-    params: ModelParams, space: StateSpace, dense_cap: int = DENSE_CAP
-) -> EigenBasis:
+def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     """Full orthonormal eigenbasis of the symmetric operator H.
 
     One particle is symmetrized to h = [[sum p, -sqrt(p q)^T],
@@ -356,14 +350,11 @@ def numeric_eigenbasis(
     normalized symmetric power of V, with eigenvalue sum_k m_k lam_k.
     Columns are sorted by eigenvalue.  Works for any valid params,
     including the coincident-q regime where the closed-form construction
-    fails.  The output is dense, so `dense_cap` bounds the lattice size.
+    fails.  The output is dense: CapExceeded above `sympower.DENSE_CAP`
+    lattice points.
     """
     if space.n != params.n or space.N != params.N:
         raise ValidationError("state space does not match params")
-    if space.size > dense_cap:
-        raise CapExceeded(
-            f"dense eigenbasis needs {space.size} <= cap {dense_cap}"
-        )
     p = np.asarray(params.p, dtype=float)
     q = np.asarray(params.q, dtype=float)
     h = np.diag(np.concatenate(([p.sum()], q)))

@@ -24,14 +24,19 @@ rounding by up to sqrt(C(N, x)), and the orthogonality defect of the
 eigenbasis at n=1 reaches 6e-11 at N=50 and O(1) at N=200.  In the
 normalized basis the averaged layer is a contraction, so rounding only
 adds up: the defect stays near 1e-13 at n=1, N=600.
+
+Every size x size table of the package is built here, so DENSE_CAP, the
+one dense-size cap, is enforced here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, simplex_size
+
+DENSE_CAP = 5000
 
 # columns of the next layer built per block, to bound the (n+1)-fold copy
 _BLOCK_ELEMENTS = 1 << 21
@@ -46,7 +51,10 @@ def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndar
     included): the symmetric power in the orthonormal oscillator basis,
     orthogonal when M is and bounded by 1, where plain coefficients of an
     orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
+    Raises CapExceeded above DENSE_CAP points, before allocating.
     """
+    if space.size > DENSE_CAP:
+        raise CapExceeded(f"dense table needs {space.size} <= cap {DENSE_CAP} points")
     import scipy.sparse as sp
 
     M = np.asarray(M, dtype=float)

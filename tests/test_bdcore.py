@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from conftest import draw_model
@@ -19,6 +20,7 @@ from mvkraw import (
     verify_structure,
     weight_vector,
 )
+from mvkraw import bdcore
 
 
 def tables_of(space, birth, death):
@@ -225,5 +227,38 @@ def test_verify_structure_random_loop():
         N = int(rng.integers(1, 7))
         params = draw_model(rng, n, N)
         space = StateSpace(n, N)
-        report = verify_structure(*rate_tables(params, space), space)
+        B, D = rate_tables(params, space)
+        report = verify_structure(B, D, space)
         assert report.passed, "\n".join(report.lines())
+        # the ladder certificate never reads below the dense eigh oracle, up
+        # to the rounding both carry: lambda_min is 0 here, and eigh returns
+        # it to within about size * eps relative (-8e-17 at one draw where
+        # the certificate reads 1.7e-17)
+        H = symmetrized_from_tables(B, D, space).toarray()
+        assert report["symmetrized-positive-semidefinite"].residual >= (
+            _dense_negative_part(H) - space.size * np.finfo(float).eps
+        )
+
+
+def _dense_negative_part(H):
+    """max(0, -lambda_min) / ||H||_2 from a dense eigh: the PSD oracle."""
+    evals = scipy.linalg.eigh(H, eigvals_only=True)
+    return max(0.0, -evals[0]) / max(abs(evals[0]), abs(evals[-1]))
+
+
+def test_psd_certificate_fails_on_shifted_operator(monkeypatch):
+    # H - c I has lambda_min = -c; the ladder residual must flag it
+    params = ModelParams(n=2, N=5, p=(1.0, 2.0), q=(3.0, 5.0))
+    space = StateSpace(2, 5)
+    build = bdcore.symmetrized_from_tables
+
+    def shifted(B, D, space):
+        H = build(B, D, space)
+        c = 1e-3 * H.diagonal().max()
+        return H - c * scipy.sparse.identity(space.size, format="csr")
+
+    monkeypatch.setattr(bdcore, "symmetrized_from_tables", shifted)
+    B, D = rate_tables(params, space)
+    check = verify_structure(B, D, space)["symmetrized-positive-semidefinite"]
+    assert not check.passed
+    assert check.residual >= _dense_negative_part(shifted(B, D, space).toarray())

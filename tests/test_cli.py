@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,11 +160,44 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
     res = run_cli("rational", "--rates", 1, 2, 2, 4, "--out", tmp_path)
     assert res.returncode == 2
 
+    # malformed values are input errors too, not a traceback with exit 1
+    for p in (1, ["x"]):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(
+            {"schema": 1, "n": 1, "N": 3, "p": p, "q": [3]}
+        ))
+        res = run_cli("spectrum", "--params", malformed, "--out", tmp_path)
+        assert res.returncode == 2, (p, res.stderr)
+        assert "Traceback" not in res.stderr
+
 
 def test_cap_exit_code(tmp_path, params_file):
     res = run_cli("table", "--params", params_file, "--out", tmp_path, "--cap", 3)
     assert res.returncode == 4
     assert "cap" in res.stderr
+
+
+def test_dense_cap_is_the_kernel_cap(tmp_path):
+    # (3,30) has 5,456 points: the sparse checks of `verify --level fast`
+    # run there, every dense table stops at the kernel's 5,000-point cap
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "n": 3, "N": 30, "p": [1, 2, 1.5], "q": [1, 3, 6]}
+    ))
+    out = tmp_path / "run"
+    res = run_cli("verify", "--level", "fast", "--params", path, "--out", out)
+    assert res.returncode == 0, res.stdout + res.stderr
+    manifest = json.loads((out / "verify.json").read_text())
+    assert manifest["report"]["passed"] is True
+    assert all(c["passed"] for c in manifest["report"]["checks"])
+    assert "symmetrized-positive-semidefinite" in res.stdout
+
+    for args in (("verify", "--level", "full"), ("table",)):
+        start = time.monotonic()
+        res = run_cli(*args, "--params", path, "--out", out)
+        assert res.returncode == 4, (args, res.stderr)
+        assert "cap" in res.stderr
+        assert time.monotonic() - start < 10.0
 
 
 def test_table_and_oracle(tmp_path, params_file):
@@ -238,11 +272,20 @@ def test_simulate_config_validation(tmp_path):
         {**base, "mode": "uniformization", "time": 1.0},     # no steps
         {**base, "mode": "diffusion", "events": 10},         # unknown mode
         {**base, "mode": "gillespie", "events": 10, "seed": 1, "extra": 0},
+        {**base, "mode": "gillespie", "events": 10, "seed": 1,
+         "initial": "stationary"},                           # not a point
+        {**base, "mode": "gillespie", "events": "ten", "seed": 1},
+        {**base, "mode": "gillespie", "events": 10, "seed": "one"},
+        {**base, "mode": "uniformization", "time": "x", "steps": 2},
+        {**base, "mode": "uniformization", "time": 1.0, "steps": None},
+        {**base, "mode": "uniformization", "time": 1.0, "steps": 2,
+         "initial": ["x"]},
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(broken))
         res = run_cli("simulate", "--config", cfg, "--out", tmp_path)
         assert res.returncode == 2, broken
+        assert "Traceback" not in res.stderr, broken
 
 
 def test_rational_command(tmp_path):

@@ -28,6 +28,9 @@ def test_params_validation():
         ModelParams(n=0, N=3, p=(), q=())
     with pytest.raises(ValidationError):
         ModelParams(n=1, N=0, p=(1.0,), q=(1.0,))
+    for bad in (1, ["x"], [None]):
+        with pytest.raises(ValidationError):
+            ModelParams(n=2, N=3, p=bad, q=(1.0, 2.0))
 
 
 def test_probabilities_anchor():
@@ -150,3 +153,16 @@ def test_coincidence_gap_and_exceptional():
     assert not apart.exceptional()
     single = ModelParams(n=1, N=3, p=(1.0,), q=(2.0,))
     assert not single.exceptional()
+
+
+def test_multinomial_vector_zero_cell_above_exact_range():
+    # the log route must give 0 log 0 = 0: at N=80 with cells (0.5, 0.5, 0)
+    # the pmf is C(80, x1) 0.5^80 on x2 = 0 and vanishes elsewhere
+    space = StateSpace(2, 80)
+    W = multinomial_vector(space, 0.5, (0.5, 0.0))
+    on_axis = space.coords[:, 1] == 0
+    expected = [math.comb(80, int(x1)) * 0.5**80 for x1 in space.coords[on_axis, 0]]
+    assert np.all(np.isfinite(W))
+    np.testing.assert_allclose(W[on_axis], expected, rtol=1e-13, atol=0)
+    assert np.all(W[~on_axis] == 0)
+    assert W.sum() == pytest.approx(1.0, abs=1e-13)

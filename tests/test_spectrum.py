@@ -195,9 +195,11 @@ def test_numeric_eigenbasis_against_dense_eigh(p, q, N):
 
 
 def test_numeric_eigenbasis_guards():
-    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 3.0))
+    # 5,456 points, above the dense cap of the symmetric-power kernel
+    big = ModelParams(n=3, N=30, p=(1.0, 2.0, 1.5), q=(3.0, 3.0, 5.0))
     with pytest.raises(CapExceeded):
-        numeric_eigenbasis(params, StateSpace(2, 4), dense_cap=10)
+        numeric_eigenbasis(big, StateSpace(3, 30))
+    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 3.0))
     with pytest.raises(ValidationError):
         numeric_eigenbasis(params, StateSpace(2, 5))
 
