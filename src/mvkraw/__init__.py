@@ -24,7 +24,7 @@ from .errors import (
     SingularParameters,
     ValidationError,
 )
-from .lattice import StateSpace, enumerate_states, simplex_size
+from .lattice import StateSpace, simplex_size
 from .model import (
     ModelParams,
     multinomial_weight,

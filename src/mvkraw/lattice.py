@@ -3,12 +3,22 @@
 Points are enumerated graded-lexicographically (by total degree, then
 lexicographically within each degree block), so the origin has rank 0 and
 the ordering is deterministic across runs.  The same lattice indexes both
-the population states and the polynomial degree vectors.
+the population states and the polynomial degree vectors.  The rank is the
+closed form, with d = |x|, r_0 = d, r_{k+1} = r_k - x_k and m_k = n - 1 - k,
+
+    rank(x) = C(d-1+n, n) [d > 0]
+              + sum_{k=0}^{n-2} [C(r_k + m_k, m_k) - C(r_k - x_k + m_k, m_k)]
+
+(the points of lower degree, then those of degree d that agree with x
+before coordinate k and are smaller there).  Its binomials C(r + m, m),
+r <= N and m <= n, are at most the lattice size, so int64 cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -22,21 +32,15 @@ def simplex_size(n: int, N: int) -> int:
     return math.comb(N + n, n)
 
 
-def _degree_block(n: int, total: int):
-    # all length-n tuples of nonnegative ints summing to `total`, lex ascending
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _degree_block(n - 1, total - first):
-            yield (first,) + rest
-
-
 def _point_key(x) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in x)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{x!r} is not a lattice point") from None
+        values = list(x)
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and float(v).is_integer() for v in values):
+            return tuple(int(v) for v in values)
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError(f"{x!r} is not a lattice point")
 
 
 class StateSpace:
@@ -47,7 +51,7 @@ class StateSpace:
     n, N : int
         Dimension and ceiling.
     points : list[tuple[int, ...]]
-        Lattice points in rank order.
+        Lattice points in rank order, built from `coords` on first use.
     coords : (size, n) int array
         Same points as an array.
     degrees : (size,) int array
@@ -58,7 +62,7 @@ class StateSpace:
     """
 
     def __init__(self, n: int, N: int, cap: int = DEFAULT_CAP):
-        if not (isinstance(n, int) and isinstance(N, int)):
+        if not (type(n) is int and type(N) is int):
             raise ValidationError("n and N must be integers")
         if n < 1 or N < 1:
             raise ValidationError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
@@ -66,51 +70,60 @@ class StateSpace:
         if size > cap:
             raise CapExceeded(f"lattice has {size} points, exceeds cap {cap}")
 
-        points: list[tuple[int, ...]] = []
-        for degree in range(N + 1):
-            points.extend(_degree_block(n, degree))
-        assert len(points) == size
-
         self.n = n
         self.N = N
-        self.points = points
-        self.coords = np.array(points, dtype=np.int64)
+        self._binom = np.array([[math.comb(r + m, m) for m in range(n + 1)]
+                                for r in range(N + 1)], dtype=np.int64)
+        # every point, one coordinate at a time: a prefix with b to spare
+        # continues with 0..b; then each point goes to its rank
+        pts = np.zeros((1, 0), dtype=np.int64)
+        spare = np.array([N])
+        for _ in range(n):
+            parent = np.repeat(np.arange(len(spare)), spare + 1)
+            value = np.arange(len(parent)) - (np.cumsum(spare + 1) - spare - 1)[parent]
+            pts = np.column_stack((pts[parent], value))
+            spare = spare[parent] - value
+        self.coords = np.empty_like(pts)
+        self.coords[self._ranks(pts)] = pts
         self.degrees = self.coords.sum(axis=1)
-        self._rank = {pt: i for i, pt in enumerate(points)}
 
         self.up = np.full((size, n), -1, dtype=np.int64)
         self.down = np.full((size, n), -1, dtype=np.int64)
-        for i, pt in enumerate(points):
-            if self.degrees[i] < N:
-                for j in range(n):
-                    moved = pt[:j] + (pt[j] + 1,) + pt[j + 1:]
-                    self.up[i, j] = self._rank[moved]
-            for j in range(n):
-                if pt[j] > 0:
-                    moved = pt[:j] + (pt[j] - 1,) + pt[j + 1:]
-                    self.down[i, j] = self._rank[moved]
+        inner = np.nonzero(self.degrees < N)[0]
+        for j, step in enumerate(np.eye(n, dtype=np.int64)):
+            self.up[inner, j] = self._ranks(self.coords[inner] + step)
+            self.down[self.up[inner, j], j] = inner
+
+    def _ranks(self, pts: np.ndarray) -> np.ndarray:
+        """Ranks of lattice points, the rows of `pts`, by the closed form."""
+        T, n = self._binom, self.n
+        r = pts.sum(axis=1)
+        rank = T[r, n] - T[r, n - 1]   # C(d-1+n, n) by Pascal's rule, 0 at d = 0
+        for k in range(n - 1):
+            rank += T[r, n - 1 - k] - T[r - pts[:, k], n - 1 - k]
+            r = r - pts[:, k]
+        return rank
+
+    @cached_property
+    def points(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.coords.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __contains__(self, x) -> bool:
-        return _point_key(x) in self._rank
+        key = _point_key(x)
+        return len(key) == self.n and min(key) >= 0 and sum(key) <= self.N
 
     def rank(self, x) -> int:
         """Index of a lattice point; ValidationError if outside."""
         key = _point_key(x)
-        try:
-            return self._rank[key]
-        except KeyError:
+        if key not in self:
             raise ValidationError(
                 f"{key} is not in the lattice (n={self.n}, N={self.N})"
-            ) from None
-
-
-def enumerate_states(n: int, N: int, cap: int = DEFAULT_CAP) -> StateSpace:
-    """Build the state space, rejecting instances above `cap` points."""
-    return StateSpace(n, N, cap=cap)
+            )
+        return int(self._ranks(np.array([key]))[0])

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import EXACT_N_MAX, multinomial
+from .combinatorics import EXACT_N_MAX
 from .errors import ValidationError
-from .lattice import StateSpace
+from .lattice import StateSpace, _point_key
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ModelParams:
     q: tuple
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.N, int)):
+        if not (type(self.n) is int and type(self.N) is int):
             raise ValidationError("n and N must be integers")
         if self.n < 1 or self.N < 1:
             raise ValidationError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
@@ -102,23 +102,12 @@ def probabilities(params: ModelParams) -> Probabilities:
 def multinomial_weight(params: ModelParams, x) -> float:
     """Stationary weight of one point: multinomial pmf with cells
     (eta0, eta) and counts (N - |x|, x)."""
+    x, N = _point_key(x), params.N
+    if len(x) != params.n or min(x) < 0 or sum(x) > N:
+        raise ValidationError(f"{x} is not in the lattice for n={params.n}, N={N}")
     prob = probabilities(params)
-    return _multinomial_pmf(params.N, prob.eta0, prob.eta, x)
-
-
-def _multinomial_pmf(N: int, eta0: float, eta, x) -> float:
-    x = [int(v) for v in x]
-    x0 = N - sum(x)
-    if x0 < 0 or any(v < 0 for v in x):
-        raise ValidationError(f"{tuple(x)} is not in the lattice for N={N}")
-    if N <= EXACT_N_MAX:
-        coeff = multinomial(N, x)
-        value = coeff * eta0**x0
-        for ei, xi in zip(eta, x):
-            value *= ei**xi
-        return value
-    cells = np.concatenate(([float(eta0)], np.asarray(eta, dtype=float)))
-    return float(_log_route_pmf(N, np.array([[x0, *x]]), cells)[0])
+    cells = np.concatenate(([prob.eta0], prob.eta))
+    return float(_multinomial_rows(N, np.array([[N - sum(x), *x]]), cells)[0])
 
 
 def _log_route_pmf(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -139,12 +128,9 @@ def _log_route_pmf(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
-    """Multinomial pmf over the whole lattice, in rank order.
-
-    Up to EXACT_N_MAX the coefficients are exact integers and every value
-    equals `multinomial_weight`'s bit for bit; above it the pmf is
-    accumulated in log space by `multinomial_weight`'s route, again bit for
-    bit.  With eta0 = 1 the values are C(N, x) eta^x.
+    """Multinomial pmf over the whole lattice, in rank order, by the route
+    `multinomial_weight` takes for one point, so the two agree bit for bit.
+    With eta0 = 1 the values are C(N, x) eta^x.
     """
     eta = np.array(eta, dtype=float)
     if len(eta) != space.n:
@@ -152,6 +138,13 @@ def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
     N = space.N
     counts = np.column_stack((N - space.degrees, space.coords))
     cells = np.concatenate(([float(eta0)], eta))
+    return _multinomial_rows(N, counts, cells)
+
+
+def _multinomial_rows(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Multinomial pmf of each row of `counts` (x0, x_1..x_n) with cell
+    probabilities `cells`: exact integer coefficients up to EXACT_N_MAX,
+    summed in log space above."""
     if N <= EXACT_N_MAX:
         # N!/(x0! x!) as a product of binomials C(N - x_1 - .. - x_{j-1}, x_j),
         # each partial product a multinomial itself, so no int64 overflow
@@ -159,7 +152,7 @@ def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
                           for a in range(N + 1)], dtype=np.int64)
         left = N - np.cumsum(counts[:, 1:], axis=1) + counts[:, 1:]
         coeff = np.prod(binom[left, counts[:, 1:]], axis=1)
-        # powers tabulated per cell, multiplied in multinomial_weight's order
+        # powers tabulated per cell, multiplied in cell order
         value = coeff.astype(float)
         for c, v in enumerate(cells):
             value *= np.array([float(v)**k for k in range(N + 1)])[counts[:, c]]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bdcore import difference_operator_from_tables
 from .errors import ValidationError
-from .lattice import StateSpace
+from .lattice import StateSpace, _point_key
 from .model import ModelParams, multinomial_vector, rate_tables, weight_vector
 from .spectrum import SpectralData
 from .sympower import coefficient_power
@@ -52,7 +52,7 @@ def _u_matrix(spec) -> np.ndarray:
 
 
 def _check_point(name: str, v, n: int, N: int) -> list[int]:
-    out = [int(c) for c in v]
+    out = list(_point_key(v))
     if len(out) != n or any(c < 0 for c in out) or sum(out) > N:
         raise ValidationError(f"{name}={tuple(v)} is not in the lattice (n={n}, N={N})")
     return out
@@ -243,12 +243,10 @@ def degree_structure_residuals(space: StateSpace, tab: np.ndarray) -> np.ndarray
     the right degree."""
     import scipy.linalg
 
-    monomials = np.empty((space.size, space.size))
     coords = space.coords.astype(float)
-    for ar, alpha in enumerate(space.points):
-        monomials[:, ar] = np.prod(coords ** np.asarray(alpha, dtype=float), axis=1)
+    monomials = np.prod(coords[:, None, :] ** coords[None, :, :], axis=2)
     out = np.empty(space.size)
-    for mr, m in enumerate(space.points):
+    for mr in range(space.size):
         k = int(np.searchsorted(space.degrees, space.degrees[mr], side="right"))
         basis = monomials[:, :k]
         col = tab[:, mr]

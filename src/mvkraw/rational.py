@@ -366,24 +366,17 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
         detail=f"lattice size {space.size}",
     )
 
-    worst_literal = 0.0
-    worst_operator = 0.0
-    HdRT = Hd @ R.T
-    for xr, x in enumerate(space.points):
-        rhs_coeff = (pp.p1 + pp.p2) * x[0] - (pp.p3 + pp.p4) * x[1]
-        for mr, m in enumerate(space.points):
-            rem = N - m[0] - m[1]
-            Pc = R[xr, mr]
-            lhs = 0.0
-            if rem > 0:
-                lhs += rem * p1d * (R[xr, space.up[mr, 0]] - Pc)
-                lhs += rem * p2d * (R[xr, space.up[mr, 1]] - Pc)
-            if m[0] > 0:
-                lhs += m[0] * q1d * (R[xr, space.down[mr, 0]] - Pc)
-            if m[1] > 0:
-                lhs += m[1] * q2d * (R[xr, space.down[mr, 1]] - Pc)
-            worst_literal = max(worst_literal, abs(lhs - rhs_coeff * Pc))
-            worst_operator = max(worst_operator, abs(lhs + HdRT[mr, xr]))
+    # the literal relation at every (x, m), columns m stepped by the
+    # neighbour ranks; moves off the lattice add nothing
+    m0, m1 = space.coords.T
+    rem = N - space.degrees
+    lhs = np.zeros_like(R)
+    for coeff, step in ((rem * p1d, space.up[:, 0]), (rem * p2d, space.up[:, 1]),
+                        (m0 * q1d, space.down[:, 0]), (m1 * q2d, space.down[:, 1])):
+        lhs += np.where(step >= 0, coeff * (R[:, step] - R), 0.0)
+    rhs_coeff = (pp.p1 + pp.p2) * m0 - (pp.p3 + pp.p4) * m1
+    worst_literal = float(np.abs(lhs - rhs_coeff[:, None] * R).max())
+    worst_operator = float(np.abs(lhs + (Hd @ R.T).T).max())
     report.add("five-term-recurrence", worst_literal / scale, tol)
     report.add("five-term-matches-operator", worst_operator / scale, tol)
 

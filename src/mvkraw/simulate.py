@@ -133,8 +133,8 @@ def gillespie_from_tables(
         held = np.array(path)
         stuck = absorbing[held]
         if stuck.any():
-            first = int(held[stuck.argmax()])
-            raise AbsorbingState(f"state {space.points[first]} has zero total rate")
+            first = tuple(space.coords[held[stuck.argmax()]].tolist())
+            raise AbsorbingState(f"state {first} has zero total rate")
         # unbuffered, in event order: the same sums as one event at a time
         np.add.at(occupation, held, exps / totals[held])
         visits += np.bincount(held, minlength=space.size)
@@ -148,7 +148,7 @@ def gillespie_from_tables(
         visits=visits,
         events=n_events,
         total_time=total_time,
-        final_state=space.points[state],
+        final_state=tuple(space.coords[state].tolist()),
         seed=seed,
         rng_family=RNG_FAMILY,
         tv_to_stationary=tv,
@@ -179,19 +179,11 @@ def run_replicas(
     initial=None,
 ) -> list[GillespieResult]:
     """Independent runs with child seeds spawned from one root seed."""
-    children = np.random.SeedSequence(seed).spawn(replicas)
-    B, D = rate_tables(params, space)
-    W = weight_vector(params, space)
-    rank = 0 if initial is None else space.rank(initial)
-    out = []
-    for child in children:
-        rng_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        out.append(
-            gillespie_from_tables(
-                B, D, space, n_events, rng_seed, initial_rank=rank, reference=W
-            )
-        )
-    return out
+    return [
+        gillespie_run(params, space, n_events,
+                      int(child.generate_state(1, dtype=np.uint64)[0]), initial)
+        for child in np.random.SeedSequence(seed).spawn(replicas)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,6 +30,51 @@ def tables_of(space, birth, death):
     B = np.array([[birth(j, x) for j in range(space.n)] for x in space.points])
     D = np.array([[death(j, x) for j in range(space.n)] for x in space.points])
     return B, D
+
+
+def weight_by_point_walk(B, D, space, tol=1e-10):
+    """Stationary weight propagated point by point in rank order, one
+    math.log pair per parent direction: the reference for the layered
+    propagation of `stationary_weight_generic`, messages included."""
+    logw = np.empty(space.size)
+    logw[0] = 0.0
+    for i in range(1, space.size):
+        pt = space.points[i]
+        value = None
+        for j in range(space.n):
+            if pt[j] == 0:
+                continue
+            parent = space.down[i, j]
+            b, d = B[parent, j], D[i, j]
+            if d <= 0.0:
+                raise ValidationError(
+                    f"death rate vanishes entering {pt} along direction {j}: "
+                    "two-term weight undefined"
+                )
+            if b <= 0.0:
+                raise ValidationError(
+                    f"state {pt} unreachable: birth rate vanishes at "
+                    f"{space.points[parent]} in direction {j}"
+                )
+            candidate = logw[parent] + math.log(b) - math.log(d)
+            if value is None:
+                value = candidate
+            elif abs(candidate - value) > tol:
+                raise ValidationError(
+                    f"two-term relation is path-dependent at {pt}: "
+                    f"log-weight {candidate:.12g} vs {value:.12g}; "
+                    "rate field fails the compatibility condition"
+                )
+        logw[i] = value
+    logw -= logw.max()
+    W = np.exp(logw)
+    return W / W.sum()
+
+
+def _message(fn, *args):
+    with pytest.raises(ValidationError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 def test_tabulate_rates_anchor():
@@ -172,8 +219,55 @@ def test_stationary_weight_generic_matches_closed_form():
         params = draw_model(rng, n, N)
         space = StateSpace(n, N)
         W1 = weight_vector(params, space)
-        W2 = stationary_weight_generic(*rate_tables(params, space), space)
+        B, D = rate_tables(params, space)
+        W2 = stationary_weight_generic(B, D, space)
         assert np.abs(W1 - W2).max() < 1e-13
+        assert np.array_equal(W2, weight_by_point_walk(B, D, space))
+
+
+def test_stationary_weight_generic_names_the_first_offender():
+    params = ModelParams(n=3, N=4, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
+    space = StateSpace(3, 4)
+    B, D = rate_tables(params, space)
+    dead = D.copy()
+    dead[space.rank((0, 2, 1)), 2] = 0.0
+    dead[space.rank((1, 1, 0)), 1] = 0.0
+    msg = _message(stationary_weight_generic, B, dead, space)
+    assert msg == ("death rate vanishes entering (1, 1, 0) along direction 1: "
+                   "two-term weight undefined")
+    closed = B.copy()
+    closed[space.rank((0, 1, 1)), 0] = 0.0
+    closed[space.rank((0, 0, 1)), 0] = 0.0
+    msg = _message(stationary_weight_generic, closed, D, space)
+    assert msg == "state (1, 0, 1) unreachable: birth rate vanishes at (0, 0, 1) in direction 0"
+
+    # random mixes of the three faults: the layered propagation reports the
+    # (point, direction) the point-by-point walk stops at, word for word
+    rng = np.random.default_rng(20260815)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        N = int(rng.integers(1, 6))
+        space = StateSpace(n, N)
+        B, D = rate_tables(draw_model(rng, n, N), space)
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = int(rng.integers(space.size)), int(rng.integers(n))
+            fault = int(rng.integers(3))
+            if fault == 0:
+                B[i, j] = 0.0
+            elif fault == 1:
+                D[i, j] = 0.0
+            else:
+                B[i, j] *= 1.5
+        try:
+            W = weight_by_point_walk(B, D, space)
+        except ValidationError as exc:
+            seen.update(k for k in ("undefined", "unreachable", "path-dependent")
+                        if k in str(exc))
+            assert _message(stationary_weight_generic, B, D, space) == str(exc)
+        else:
+            assert np.array_equal(stationary_weight_generic(B, D, space), W)
+    assert seen == {"undefined", "unreachable", "path-dependent"}
 
 
 def test_path_dependent_rates_rejected():

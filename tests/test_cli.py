@@ -169,6 +169,14 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
         res = run_cli("spectrum", "--params", malformed, "--out", tmp_path)
         assert res.returncode == 2, (p, res.stderr)
         assert "Traceback" not in res.stderr
+    # JSON true is not an integer dimension or ceiling
+    for sizes in ({"n": True, "N": 3}, {"n": 1, "N": True}):
+        boolean = tmp_path / "boolean.json"
+        boolean.write_text(json.dumps({"schema": 1, **sizes, "p": [1], "q": [3]}))
+        for command in ("spectrum", "verify"):
+            res = run_cli(command, "--params", boolean, "--out", tmp_path)
+            assert res.returncode == 2, (sizes, command, res.stderr)
+            assert "Traceback" not in res.stderr
 
 
 def test_cap_exit_code(tmp_path, params_file):
@@ -280,6 +288,11 @@ def test_simulate_config_validation(tmp_path):
         {**base, "mode": "uniformization", "time": 1.0, "steps": None},
         {**base, "mode": "uniformization", "time": 1.0, "steps": 2,
          "initial": ["x"]},
+        # a non-integral or boolean start is rejected, not truncated to (1,)
+        {**base, "mode": "gillespie", "events": 10, "seed": 1, "initial": [1.5]},
+        {**base, "mode": "gillespie", "events": 10, "seed": 1, "initial": [True]},
+        {**base, "params": {**base["params"], "n": True}, "mode": "gillespie",
+         "events": 10, "seed": 1},
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(broken))

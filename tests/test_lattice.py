@@ -3,7 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from mvkraw import CapExceeded, StateSpace, ValidationError, enumerate_states, simplex_size
+from mvkraw import CapExceeded, StateSpace, ValidationError, simplex_size
+
+
+def _degree_block(n, total):
+    # all length-n tuples of nonnegative ints summing to `total`, lex ascending
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _degree_block(n - 1, total - first):
+            yield (first,) + rest
+
+
+def reference_lattice(n, N):
+    """Points, degrees and neighbour ranks by recursive enumeration, a rank
+    dict of tuples and a walk over every point: the reference the
+    closed-form rank is held to."""
+    points = [pt for degree in range(N + 1) for pt in _degree_block(n, degree)]
+    rank = {pt: i for i, pt in enumerate(points)}
+    up = np.full((len(points), n), -1, dtype=np.int64)
+    down = np.full((len(points), n), -1, dtype=np.int64)
+    for i, pt in enumerate(points):
+        for j in range(n):
+            if sum(pt) < N:
+                up[i, j] = rank[pt[:j] + (pt[j] + 1,) + pt[j + 1:]]
+            if pt[j] > 0:
+                down[i, j] = rank[pt[:j] + (pt[j] - 1,) + pt[j + 1:]]
+    degrees = np.array([sum(pt) for pt in points], dtype=np.int64)
+    return points, np.array(points, dtype=np.int64), degrees, up, down
 
 
 def test_simplex_size():
@@ -31,11 +59,19 @@ def test_rank_round_trip():
     for r, x in enumerate(space.points):
         assert space.rank(x) == r
         assert x in space
-    assert (4, 4, 4) not in space
-    with pytest.raises(ValidationError):
-        space.rank((4, 4, 4))
-    with pytest.raises(ValidationError):
-        space.rank((-1, 0, 0))
+        assert space.rank(np.array(x)) == r
+    assert space.rank((1.0, 0.0, 2.0)) == space.rank((1, 0, 2))
+    for outside in ((4, 4, 4), (-1, 0, 0), (1, 0), (1, 0, 0, 0)):
+        assert outside not in space
+        with pytest.raises(ValidationError, match="not in the lattice"):
+            space.rank(outside)
+    # non-integral and boolean coordinates are rejected, not truncated
+    for bad in ((1.5, 0, 0), (0.5, 0, 0), (True, 0, 0), (0, np.True_, 1),
+                (float("nan"), 0, 0), "120", 3):
+        with pytest.raises(ValidationError, match="not a lattice point"):
+            space.rank(bad)
+        with pytest.raises(ValidationError, match="not a lattice point"):
+            bad in space  # noqa: B015
 
 
 def test_neighbor_tables():
@@ -83,15 +119,58 @@ def test_validation():
         StateSpace(2, 0)
     with pytest.raises(ValidationError):
         StateSpace(2, 2.5)
+    for n, N in ((True, 2), (2, True)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            StateSpace(n, N)
 
 
-def test_enumerate_states_matches_class():
-    space = enumerate_states(2, 4)
-    assert isinstance(space, StateSpace)
+def test_graded_lex_blocks():
+    space = StateSpace(2, 4)
     assert space.size == simplex_size(2, 4)
     degrees = [sum(x) for x in space.points]
     assert degrees == sorted(degrees)
+    assert degrees == space.degrees.tolist()
     # within a degree the order is lexicographic
     for d in range(5):
         block = [x for x in space.points if sum(x) == d]
         assert block == sorted(block)
+
+
+@pytest.mark.parametrize("n, N", [
+    *((n, N) for n in range(1, 7) for N in range(1, 8 - n)),
+    (3, 80), (70, 2), (1, 600),
+])
+def test_matches_reference_enumeration(n, N):
+    points, coords, degrees, up, down = reference_lattice(n, N)
+    space = StateSpace(n, N)
+    assert space.size == len(space) == simplex_size(n, N)
+    for name, ref in (("coords", coords), ("degrees", degrees), ("up", up), ("down", down)):
+        got = getattr(space, name)
+        assert got.dtype == np.int64, name
+        assert np.array_equal(got, ref), name
+    assert space.points == points
+    assert all(type(c) is int for c in space.points[-1])
+
+
+def test_computations_do_not_read_points(monkeypatch):
+    # `points` is for output and messages; every computation reads the arrays
+    from mvkraw import (
+        ModelParams, evolve_distribution, gillespie_run, numeric_eigenbasis,
+        rate_tables, solve_spectrum, table, verify_structure, weight_vector,
+    )
+
+    def unused(self):
+        raise AssertionError("StateSpace.points read by a computation")
+
+    monkeypatch.setattr(StateSpace, "points", property(unused))
+    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(1.0, 4.0))
+    space = StateSpace(2, 4)
+    B, D = rate_tables(params, space)
+    weight_vector(params, space)
+    assert verify_structure(B, D, space).passed
+    evolve_distribution(params, space, "origin", 1.0, 2)
+    table(solve_spectrum(params), space)
+    numeric_eigenbasis(params, space)
+    assert gillespie_run(params, space, 200, seed=1, initial=(1, 1)).events == 200
+    with pytest.raises(AssertionError, match="read by a computation"):
+        space.points

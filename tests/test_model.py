@@ -31,6 +31,11 @@ def test_params_validation():
     for bad in (1, ["x"], [None]):
         with pytest.raises(ValidationError):
             ModelParams(n=2, N=3, p=bad, q=(1.0, 2.0))
+    # JSON true is a bool, not the integer 1
+    with pytest.raises(ValidationError, match="must be integers"):
+        ModelParams(n=True, N=3, p=(1.0,), q=(2.0,))
+    with pytest.raises(ValidationError, match="must be integers"):
+        ModelParams(n=1, N=True, p=(1.0,), q=(2.0,))
 
 
 def test_probabilities_anchor():
@@ -91,6 +96,9 @@ def test_multinomial_weight_single_point():
         multinomial_weight(params, (2, 2))
     with pytest.raises(ValidationError):
         multinomial_weight(params, (-1, 0))
+    for bad in ((1,), (1, 1, 0), (1.5, 0), (True, 0)):
+        with pytest.raises(ValidationError):
+            multinomial_weight(params, bad)
     # above EXACT_N_MAX too, the single point is the lattice-wide value
     params = ModelParams(n=3, N=80, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
     space = StateSpace(3, 80)
@@ -101,25 +109,14 @@ def test_multinomial_weight_single_point():
 
 def test_multinomial_vector_matches_per_point_values():
     from mvkraw.combinatorics import multinomial
-    from mvkraw.model import _multinomial_pmf
 
+    # both routes, exact integers up to N = 20 and log space above, against
+    # the exact rational pmf of the float cells
     rng = np.random.default_rng(20260815)
-    for n, N in ((1, 20), (2, 20), (3, 12), (4, 7), (2, 1)):
+    for n, N in ((1, 20), (2, 20), (3, 12), (4, 7), (2, 1), (2, 25), (3, 25), (2, 80)):
         space = StateSpace(n, N)
         cells = rng.dirichlet(np.ones(n + 1))
         W = multinomial_vector(space, cells[0], cells[1:])
-        per_point = [_multinomial_pmf(N, cells[0], cells[1:], x) for x in space.points]
-        assert np.array_equal(W, per_point)
-        ones = multinomial_vector(space, 1.0, np.ones(n))
-        assert np.array_equal(ones, [multinomial(N, x) for x in space.points])
-    # log path: the per-point route is the lattice-wide one, bit for bit,
-    # and both match the exact rational pmf of the float cells
-    for n, N in ((2, 25), (3, 25), (2, 80)):
-        space = StateSpace(n, N)
-        cells = rng.dirichlet(np.ones(n + 1))
-        W = multinomial_vector(space, cells[0], cells[1:])
-        per_point = [_multinomial_pmf(N, cells[0], cells[1:], x) for x in space.points]
-        assert np.array_equal(W, per_point)
         exact = [Fraction(v) for v in cells]
         powers = [[c**k for k in range(N + 1)] for c in exact]
         for r, x in enumerate(space.points):
@@ -128,6 +125,9 @@ def test_multinomial_vector_matches_per_point_values():
             for c, k in enumerate(counts):
                 value = value * powers[c][k] / math.factorial(k)
             assert abs(W[r] / float(value) - 1.0) < 1e-13, (x, W[r], float(value))
+        if N <= 20:
+            ones = multinomial_vector(space, 1.0, np.ones(n))
+            assert np.array_equal(ones, [multinomial(N, x) for x in space.points])
 
 
 def test_large_N_log_path_consistent():

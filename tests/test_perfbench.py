@@ -1,17 +1,22 @@
 """Smoke test of the benchmark harness on its quickest setting: one round
-of the Gillespie workload, checked against its own oracles."""
+of a workload, checked against its own oracles.  `gillespie` runs the jump
+chain at (2,5) and (3,20); `large-lattice` runs uniformization at (3,80)
+and `verify --level fast` at (3,20)."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_gillespie_workload_runs_and_passes():
+@pytest.mark.parametrize("workload", ["gillespie", "large-lattice"])
+def test_workload_runs_and_passes(workload):
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "gillespie",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
