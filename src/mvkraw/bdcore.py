@@ -214,36 +214,28 @@ def check_compatibility(
     non-finite rate is an error (raised by `check_rate_tables`).
     """
     B, D = check_rate_tables(B, D, space)
-    worst = 0.0
+    # plaquettes as a (corner, pair) array, corners x with |x| <= N - 2 in
+    # rank order and pairs j < k in lexicographic order
+    j, k = np.triu_indices(space.n, 1)
+    x = np.nonzero(space.degrees <= space.N - 2)[0][:, None]
+    xj, xk = space.up[x, j], space.up[x, k]
+    xjk = space.up[xj, k]
+    d1, d2, d3, d4 = D[xj, j], D[xjk, k], D[xk, k], D[xjk, j]
+    skip = (d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lhs = (B[x, j] / d1) * (B[xj, k] / d2)
+        rhs = (B[x, k] / d3) * (B[xk, j] / d4)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        residual = np.abs(lhs - rhs) / scale
+    # a skipped plaquette or a NaN residual (inf/inf) never sets the worst
+    residual = np.where(skip | np.isnan(residual), 0.0, residual).ravel()
+    worst = float(residual.max(initial=0.0))
     witness = None
-    checked = 0
-    skipped = 0
-    for i in range(space.size):
-        for j in range(space.n):
-            xj = space.up[i, j]
-            if xj < 0:
-                continue
-            for k in range(j + 1, space.n):
-                xk = space.up[i, k]
-                if xk < 0:
-                    continue
-                xjk = space.up[xj, k]
-                if xjk < 0:
-                    continue
-                d1, d2 = D[xj, j], D[xjk, k]
-                d3, d4 = D[xk, k], D[xjk, j]
-                if d1 == 0.0 or d2 == 0.0 or d3 == 0.0 or d4 == 0.0:
-                    skipped += 1
-                    continue
-                lhs = (B[i, j] / d1) * (B[xj, k] / d2)
-                rhs = (B[i, k] / d3) * (B[xk, j] / d4)
-                scale = max(abs(lhs), abs(rhs), 1e-300)
-                residual = abs(lhs - rhs) / scale
-                checked += 1
-                if residual > worst:
-                    worst = residual
-                    witness = (tuple(space.coords[i].tolist()), j, k)
-    return CompatibilityResult(worst <= tol, worst, witness, checked, skipped)
+    if worst > 0.0:
+        corner, pair = divmod(int(residual.argmax()), len(j))
+        witness = (tuple(space.coords[x[corner, 0]].tolist()), int(j[pair]), int(k[pair]))
+    skipped = int(skip.sum())
+    return CompatibilityResult(worst <= tol, worst, witness, skip.size - skipped, skipped)
 
 
 def verify_structure(

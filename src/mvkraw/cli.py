@@ -387,6 +387,7 @@ def _cmd_simulate(args) -> int:
             "final_tv": float(result.tv_to_stationary[-1]),
             "mass_defect": result.mass_defect,
             "rate_bound": result.rate_bound,
+            "route": result.route,
         }
         try:
             fit = relaxation_rate(result)
@@ -402,7 +403,8 @@ def _cmd_simulate(args) -> int:
             "steps": steps,
             "summary": summary,
         })
-        print(f"uniformization: tv(T) = {summary['final_tv']:.3e}, "
+        print(f"uniformization: {result.route} route, "
+              f"tv(T) = {summary['final_tv']:.3e}, "
               f"mass defect = {summary['mass_defect']:.3e}")
         print(f"wrote {os.path.join(out, 'evolution.csv')}")
         return 0

@@ -14,10 +14,20 @@ Two engines:
   PCG64 generator; a run is fully determined by its seed, and
   ``tests/test_simulator.py`` pins the output of two seeds by digest.
 
-* ``evolve_distribution`` pushes a distribution through exp(tL) by
-  uniformization: with rate bound Lam the transition kernel
+* ``evolve_distribution`` applies exp(tL) to a distribution.  The N
+  particles hop independently on the (n+1)-state star, so from a point
+  mass x (the origin included) the law at time t is exact: the product
+  over slots i of the multinomials of x_i particles with cells
+  P1(t)[i, :], where P1(t) = exp(t Q1) is the (n+1) x (n+1) one-body
+  kernel.  From the stationary weight W the law stays W.  Any other start
+  is pushed through the many-body kernel by uniformization, the only route
+  whose cost does not grow with the support of the start and the oracle
+  of the exact law in the tests: with rate bound Lam the transition kernel
   K = I + L/Lam is column-stochastic and the Poisson-weighted series
   sum_k pois(k; Lam dt) K^k converges with explicitly controlled tail.
+  P1(t) is the same series on the one-body kernel I + Q1/Lam1, so all of
+  its terms are nonnegative and its rows sum to 1 up to rounding; only
+  uniformization on the lattice needs ``scipy.sparse``.
 
 Both refuse rate tables with negative entries, which rules out signed dual
 systems by construction.
@@ -33,8 +43,8 @@ import numpy as np
 
 from .bdcore import check_rate_tables, generator_from_tables
 from .errors import AbsorbingState, NoConvergence, ValidationError
-from .lattice import StateSpace
-from .model import ModelParams, rate_tables, weight_vector
+from .lattice import StateSpace, simplex_size
+from .model import ModelParams, _multinomial_rows, rate_tables, weight_vector
 
 RNG_FAMILY = "numpy-PCG64"
 _BLOCK = 1 << 14
@@ -194,6 +204,7 @@ class EvolveResult:
     kl_to_stationary: np.ndarray
     mass_defect: float
     rate_bound: float
+    route: str                    # "exact" or "uniformization"
 
 
 def evolve_distribution(
@@ -207,16 +218,17 @@ def evolve_distribution(
 
     `initial` is a distribution vector over ranks, or "origin" /
     "stationary".  Snapshots are taken at steps+1 equally spaced times
-    from 0 to T.
+    from 0 to T; snapshot 0 is the initial vector itself.  The start
+    picks the route: "stationary" stays W, and a point mass ("origin" or
+    a vector with one nonzero entry) evolves by its exact law, `_point_law`
+    of the one-body kernel; any other vector is pushed through the
+    many-body kernel by uniformization.
     """
-    import scipy.sparse
-
     if not (math.isfinite(T) and T > 0):
         raise ValidationError(f"horizon T must be positive, got {T}")
     if steps < 1:
         raise ValidationError("steps must be at least 1")
     B, D = rate_tables(params, space)
-    L = generator_from_tables(B, D, space)
     W = weight_vector(params, space)
 
     if isinstance(initial, str):
@@ -234,33 +246,88 @@ def evolve_distribution(
             raise ValidationError(f"initial {initial!r} is not a distribution") from None
         if v.shape != (space.size,):
             raise ValidationError("initial distribution does not match the lattice")
+        if not np.isfinite(v).all():
+            raise ValidationError("initial distribution has a non-finite entry")
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
             raise ValidationError("initial must be a probability vector")
 
     lam = float((B.sum(axis=1) + D.sum(axis=1)).max())
-    K = ((L / lam) + scipy.sparse.identity(space.size, format="csr")).tocsr()
-
     times = np.linspace(0.0, T, steps + 1)
     dists = np.empty((steps + 1, space.size))
     dists[0] = v
-    for k in range(steps):
-        dt = times[k + 1] - times[k]
-        pieces = max(1, int(math.ceil(lam * dt / _MAX_SEGMENT)))
-        for _ in range(pieces):
-            v = _uniformized_step(K, v, lam * dt / pieces)
-        dists[k + 1] = v
+    support = np.flatnonzero(v)
+    if isinstance(initial, str) and initial == "stationary":
+        route = "exact"
+        dists[1:] = W
+    elif len(support) == 1:
+        route = "exact"
+        Q1 = np.zeros((space.n + 1, space.n + 1))
+        Q1[0, 1:] = params.p
+        Q1[1:, 0] = params.q
+        exits = Q1.sum(axis=1)
+        lam1 = float(exits.max())
+        K1 = np.eye(space.n + 1) + (Q1 - np.diag(exits)) / lam1
+        x = space.coords[support[0]]
+        for k, P1 in enumerate(_snapshots(K1, np.eye(space.n + 1), lam1, times), 1):
+            dists[k] = v[support[0]] * _point_law(P1, x, space)
+    else:
+        import scipy.sparse
+
+        route = "uniformization"
+        L = generator_from_tables(B, D, space)
+        K = ((L / lam) + scipy.sparse.identity(space.size, format="csr")).tocsr()
+        for k, snapshot in enumerate(_snapshots(K, v, lam, times), 1):
+            dists[k] = snapshot
 
     tv = np.array([total_variation(d, W) for d in dists])
     kl = np.array([kl_divergence(d, W) for d in dists])
     mass = float(np.abs(dists.sum(axis=1) - 1.0).max())
-    return EvolveResult(times, dists, tv, kl, mass, lam)
+    return EvolveResult(times, dists, tv, kl, mass, lam, route)
+
+
+def _snapshots(K, v: np.ndarray, lam: float, times: np.ndarray):
+    """Yield the image of v at times[1:] under uniformization of K at rate
+    bound lam, each step cut into pieces of at most _MAX_SEGMENT jumps."""
+    for k in range(len(times) - 1):
+        dt = times[k + 1] - times[k]
+        pieces = max(1, int(math.ceil(lam * dt / _MAX_SEGMENT)))
+        for _ in range(pieces):
+            v = _uniformized_step(K, v, lam * dt / pieces)
+        yield v
+
+
+def _point_law(P1: np.ndarray, x: np.ndarray, space: StateSpace) -> np.ndarray:
+    """Law at time t of the chain started at the lattice point x, in rank
+    order: the coefficients of prod_i (P1[i] . t)^{x_i}, x_0 = N - |x|,
+    where P1 = exp(t Q1) is the one-body kernel, because the N particles
+    move independently.
+
+    Slot 0's factor is the multinomial of its x_0 particles on the graded
+    prefix |y| <= x_0; each particle of slot i >= 1 then multiplies by its
+    linear form, growing the prefix one degree.  Every term is nonnegative,
+    so this single-parent product has no cancellation to amplify."""
+    n = space.n
+    d = space.N - int(x.sum())
+    size = simplex_size(n, d)
+    counts = np.column_stack((d - space.degrees[:size], space.coords[:size]))
+    law = _multinomial_rows(d, counts, P1[0])
+    for i, power in enumerate(x.tolist(), start=1):
+        for _ in range(power):
+            d += 1
+            grown = np.zeros(simplex_size(n, d))
+            grown[:size] = P1[i, 0] * law
+            for j in range(n):
+                # x -> x + e_j is one-to-one, so no target repeats
+                grown[space.up[:size, j]] += P1[i, j + 1] * law
+            law, size = grown, len(grown)
+    return law
 
 
 def _uniformized_step(K, v: np.ndarray, a: float) -> np.ndarray:
     """sum_k pois(k; a) K^k v, truncated once the index has passed the
     Poisson mode and the term weight is below the cutoff.  K^k v stays a
-    probability vector, so the truncation error is bounded by the
-    remaining tail mass."""
+    probability vector (a stochastic matrix, when v is one), so the
+    truncation error is bounded by the remaining tail mass."""
     if a == 0.0:
         return v.copy()
     weight = math.exp(-a)

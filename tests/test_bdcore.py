@@ -71,6 +71,41 @@ def weight_by_point_walk(B, D, space, tol=1e-10):
     return W / W.sum()
 
 
+def compatibility_by_plaquette_loop(B, D, space, tol=1e-10):
+    """The plaquette-by-plaquette compatibility check: the reference for the
+    array code of `check_compatibility`, witness order included."""
+    worst = 0.0
+    witness = None
+    checked = 0
+    skipped = 0
+    for i in range(space.size):
+        for j in range(space.n):
+            xj = space.up[i, j]
+            if xj < 0:
+                continue
+            for k in range(j + 1, space.n):
+                xk = space.up[i, k]
+                if xk < 0:
+                    continue
+                xjk = space.up[xj, k]
+                if xjk < 0:
+                    continue
+                d1, d2 = D[xj, j], D[xjk, k]
+                d3, d4 = D[xk, k], D[xjk, j]
+                if d1 == 0.0 or d2 == 0.0 or d3 == 0.0 or d4 == 0.0:
+                    skipped += 1
+                    continue
+                lhs = (B[i, j] / d1) * (B[xj, k] / d2)
+                rhs = (B[i, k] / d3) * (B[xk, j] / d4)
+                scale = max(abs(lhs), abs(rhs), 1e-300)
+                residual = abs(lhs - rhs) / scale
+                checked += 1
+                if residual > worst:
+                    worst = residual
+                    witness = (tuple(space.coords[i].tolist()), j, k)
+    return bdcore.CompatibilityResult(worst <= tol, worst, witness, checked, skipped)
+
+
 def _message(fn, *args):
     with pytest.raises(ValidationError) as info:
         fn(*args)
@@ -293,6 +328,34 @@ def test_compatibility_passes_for_model():
     assert comp.passed
     assert comp.pairs_checked > 0
     assert comp.worst_residual < 1e-14
+
+
+def test_check_compatibility_matches_plaquette_loop():
+    # model tables (residuals at rounding level), fields with perturbed
+    # births (path-dependent), zero death rates (skipped plaquettes) and
+    # all-zero residuals (no witness), result for result
+    rng = np.random.default_rng(20260815)
+    kinds = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        N = int(rng.integers(1, 7))
+        space = StateSpace(n, N)
+        B, D = rate_tables(draw_model(rng, n, N), space)
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = int(rng.integers(space.size)), int(rng.integers(n))
+            if rng.integers(2):
+                B[i, j] *= 1.5
+            else:
+                D[i, j] = 0.0
+        for field in ((B, D), (np.where(B > 0, 1.0, 0.0), np.where(D > 0, 1.0, 0.0))):
+            ref = compatibility_by_plaquette_loop(*field, space)
+            assert check_compatibility(*field, space) == ref
+            kinds.update(k for k, hit in (("fail", not ref.passed),
+                                          ("skip", ref.pairs_skipped > 0),
+                                          ("exact", ref.witness is None
+                                           and ref.pairs_checked > 0))
+                         if hit)
+    assert kinds == {"fail", "skip", "exact"}
 
 
 def test_compatibility_vacuous_for_n1():

@@ -266,9 +266,14 @@ def test_simulate_uniformization(tmp_path):
     assert lines[0] == "# manifest: simulate.json"
     assert lines[1] == "time,tv,kl"
     assert len(lines) == 2 + 13
-    manifest = json.loads((out / "simulate.json").read_text())
+    assert res.stdout.startswith("uniformization: exact route, tv(T) = ")
+    text = (out / "simulate.json").read_text()
+    manifest = json.loads(text)
     assert manifest["summary"]["mass_defect"] < 1e-12
     assert manifest["summary"]["final_tv"] < 1e-3
+    assert manifest["summary"]["route"] == "exact"
+    assert run_cli("simulate", "--config", cfg, "--out", out).returncode == 0
+    assert (out / "simulate.json").read_text() == text
 
 
 def test_simulate_config_validation(tmp_path):
@@ -288,6 +293,8 @@ def test_simulate_config_validation(tmp_path):
         {**base, "mode": "uniformization", "time": 1.0, "steps": None},
         {**base, "mode": "uniformization", "time": 1.0, "steps": 2,
          "initial": ["x"]},
+        {**base, "mode": "uniformization", "time": 1.0, "steps": 2,
+         "initial": [float("nan"), 0.5, 0.5]},              # NaN passed
         # a non-integral or boolean start is rejected, not truncated to (1,)
         {**base, "mode": "gillespie", "events": 10, "seed": 1, "initial": [1.5]},
         {**base, "mode": "gillespie", "events": 10, "seed": 1, "initial": [True]},

@@ -1,7 +1,8 @@
 """Smoke test of the benchmark harness on its quickest setting: one round
 of a workload, checked against its own oracles.  `gillespie` runs the jump
-chain at (2,5) and (3,20); `large-lattice` runs uniformization at (3,80)
-and `verify --level fast` at (3,20)."""
+chain at (2,5) and (3,20); `large-lattice` runs `simulate` in
+uniformization mode from the origin at (3,80) and `verify --level fast` at
+(3,20)."""
 
 import json
 import subprocess

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from mvkraw import (
     AbsorbingState,
@@ -22,7 +23,8 @@ from mvkraw import (
     total_variation,
     weight_vector,
 )
-from mvkraw.simulate import RNG_FAMILY, gillespie_from_tables
+from mvkraw.polynomials import degree_eigenvalues
+from mvkraw.simulate import RNG_FAMILY, _uniformized_step, gillespie_from_tables
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +211,128 @@ def test_uniformization_matches_matrix_exponential():
     assert res.rate_bound > 0.0
 
 
+def uniformized_law(params, space, v, times):
+    """Snapshots of v under the many-body kernel K = I + L/Lam, one
+    uniformization step per snapshot interval (Lam dt stays below the
+    segment length here): the oracle of the exact point law."""
+    B, D = rate_tables(params, space)
+    lam = float((B.sum(axis=1) + D.sum(axis=1)).max())
+    L = generator_from_tables(B, D, space)
+    K = ((L / lam) + scipy.sparse.identity(space.size, format="csr")).tocsr()
+    out = [v]
+    for t0, t1 in zip(times, times[1:]):
+        out.append(_uniformized_step(K, out[-1], lam * (t1 - t0)))
+    return np.array(out)
+
+
+def point_mass(space, x):
+    v = np.zeros(space.size)
+    v[space.rank(x)] = 1.0
+    return v
+
+
+@pytest.mark.parametrize("n, N, interior", [
+    (1, 8, ((3,), (8,))),
+    (2, 6, ((2, 1), (0, 5))),
+    (3, 5, ((1, 2, 1), (0, 0, 4))),
+    (4, 4, ((1, 0, 2, 1), (0, 1, 0, 0))),
+])
+def test_exact_law_matches_uniformization(n, N, interior):
+    params = ModelParams(n, N, tuple(np.linspace(0.5, 2.0, n)),
+                         tuple(np.linspace(1.0, 4.0, n)))
+    space = StateSpace(n, N)
+    W = weight_vector(params, space)
+    for start in ("origin", *interior):
+        v = point_mass(space, (0,) * n if start == "origin" else start)
+        res = evolve_distribution(params, space, start if start == "origin" else v,
+                                  T=1.5, steps=3)
+        assert res.route == "exact"
+        assert np.array_equal(res.distributions[0], v)
+        ref = uniformized_law(params, space, v, res.times)
+        assert np.abs(res.distributions - ref).max() < 1e-12, start
+        assert res.mass_defect < 1e-13
+    res = evolve_distribution(params, space, "stationary", T=1.5, steps=3)
+    assert res.route == "exact"
+    assert np.array_equal(res.distributions, np.tile(W, (4, 1)))
+    assert not res.tv_to_stationary.any() and not res.kl_to_stationary.any()
+    assert np.abs(uniformized_law(params, space, W, res.times) - W).max() < 1e-12
+
+
+def test_general_vector_takes_uniformization(tmp_path):
+    from mvkraw.cli import main
+
+    params = ModelParams(2, 6, (1.0, 2.0), (1.5, 3.0))
+    space = StateSpace(2, 6)
+    v = np.zeros(space.size)
+    v[[3, 17]] = (0.25, 0.75)
+    res = evolve_distribution(params, space, v, T=3.0, steps=6)
+    assert res.route == "uniformization"
+    assert np.array_equal(res.distributions, uniformized_law(params, space, v, res.times))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": 1,
+        "params": {"schema": 1, "n": 2, "N": 6, "p": [1.0, 2.0], "q": [1.5, 3.0]},
+        "mode": "uniformization", "time": 3.0, "steps": 6, "initial": v.tolist(),
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    # the output of the uniformization route before the exact law was added
+    digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
+    assert digest == "306b0cee54c797094a01cb01cb8ae2f35a79efb300bf47cd3f1e293154410d20"
+    assert json.loads((tmp_path / "simulate.json").read_text())["summary"]["route"] == (
+        "uniformization")
+
+
+@pytest.mark.parametrize("n, N, p, q", [
+    (2, 6, (1.0, 2.0), (1.5, 3.0)),
+    (3, 5, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0)),
+])
+def test_stochastic_self_duality(n, N, p, q):
+    # E_x[P_m(X_t)] = exp(-E(m) t) P_m(x), on the orthonormal scale: times
+    # sqrt(W(x)) sqrt(C(N,m) eta_bar^m) both sides are entries of
+    # exp(-tH) T and of T, bounded by 1
+    from mvkraw import solve_spectrum, table
+    from mvkraw.model import multinomial_vector
+
+    params = ModelParams(n, N, p, q)
+    space = StateSpace(n, N)
+    spec = solve_spectrum(params)
+    P = table(spec, space)
+    E = degree_eigenvalues(spec, space)
+    scale = np.sqrt(multinomial_vector(space, 1.0, spec.eta_bar))
+    sqw = np.sqrt(weight_vector(params, space))
+    worst = 0.0
+    for r in range(space.size):
+        res = evolve_distribution(params, space, point_mass(space, space.coords[r]),
+                                  T=0.8, steps=2)
+        assert res.route == "exact"
+        for t, law in zip(res.times[1:], res.distributions[1:]):
+            defect = sqw[r] * scale * (law @ P - np.exp(-E * t) * P[r])
+            worst = max(worst, float(np.abs(defect).max()))
+    assert worst < 1e-12
+
+
+def test_evolve_from_origin_leaves_scipy_unloaded(tmp_path):
+    # the exact law needs no sparse operator
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": 1,
+        "params": {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]},
+        "mode": "uniformization", "time": 2.0, "steps": 4, "initial": "origin",
+    }))
+    code = (
+        "import sys, mvkraw\n"
+        "from mvkraw.cli import main\n"
+        f"rc = main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert "uniformization: exact route" in out.stdout
+    assert (tmp_path / "evolution.csv").exists()
+
+
 def test_uniformization_tv_decreases(setup):
     params, space = setup
     res = evolve_distribution(params, space, "origin", T=8.0, steps=16)
@@ -234,6 +358,12 @@ def test_initial_vector_validation(setup):
         evolve_distribution(params, space, "origin", T=-1.0, steps=2)
     with pytest.raises(ValidationError):
         evolve_distribution(params, space, "origin", T=1.0, steps=0)
+    # NaN compares false both ways, so it passed the sign and sum checks
+    for bad in (np.nan, np.inf):
+        v = np.zeros(space.size)
+        v[:3] = (bad, 0.5, 0.5)
+        with pytest.raises(ValidationError, match="non-finite"):
+            evolve_distribution(params, space, v, T=1.0, steps=2)
 
 
 def test_relaxation_rate_recovers_spectral_gap(setup):
