@@ -33,14 +33,13 @@ from .model import (
     weight_vector,
 )
 from .polynomials import (
-    dual_gram,
     eigen_residuals,
     eval_P,
     eval_P_via_generating_function,
     eval_Q,
-    gram_matrix,
     kr_P,
     orthonormal_map,
+    orthonormality,
     table,
     table_via_generating_function,
 )

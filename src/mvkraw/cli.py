@@ -49,10 +49,9 @@ from .errors import (
 from .lattice import DEFAULT_CAP, StateSpace
 from .model import ModelParams, rate_tables, weight_vector
 from .polynomials import (
-    dual_gram,
     eigen_residuals,
-    gram_matrix,
     orthonormal_map,
+    orthonormality,
     table,
     table_via_generating_function,
 )
@@ -277,21 +276,13 @@ def _cmd_verify(args) -> int:
         report.add("eigen-equation",
                    float(eigen_residuals(params, spec, space, tab).max()),
                    max(args.tol, 1e-8))
-        g = gram_matrix(params, spec, space, tab)
-        report.add("orthogonality-offdiagonal", g.worst_offdiagonal, args.tol)
-        report.add("norms-closed-form", g.worst_diagonal_rel, max(args.tol, 1e-8))
-        dg = dual_gram(params, spec, space, tab)
-        report.add("dual-orthogonality-offdiagonal", dg.worst_offdiagonal,
+        o = orthonormality(orthonormal_map(params, spec, space, tab))
+        report.add("orthogonality-offdiagonal", o.offdiagonal, args.tol)
+        report.add("norms-closed-form", o.diagonal, max(args.tol, 1e-8))
+        report.add("dual-orthogonality-offdiagonal", o.dual_offdiagonal,
                    max(args.tol, 1e-9))
-        report.add("dual-norms-closed-form", dg.worst_diagonal_rel,
-                   max(args.tol, 1e-8))
-        T = orthonormal_map(params, spec, space, tab)
-        eye = np.eye(space.size)
-        ortho = max(
-            float(np.abs(T.T @ T - eye).max()),
-            float(np.abs(T @ T.T - eye).max()),
-        )
-        report.add("orthonormal-map", ortho, max(args.tol, 1e-9))
+        report.add("dual-norms-closed-form", o.dual_diagonal, max(args.tol, 1e-8))
+        report.add("orthonormal-map", o.identity, max(args.tol, 1e-9))
 
     for line in report.lines():
         print(line)

@@ -17,28 +17,29 @@ hypergeometric series over n x n nonnegative-integer matrices c,
 
 enumerated depth-first with exact budget pruning (the shifted factorials
 vanish once a row sum exceeds x_i or a column sum exceeds m_j).
-`eval_P_via_generating_function` expands the product for one x at a time;
-`table_via_generating_function` is the row-by-row table that `verify
---level full` compares with `table`.
+`eval_P_via_generating_function` expands the product for one x at a time
+(`sympower.coefficient_row`); `table_via_generating_function` is the
+row-by-row table that `verify --level full` compares with `table`.
 
 The dual polynomials Q_x(m) are the same expression read as functions of m,
-so eval_Q delegates to eval_P.  The module also provides the Gram matrices
-for both orthogonality directions, the orthonormal matrix built from the
-table, and the classical single-variable evaluator used as the n=1 oracle.
+so eval_Q delegates to eval_P.  The module also provides the orthonormal
+map T built from the table, the one check of orthogonality in both
+directions (`orthonormality`, from T^T T and T T^T), and the classical
+single-variable evaluator used as the n=1 oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bdcore import difference_operator_from_tables
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
 from .model import ModelParams, multinomial_vector, rate_tables, weight_vector
 from .spectrum import SpectralData
-from .sympower import coefficient_power
+from .sympower import DENSE_CAP, coefficient_power, coefficient_row
 
 DEFAULT_EIGEN_TOL = 1e-8
 DEFAULT_ORTHO_TOL = 1e-10
@@ -49,6 +50,14 @@ def _u_matrix(spec) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("u must be a square matrix")
     return u
+
+
+def _a_matrix(spec, space: StateSpace) -> np.ndarray:
+    a = spec.a if isinstance(spec, SpectralData) else np.asarray(spec, dtype=float)
+    shape = (space.n + 1, space.n + 1)
+    if a.shape != shape:
+        raise ValidationError(f"coefficient matrix must be {shape}")
+    return a
 
 
 def _check_point(name: str, v, n: int, N: int) -> list[int]:
@@ -132,41 +141,22 @@ def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
 
     Expands prod_{i=0}^{n} (sum_j a_ij t_j)^{x_i} (row 0 is all ones, raised
     to the x0 = N - |x| power) as a homogeneous polynomial of degree N in
-    (t0, .., tn).  The coefficient of t0^{m0} t^m equals C(N, m) P_m(x).
-    Coefficients are stored on the lattice itself: rank(k) holds the
-    monomial with t-part k and implicit t0-exponent degree - |k|.
+    (t0, .., tn), one factor at a time (`sympower.coefficient_row`).  The
+    coefficient of t0^{m0} t^m equals C(N, m) P_m(x).
     """
-    return _expand_row(spec, x, space) / multinomial_vector(space, 1.0, np.ones(space.n))
-
-
-def _expand_row(spec, x, space: StateSpace) -> np.ndarray:
-    """C(N, m) P_m(x) for every m rank, one factor of the product at a time."""
-    a = spec.a if isinstance(spec, SpectralData) else np.asarray(spec, dtype=float)
-    n = space.n
-    if a.shape != (n + 1, n + 1):
-        raise ValidationError(f"coefficient matrix must be {(n + 1, n + 1)}")
-    x = _check_point("x", x, n, space.N)
-    x0 = space.N - sum(x)
-
-    coeff = np.zeros(space.size)
-    coeff[0] = 1.0
-    down = space.down
-    masks = [down[:, j] >= 0 for j in range(n)]
-    for i, power in enumerate([x0] + x):
-        row = a[i]
-        for _ in range(power):
-            new = row[0] * coeff
-            for j in range(n):
-                mask = masks[j]
-                new[mask] += row[j + 1] * coeff[down[mask, j]]
-            coeff = new
-    return coeff
+    a = _a_matrix(spec, space)
+    x = np.array(_check_point("x", x, space.n, space.N))
+    return coefficient_row(a, x, space) / multinomial_vector(space, 1.0, np.ones(space.n))
 
 
 def table_via_generating_function(spec, space: StateSpace) -> np.ndarray:
     """Independent full table, one generating-function expansion per row;
-    the oracle `verify --level full` compares `table` with."""
-    rows = np.array([_expand_row(spec, x, space) for x in space.points])
+    the oracle `verify --level full` compares `table` with.  Raises
+    CapExceeded above DENSE_CAP points, before expanding any row."""
+    if space.size > DENSE_CAP:
+        raise CapExceeded(f"dense table needs {space.size} <= cap {DENSE_CAP} points")
+    a = _a_matrix(spec, space)
+    rows = np.array([coefficient_row(a, x, space) for x in space.coords])
     return rows / multinomial_vector(space, 1.0, np.ones(space.n))
 
 
@@ -186,46 +176,35 @@ def eigen_residuals(
     return np.abs(defect).max(axis=0) / scale
 
 
-@dataclass(frozen=True)
-class GramCheck:
-    gram: np.ndarray
-    expected_diagonal: np.ndarray
-    worst_offdiagonal: float      # |G_ij| / sqrt(G_ii G_jj), i != j
-    worst_diagonal_rel: float     # |G_ii - expected| / expected
+class Orthonormality(NamedTuple):
+    """Defects of G = T^T T (columns) and G' = T T^T (rows) against I."""
+
+    offdiagonal: float        # max |G_ij| / sqrt(G_ii G_jj), i != j
+    diagonal: float           # max |G_ii - 1|
+    dual_offdiagonal: float   # the same two of G'
+    dual_diagonal: float
+    identity: float           # max(|G - I|, |G' - I|)
 
 
-def gram_check(G: np.ndarray, expected: np.ndarray) -> GramCheck:
-    """Normalized off-diagonal and relative diagonal residuals of a Gram matrix."""
-    d = np.sqrt(np.diag(G))
-    normalized = np.abs(G) / np.outer(d, d)
-    np.fill_diagonal(normalized, 0.0)
-    return GramCheck(
-        G,
-        expected,
-        float(normalized.max()),
-        float(np.max(np.abs(np.diag(G) - expected) / expected)),
-    )
+def orthonormality(T: np.ndarray) -> Orthonormality:
+    """How far the square matrix T is from orthogonal, both ways.
 
+    The normalized off-diagonal does not change under a diagonal
+    congruence, and with T = sqrt(W) P sqrt(C(N,m) eta_bar^m) the diagonal
+    of T^T T is the Gram diagonal of P under W over its closed form
+    1/(C(N,m) eta_bar^m); the diagonal of T T^T is the dual Gram diagonal
+    under the dual weight over eta_dual0^N / W.  So the one check carries
+    orthogonality and norms in both directions.
+    """
+    def defects(G):
+        d = np.sqrt(np.diag(G))
+        normalized = np.abs(G) / np.outer(d, d)
+        np.fill_diagonal(normalized, 0.0)
+        return (float(normalized.max()), float(np.abs(np.diag(G) - 1.0).max()),
+                float(np.abs(G - np.eye(len(G))).max()))
 
-def gram_matrix(
-    params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
-) -> GramCheck:
-    """Gram matrix of the table columns under the stationary weight,
-    compared against the closed-form diagonal 1/(C(N,m) eta_bar^m)."""
-    W = weight_vector(params, space)
-    G = tab.T @ (W[:, None] * tab)
-    return gram_check(G, 1.0 / multinomial_vector(space, 1.0, spec.eta_bar))
-
-
-def dual_gram(
-    params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
-) -> GramCheck:
-    """Gram matrix of the table rows (dual polynomials Q_x) under the dual
-    multinomial weight, against the closed form (eta0_dual)^N / W(eta; x)."""
-    Wd = multinomial_vector(space, spec.eta_dual[0], spec.eta_dual[1:])
-    G = tab @ (Wd[:, None] * tab.T)
-    W = weight_vector(params, space)
-    return gram_check(G, spec.eta_dual[0] ** space.N / W)
+    cols, rows = defects(T.T @ T), defects(T @ T.T)
+    return Orthonormality(*cols[:2], *rows[:2], max(cols[2], rows[2]))
 
 
 def orthonormal_map(

@@ -29,7 +29,7 @@ from .bdcore import difference_operator_from_tables
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
 from .model import linear_rate_tables, multinomial_vector
-from .polynomials import gram_check, table
+from .polynomials import orthonormality, table
 from .report import Report
 
 SINGULAR_REL_TOL = 1e-12
@@ -383,13 +383,14 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     W = multinomial_vector(space, pair.eta[0], pair.eta[1:])
     Wd = multinomial_vector(space, pair.eta_dual[0], pair.eta_dual[1:])
 
-    m_side = gram_check(R.T @ (W[:, None] * R), pair.eta[0] ** N / Wd)
+    # T = sqrt(W) R sqrt(Wd / eta0^N) is orthogonal both ways; its Gram
+    # diagonals are the two Gram diagonals of R over their closed forms
+    # eta0^N / Wd and eta0^N / W (eta_dual[0] = eta[0])
+    o = orthonormality(np.sqrt(W)[:, None] * R * np.sqrt(Wd / pair.eta[0] ** N))
     # Gram entries cancel across strongly contrasting norms, so the scaled
     # off-diagonal floor sits above the recurrence checks.
-    report.add("m-orthogonality", m_side.worst_offdiagonal, max(tol, 1e-9))
-    report.add("m-norms-closed-form", m_side.worst_diagonal_rel, max(tol, 1e-8))
-
-    x_side = gram_check(R @ (Wd[:, None] * R.T), pair.eta_dual[0] ** N / W)
-    report.add("x-orthogonality", x_side.worst_offdiagonal, max(tol, 1e-9))
-    report.add("x-norms-closed-form", x_side.worst_diagonal_rel, max(tol, 1e-8))
+    report.add("m-orthogonality", o.offdiagonal, max(tol, 1e-9))
+    report.add("m-norms-closed-form", o.diagonal, max(tol, 1e-8))
+    report.add("x-orthogonality", o.dual_offdiagonal, max(tol, 1e-9))
+    report.add("x-norms-closed-form", o.dual_diagonal, max(tol, 1e-8))
     return report

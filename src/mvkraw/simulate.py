@@ -43,8 +43,9 @@ import numpy as np
 
 from .bdcore import check_rate_tables, generator_from_tables
 from .errors import AbsorbingState, NoConvergence, ValidationError
-from .lattice import StateSpace, simplex_size
-from .model import ModelParams, _multinomial_rows, rate_tables, weight_vector
+from .lattice import StateSpace
+from .model import ModelParams, rate_tables, weight_vector
+from .sympower import coefficient_row
 
 RNG_FAMILY = "numpy-PCG64"
 _BLOCK = 1 << 14
@@ -57,12 +58,14 @@ def total_variation(d: np.ndarray, ref: np.ndarray) -> float:
 
 
 def kl_divergence(d: np.ndarray, ref: np.ndarray) -> float:
-    """KL(d || ref) with the 0 log 0 = 0 convention; ref must be positive."""
+    """KL(d || ref) with the 0 log 0 = 0 convention; ref must be positive
+    wherever d is (a weight that underflows to 0 off the support of d is
+    fine)."""
     d = np.asarray(d, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    if np.any(ref <= 0):
-        raise ValidationError("reference distribution must be strictly positive")
     mask = d > 0
+    if np.any(ref[mask] <= 0):
+        raise ValidationError("reference distribution must be positive where d has mass")
     return float(np.sum(d[mask] * np.log(d[mask] / ref[mask])))
 
 
@@ -220,9 +223,9 @@ def evolve_distribution(
     "stationary".  Snapshots are taken at steps+1 equally spaced times
     from 0 to T; snapshot 0 is the initial vector itself.  The start
     picks the route: "stationary" stays W, and a point mass ("origin" or
-    a vector with one nonzero entry) evolves by its exact law, `_point_law`
-    of the one-body kernel; any other vector is pushed through the
-    many-body kernel by uniformization.
+    a vector with one nonzero entry) evolves by its exact law, the
+    `sympower.coefficient_row` of the one-body kernel; any other vector is
+    pushed through the many-body kernel by uniformization.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValidationError(f"horizon T must be positive, got {T}")
@@ -269,7 +272,7 @@ def evolve_distribution(
         K1 = np.eye(space.n + 1) + (Q1 - np.diag(exits)) / lam1
         x = space.coords[support[0]]
         for k, P1 in enumerate(_snapshots(K1, np.eye(space.n + 1), lam1, times), 1):
-            dists[k] = v[support[0]] * _point_law(P1, x, space)
+            dists[k] = v[support[0]] * coefficient_row(P1, x, space)
     else:
         import scipy.sparse
 
@@ -294,33 +297,6 @@ def _snapshots(K, v: np.ndarray, lam: float, times: np.ndarray):
         for _ in range(pieces):
             v = _uniformized_step(K, v, lam * dt / pieces)
         yield v
-
-
-def _point_law(P1: np.ndarray, x: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Law at time t of the chain started at the lattice point x, in rank
-    order: the coefficients of prod_i (P1[i] . t)^{x_i}, x_0 = N - |x|,
-    where P1 = exp(t Q1) is the one-body kernel, because the N particles
-    move independently.
-
-    Slot 0's factor is the multinomial of its x_0 particles on the graded
-    prefix |y| <= x_0; each particle of slot i >= 1 then multiplies by its
-    linear form, growing the prefix one degree.  Every term is nonnegative,
-    so this single-parent product has no cancellation to amplify."""
-    n = space.n
-    d = space.N - int(x.sum())
-    size = simplex_size(n, d)
-    counts = np.column_stack((d - space.degrees[:size], space.coords[:size]))
-    law = _multinomial_rows(d, counts, P1[0])
-    for i, power in enumerate(x.tolist(), start=1):
-        for _ in range(power):
-            d += 1
-            grown = np.zeros(simplex_size(n, d))
-            grown[:size] = P1[i, 0] * law
-            for j in range(n):
-                # x -> x + e_j is one-to-one, so no target repeats
-                grown[space.up[:size, j]] += P1[i, j + 1] * law
-            law, size = grown, len(grown)
-    return law
 
 
 def _uniformized_step(K, v: np.ndarray, a: float) -> np.ndarray:

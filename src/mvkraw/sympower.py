@@ -25,6 +25,10 @@ eigenbasis at n=1 reaches 6e-11 at N=50 and O(1) at N=200.  In the
 normalized basis the averaged layer is a contraction, so rounding only
 adds up: the defect stays near 1e-13 at n=1, N=600.
 
+`coefficient_row` is one row of the same table by the single-parent
+product, for the one-body kernel of the transient law (nonnegative, so
+nothing cancels) and for the per-row oracle of the polynomial table.
+
 Every size x size table of the package is built here, so DENSE_CAP, the
 one dense-size cap, is enforced here.
 """
@@ -35,6 +39,7 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, simplex_size
+from .model import _multinomial_rows
 
 DENSE_CAP = 5000
 
@@ -103,3 +108,32 @@ def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndar
         C = out
         prev = size
     return C
+
+
+def coefficient_row(M, x: np.ndarray, space: StateSpace) -> np.ndarray:
+    """C[x, m] for every m rank: the coefficients of prod_i (M_i . t)^{x_i},
+    x_0 = N - |x|, one point x at a time.
+
+    Slot 0's factor is the multinomial of its x_0 particles on the graded
+    prefix |y| <= x_0 (`model._multinomial_rows`, so row 0 of M must be
+    nonnegative); each particle of slot i >= 1 then multiplies by its
+    linear form, growing the prefix one degree.  For a nonnegative M every
+    term is nonnegative, so this single-parent product has no cancellation
+    to amplify."""
+    if np.any(M[0] < 0):
+        raise ValidationError("row 0 of the coefficient matrix must be nonnegative")
+    n = space.n
+    d = space.N - int(x.sum())
+    size = simplex_size(n, d)
+    counts = np.column_stack((d - space.degrees[:size], space.coords[:size]))
+    row = _multinomial_rows(d, counts, M[0])
+    for i, power in enumerate(x.tolist(), start=1):
+        for _ in range(power):
+            d += 1
+            grown = np.zeros(simplex_size(n, d))
+            grown[:size] = M[i, 0] * row
+            for j in range(n):
+                # x -> x + e_j is one-to-one, so no target repeats
+                grown[space.up[:size, j]] += M[i, j + 1] * row
+            row, size = grown, len(grown)
+    return row

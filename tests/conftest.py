@@ -31,3 +31,14 @@ def series_table(spec, space):
     return np.array(
         [[eval_P(spec, m, x, space.N) for m in space.points] for x in space.points]
     )
+
+
+def gram_reference(G, expected):
+    """The Gram check `orthonormality` replaced, kept as its reference:
+    normalized off-diagonal max |G_ij| / sqrt(G_ii G_jj) and relative
+    diagonal mismatch max |G_ii - expected_i| / expected_i."""
+    d = np.sqrt(np.diag(G))
+    normalized = np.abs(G) / np.outer(d, d)
+    np.fill_diagonal(normalized, 0.0)
+    return (float(normalized.max()),
+            float(np.max(np.abs(np.diag(G) - expected) / expected)))

@@ -22,15 +22,14 @@ from mvkraw import (
     RationalParams,
     StateSpace,
     derive_dual_pair,
-    dual_gram,
     eigen_residuals,
     evolve_distribution,
     gillespie_run,
-    gram_matrix,
     identity_checks,
     kr_P,
     numeric_eigenbasis,
     orthonormal_map,
+    orthonormality,
     rate_tables,
     relaxation_rate,
     solve_spectrum,
@@ -140,9 +139,9 @@ def test_criterion_04_orthogonality_norms(capsys):
     worst_off = 0.0
     worst_diag = 0.0
     for params, spec, space, tab in _eigen_instances():
-        g = gram_matrix(params, spec, space, tab)
-        worst_off = max(worst_off, g.worst_offdiagonal)
-        worst_diag = max(worst_diag, g.worst_diagonal_rel)
+        o = orthonormality(orthonormal_map(params, spec, space, tab))
+        worst_off = max(worst_off, o.offdiagonal)
+        worst_diag = max(worst_diag, o.diagonal)
     ok = worst_off <= 1e-10 and worst_diag <= 1e-8
     _emit(capsys, "criterion-04 orthogonality-norms", ok,
           f"off-diagonal {worst_off:.3e} <= 1e-10, "
@@ -214,19 +213,13 @@ def test_criterion_07_duality(capsys):
     space = StateSpace(2, 5)
     spec = solve_spectrum(params)
     tab = table(spec, space)
-    T = orthonormal_map(params, spec, space, tab)
-    eye = np.eye(space.size)
-    ortho = max(
-        float(np.abs(T.T @ T - eye).max()),
-        float(np.abs(T @ T.T - eye).max()),
-    )
-    dg = dual_gram(params, spec, space, tab)
-    ok = ortho <= 1e-9 and dg.worst_diagonal_rel <= 1e-8
+    o = orthonormality(orthonormal_map(params, spec, space, tab))
+    ok = o.identity <= 1e-9 and o.dual_diagonal <= 1e-8
     _emit(capsys, "criterion-07 duality", ok,
-          f"orthonormal map defect {ortho:.3e} <= 1e-9, dual norm mismatch "
-          f"{dg.worst_diagonal_rel:.3e} <= 1e-8 at (2,5)")
-    assert ortho <= 1e-9
-    assert dg.worst_diagonal_rel <= 1e-8
+          f"orthonormal map defect {o.identity:.3e} <= 1e-9, dual norm mismatch "
+          f"{o.dual_diagonal:.3e} <= 1e-8 at (2,5)")
+    assert o.identity <= 1e-9
+    assert o.dual_diagonal <= 1e-8
 
 
 def test_criterion_08_univariate_reduction(capsys):

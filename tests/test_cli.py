@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -87,6 +88,37 @@ def test_verify_fault_injection_fails(tmp_path, params_file):
     manifest = json.loads((out / "verify.json").read_text())
     assert manifest["report"]["passed"] is False
     assert manifest["injected_perturbation"] == 1e-6
+
+
+IDENTITY_CHECKS = {
+    "weighted-column-sums",
+    "weighted-column-cross-sums",
+    "dual-weighted-row-sums",
+    "dual-weighted-row-cross-sums",
+    "congruence-diagonalization",
+}
+
+
+def test_fast_fault_injection_names_an_identity_check(tmp_path, params_file):
+    # at level fast no table check runs, so an identity check must catch it
+    out = tmp_path / "run"
+    res = run_cli("verify", "--level", "fast", "--params", params_file,
+                  "--out", out, "--inject-u-perturbation", "1e-6")
+    assert res.returncode == 1, res.stdout + res.stderr
+    failed = {line[len("[FAIL] "):].split(":")[0]
+              for line in res.stdout.splitlines() if line.startswith("[FAIL] ")}
+    assert failed & IDENTITY_CHECKS, res.stdout
+
+
+def test_verify_passes_near_coincident_q(tmp_path):
+    # |u| is 6e3 here; the identities are judged on the orthonormal scale
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "n": 2, "N": 6, "p": [1.0, 2.0], "q": [2.0, 2.001]}
+    ))
+    res = run_cli("verify", "--params", path, "--out", tmp_path / "run")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "[FAIL]" not in res.stdout
 
 
 def test_coincident_parameters_exit_code(tmp_path):
@@ -274,6 +306,26 @@ def test_simulate_uniformization(tmp_path):
     assert manifest["summary"]["route"] == "exact"
     assert run_cli("simulate", "--config", cfg, "--out", out).returncode == 0
     assert (out / "simulate.json").read_text() == text
+
+
+def test_simulate_uniformization_with_underflowing_weight(tmp_path):
+    # 158 of the 1,201 stationary weights are 0.0 in double precision; the
+    # KL trace needs W > 0 only where the law has mass
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "schema": 1,
+        "params": {"schema": 1, "n": 1, "N": 1200, "p": [1.0], "q": [2.0]},
+        "mode": "uniformization",
+        "time": 5.0,
+        "steps": 10,
+    }))
+    out = tmp_path / "run"
+    res = run_cli("simulate", "--config", cfg, "--out", out)
+    assert res.returncode == 0, res.stderr
+    summary = json.loads((out / "simulate.json").read_text())["summary"]
+    assert summary["final_tv"] < 1e-4
+    rows = (out / "evolution.csv").read_text().splitlines()[2:]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 def test_simulate_config_validation(tmp_path):

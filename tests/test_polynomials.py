@@ -1,25 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import draw_model, series_table
+from conftest import draw_model, gram_reference, series_table
 
 from mvkraw import (
+    CapExceeded,
     ModelParams,
     StateSpace,
     ValidationError,
-    dual_gram,
     eigen_residuals,
     eval_P,
     eval_P_via_generating_function,
     eval_Q,
-    gram_matrix,
     kr_P,
     orthonormal_map,
+    orthonormality,
     solve_spectrum,
     table,
     table_via_generating_function,
 )
+from mvkraw.model import multinomial_vector, weight_vector
 from mvkraw.polynomials import degree_eigenvalues, degree_structure_residuals
+from mvkraw.sympower import coefficient_power
 
 
 def canonical(n):
@@ -143,6 +145,11 @@ def test_eval_P_validation():
         eval_P(spec, (0, 0), (6, 0), 5)
     with pytest.raises(ValidationError):
         eval_P(spec, (0, -1), (0, 0), 5)
+    # the one-row expansion takes slot 0 as a multinomial: row 0 >= 0
+    a = spec.a.copy()
+    a[0, 1] = -1.0
+    with pytest.raises(ValidationError):
+        eval_P_via_generating_function(a, (1, 0), StateSpace(2, 5))
 
 
 def test_eigen_equation_canonical():
@@ -165,15 +172,27 @@ def test_degree_eigenvalues_vector():
     assert E[r] == pytest.approx(2 * spec.lam[0] + spec.lam[1], rel=1e-15)
 
 
+def _gram_references(params, spec, space, tab):
+    """The two Gram checks of P: P^T W P against 1/(C(N,m) eta_bar^m) and
+    P Wd P^T against eta_dual0^N / W."""
+    W = weight_vector(params, space)
+    Wd = multinomial_vector(space, spec.eta_dual[0], spec.eta_dual[1:])
+    return (
+        gram_reference(tab.T @ (W[:, None] * tab),
+                       1.0 / multinomial_vector(space, 1.0, spec.eta_bar)),
+        gram_reference(tab @ (Wd[:, None] * tab.T),
+                       spec.eta_dual[0] ** space.N / W),
+    )
+
+
 def test_gram_and_norms():
     params = canonical(2)
     spec = solve_spectrum(params)
     space = StateSpace(2, 5)
     tab = table(spec, space)
-    g = gram_matrix(params, spec, space, tab)
-    assert g.worst_offdiagonal < 1e-12
-    assert g.worst_diagonal_rel < 1e-10
-    assert np.all(g.expected_diagonal > 0)
+    o = orthonormality(orthonormal_map(params, spec, space, tab))
+    assert o.offdiagonal < 1e-12
+    assert o.diagonal < 1e-10
 
 
 def test_dual_gram():
@@ -181,9 +200,27 @@ def test_dual_gram():
     spec = solve_spectrum(params)
     space = StateSpace(2, 5)
     tab = table(spec, space)
-    dg = dual_gram(params, spec, space, tab)
-    assert dg.worst_offdiagonal < 1e-12
-    assert dg.worst_diagonal_rel < 1e-10
+    o = orthonormality(orthonormal_map(params, spec, space, tab))
+    assert o.dual_offdiagonal < 1e-12
+    assert o.dual_diagonal < 1e-10
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orthonormality_matches_gram_reference(n, corrupt):
+    params = canonical(n) if n > 1 else ModelParams(n=1, N=7, p=(0.3,), q=(0.7,))
+    spec = solve_spectrum(params)
+    space = StateSpace(params.n, params.N)
+    tab = table(spec, space)
+    if corrupt:
+        tab[:, 2] *= 1.0 + 1e-6
+        tab[3, 4] += 1e-6
+    o = orthonormality(orthonormal_map(params, spec, space, tab))
+    (off, diag), (dual_off, dual_diag) = _gram_references(params, spec, space, tab)
+    got = (o.offdiagonal, o.diagonal, o.dual_offdiagonal, o.dual_diagonal)
+    assert np.allclose(got, (off, diag, dual_off, dual_diag), rtol=0.0, atol=1e-12)
+    if corrupt:
+        assert min(diag, dual_diag) > 1e-7
 
 
 def test_orthonormal_map_both_ways():
@@ -192,9 +229,9 @@ def test_orthonormal_map_both_ways():
     space = StateSpace(2, 5)
     tab = table(spec, space)
     T = orthonormal_map(params, spec, space, tab)
-    eye = np.eye(space.size)
-    assert np.abs(T.T @ T - eye).max() < 1e-12
-    assert np.abs(T @ T.T - eye).max() < 1e-12
+    assert orthonormality(T).identity < 1e-12
+    # T is the normalized N-th symmetric power of the one-body matrix R
+    assert np.abs(T - coefficient_power(spec.R, space, normalized=True)).max() < 1e-13
 
 
 def test_columns_are_polynomials_of_their_degree():
@@ -257,3 +294,11 @@ def test_single_point_generating_function():
     row = eval_P_via_generating_function(spec, (2, 1), space)
     tab = table(spec, space)
     assert np.abs(row - tab[space.rank((2, 1))]).max() < 1e-11
+
+
+def test_generating_function_table_refuses_dense_cap_first():
+    # (3,30) has 5,456 points, above the 5,000-point dense cap
+    params = ModelParams(n=3, N=30, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
+    space = StateSpace(3, 30)
+    with pytest.raises(CapExceeded):
+        table_via_generating_function(solve_spectrum(params), space)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import gram_reference
 
 from mvkraw import (
     RationalParams,
@@ -14,6 +15,7 @@ from mvkraw import (
     rational_table,
     verify_recurrence,
 )
+from mvkraw.model import multinomial_vector
 from mvkraw.rational import dual_rate_tables
 from mvkraw.simulate import gillespie_from_tables
 
@@ -163,3 +165,28 @@ def test_recurrence_other_parameters():
     pair = derive_dual_pair(RationalParams(2.0, 1.0, 0.5, 3.0))
     report = verify_recurrence(pair, 4)
     assert report.passed, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_orthogonality_checks_match_gram_reference(pair, corrupt, monkeypatch):
+    # the m-side Gram R^T W R against eta0^N / Wd and the x-side Gram
+    # R Wd R^T against eta0^N / W, read through the orthonormal scaling
+    N = 6
+    space = StateSpace(2, N)
+    R = rational_table(pair, space)
+    if corrupt:
+        R[:, 2] *= 1.0 + 1e-6
+        R[3, 4] += 1e-6
+        monkeypatch.setattr("mvkraw.rational.rational_table", lambda *_: R)
+    report = verify_recurrence(pair, N)
+    W = multinomial_vector(space, pair.eta[0], pair.eta[1:])
+    Wd = multinomial_vector(space, pair.eta_dual[0], pair.eta_dual[1:])
+    expected = (
+        *gram_reference(R.T @ (W[:, None] * R), pair.eta[0] ** N / Wd),
+        *gram_reference(R @ (Wd[:, None] * R.T), pair.eta_dual[0] ** N / W),
+    )
+    names = ("m-orthogonality", "m-norms-closed-form",
+             "x-orthogonality", "x-norms-closed-form")
+    got = [report[name].residual for name in names]
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+    assert report.passed != corrupt

@@ -1,0 +1,14 @@
+"""The README's "Library sketch" runs as written against the public API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_sketch_runs(capsys):
+    text = README.read_text()
+    section = text[text.index("## Library sketch"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")

@@ -397,3 +397,18 @@ def test_divergence_helpers():
     assert kl_divergence(r, r) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValidationError):
         kl_divergence(r, d)  # reference has a zero where mass sits
+
+
+def test_kl_allows_zero_reference_off_the_support():
+    d = np.array([0.5, 0.5, 0.0])
+    r = np.array([0.25, 0.75, 0.0])
+    assert kl_divergence(d, r) == pytest.approx(
+        0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
+    )
+
+
+def test_kl_refuses_zero_reference_on_the_support():
+    d = np.array([0.5, 0.25, 0.25])
+    r = np.array([0.5, 0.5, 0.0])
+    with pytest.raises(ValidationError):
+        kl_divergence(d, r)

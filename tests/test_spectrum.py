@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,62 @@ def test_interlacing_random_loop():
         assert np.all(spec.lam[:-1] < qs[1:])
         assert spec.lam[-1] <= qs[-1] + sum(params.p) * (1 + 1e-12)
         assert spec.secular_residuals.max() < 1e-12
+
+
+IDENTITY_NAMES = (
+    "weighted-column-sums",
+    "weighted-column-cross-sums",
+    "dual-weighted-row-sums",
+    "dual-weighted-row-cross-sums",
+    "congruence-diagonalization",
+)
+
+
+def _inject(spec, eps):
+    """The CLI's fault injection: u[0, 0] scaled by 1 + eps, a rebuilt."""
+    u = spec.u.copy()
+    u[0, 0] *= 1.0 + eps
+    a = np.ones_like(spec.a)
+    a[1:, 1:] = 1.0 - u
+    return dataclasses.replace(spec, u=u, a=a)
+
+
+def test_identity_checks_on_orthonormal_scale_near_coincidence():
+    # |u| grows like 1/gap; the identities, read off R^T R - I and
+    # R R^T - I, stay at rounding on exact data.  The secular residual is
+    # absolute and is not part of this sweep.
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 3, 4):
+        for gap in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+            for _ in range(3):
+                params = draw_model(rng, n, 1)
+                if n > 1:
+                    q = list(params.q)
+                    q[1] = q[0] * (1.0 + gap)
+                    params = ModelParams(n=n, N=1, p=params.p, q=tuple(q))
+                spec = solve_spectrum(params)
+                report = identity_checks(spec)
+                assert all(report[name].passed for name in IDENTITY_NAMES), (
+                    n, gap, report.lines())
+
+                # the injection changes one entry of R by delta; R is
+                # orthogonal, so some entry of R^T R - I moves by at least
+                # delta / sqrt(n + 1): the checks see the whole change
+                injected = _inject(spec, 1e-6)
+                delta = float(np.abs(injected.R - spec.R).max())
+                checks = identity_checks(injected)
+                worst = max(checks[name].residual for name in IDENTITY_NAMES)
+                assert worst >= delta / math.sqrt(n + 1), (n, gap, delta, worst)
+                assert not all(checks[name].passed for name in IDENTITY_NAMES), (
+                    n, gap, checks.lines())
+
+
+def test_one_body_matrix_follows_a():
+    spec = solve_spectrum(ModelParams(n=2, N=1, p=(1.0, 2.0), q=(2.0, 2.001)))
+    assert spec.u_magnitude > 1e3
+    R = spec.R
+    assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
+    assert np.abs(_inject(spec, 1e-6).R - R).max() > 1e-7
 
 
 def test_identity_checks_random_loop():
