@@ -149,7 +149,7 @@ def _cmd_spectrum(args) -> int:
 
     report = Report()
     report.add("secular-residuals", float(np.max(spec.secular_residuals)),
-               args.tol, detail="at the refined roots")
+               args.tol, detail="relative to sum |p_i/(lam - q_i)|")
 
     _write_csv(out, "spectrum.csv", "spectrum.json",
                ("quantity", "i", "j", "value"), rows)
@@ -263,8 +263,8 @@ def _cmd_verify(args) -> int:
     if args.inject_u_perturbation:
         u = spec.u.copy()
         u[0, 0] *= 1.0 + args.inject_u_perturbation
-        a = np.ones_like(spec.a)
-        a[1:, 1:] = 1.0 - u
+        a = spec.a.copy()
+        a[1, 1] = 1.0 - u[0, 0]
         spec = dataclasses.replace(spec, u=u, a=a)
     report.extend(identity_checks(spec, tol=args.tol))
 

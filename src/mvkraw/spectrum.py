@@ -5,11 +5,16 @@ The degree-one block of the difference operator has the n x n matrix
 F[i, j] = p_j + q_i delta_ij.  Its eigenvalues are the roots of the secular
 equation sum_i p_i/(lam - q_i) = 1, which is strictly decreasing between
 consecutive poles, so each root is bracketed: one in every gap of the sorted
-q and one in (q_max, q_max + sum p].  Each bracket is resolved by bisection
-to machine width and polished by a few extended-precision Newton steps.
+q and one in (q_max, q_max + sum p].  Near coincident q every derived
+quantity hangs on the pole distances lam_j - q_i, so each root is found as
+its distance from the nearer pole of its bracket, by bisection to adjacent
+floats (as LAPACK's dlaed4 iterates; Gu & Eisenstat, SIAM J. Matrix Anal.
+Appl. 16, 1995).  That gives every distance to full relative precision in
+float64.
 
-From the roots everything else follows: u[i, j] = lam_j/(lam_j - q_i), the
-coefficient matrix a (first row and column of ones, block 1 - u), the norm
+From the distances everything else follows in closed form without
+cancellation: u[i, j] = lam_j/(lam_j - q_i), the coefficient matrix a
+(first row and column of ones, block 1 - u = -q_i/(lam_j - q_i)), the norm
 reciprocals eta_bar, and the dual probabilities eta_dual.
 
 The numeric eigenbasis needs none of this: the N particles move
@@ -33,10 +38,7 @@ from .model import ModelParams
 from .report import Report
 from .sympower import coefficient_power
 
-_LD = np.longdouble
-
 MAX_BISECTIONS = 200
-BRACKET_REL_WIDTH = 1e-14
 
 
 def characteristic_matrix(p, q) -> np.ndarray:
@@ -57,7 +59,9 @@ class SpectralData:
 
     lam is ascending; u[i, j] = lam_j/(lam_j - q_i) keeps q in caller order.
     eta_dual has n+1 entries with index 0 first.  secular_residuals holds
-    the per-root defect of the secular equation at the refined root.
+    the per-root defect of the secular equation relative to its terms,
+    |sum_i p_i/(lam_j - q_i) - 1| / sum_i |p_i/(lam_j - q_i)|: the relative
+    error of the nearest pole distance, which u inherits.
     """
 
     p: np.ndarray
@@ -97,88 +101,63 @@ class SpectralData:
         return float(np.dot(np.asarray(m, dtype=float), self.lam))
 
 
-def _bracket_root(p: np.ndarray, q: np.ndarray, lo_pole: float, hi: float,
-                  hi_is_pole: bool) -> float:
-    """Bisection on the secular function inside one bracket, to machine width."""
+def _pole_root(p, q: np.ndarray, qs: list, j: int) -> tuple[float, float]:
+    """Root j of the secular equation as (q_o, delta): the nearer pole of
+    its bracket and the distance delta = lam_j - q_o.
 
-    lo = np.nextafter(lo_pole, math.inf)
-    hi_pt = np.nextafter(hi, -math.inf) if hi_is_pole else hi
-    fhi = secular_function(hi_pt, p, q)
-    if fhi == 0.0:
-        return hi_pt
-    if fhi > 0.0:
-        # only possible for the unbounded-side bracket under heavy rounding
-        for _ in range(60):
-            hi_pt += float(np.sum(p)) + 1.0
-            if secular_function(hi_pt, p, q) <= 0.0:
-                break
+    Root j lies between the sorted poles qs[j] and qs[j+1] (the last in
+    (qs[-1], qs[-1] + sum p]).  The sign of the secular function at the
+    bracket midpoint names the nearer pole; bisection then runs on delta in
+    the function shifted to that pole, sum_i p_i/((q_o - q_i) + delta) - 1,
+    whose pole term p_o/delta carries no cancellation, until delta's
+    bracket is two adjacent floats.
+    """
+    if j + 1 < len(qs):
+        half = 0.5 * (qs[j + 1] - qs[j])
+        if secular_function(half, p, (q - qs[j]).tolist()) > 0.0:
+            origin, lo, hi = qs[j + 1], -half, 0.0
         else:
-            raise NoConvergence("could not bracket the largest eigenvalue")
-    scale = max(abs(lo), abs(hi_pt), 1.0)
+            origin, lo, hi = qs[j], 0.0, half
+    else:
+        origin, lo, hi = qs[-1], 0.0, math.fsum(p)
+    shifted = (q - origin).tolist()
     for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi_pt)
-        if mid == lo or mid == hi_pt:
-            return 0.5 * (lo + hi_pt)
-        if secular_function(mid, p, q) > 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return origin, mid
+        if secular_function(mid, p, shifted) > 0.0:
             lo = mid
         else:
-            hi_pt = mid
-    if hi_pt - lo > BRACKET_REL_WIDTH * scale:
-        raise NoConvergence(
-            f"bracket ({lo_pole}, {hi}) failed to reduce below relative width "
-            f"{BRACKET_REL_WIDTH}"
-        )
-    return 0.5 * (lo + hi_pt)
-
-
-def _polish(lam: float, pL: np.ndarray, qL: np.ndarray, lo: float, hi: float):
-    """A few Newton steps in extended precision, kept inside the bracket."""
-    lamL = _LD(lam)
-    for _ in range(4):
-        d = lamL - qL
-        if np.any(d == 0):
-            break
-        fv = np.sum(pL / d) - _LD(1)
-        fp = -np.sum(pL / (d * d))
-        if fp == 0:
-            break
-        cand = lamL - fv / fp
-        if not (lo < float(cand) <= hi):
-            break
-        lamL = cand
-    return lamL
-
-
-def _derived(pL: np.ndarray, qL: np.ndarray, lamL: np.ndarray,
-             uL: np.ndarray | None = None) -> SpectralData:
-    n = len(pL)
-    if uL is None:
-        uL = lamL[None, :] / (lamL[None, :] - qL[:, None])
-    ratio = pL / qL
-    denom = _LD(1) + ratio.sum()
-    etaL = ratio / denom
-    eta0L = _LD(1) / denom
-    moments = (etaL[:, None] * uL * uL).sum(axis=0) - _LD(1)
-    if np.any(moments <= 0):
-        raise NoConvergence("norm reciprocals came out nonpositive; spectrum unusable")
-    ebarL = _LD(1) / moments
-    ed0L = _LD(1) / (_LD(1) + ebarL.sum())
-    aL = np.ones((n + 1, n + 1), dtype=_LD)
-    aL[1:, 1:] = _LD(1) - uL
-    residuals = np.array(
-        [abs(float(np.sum(pL / (lamL[j] - qL)) - _LD(1))) for j in range(n)]
+            hi = mid
+    raise NoConvergence(
+        f"root {j}: pole-distance bisection did not close in {MAX_BISECTIONS} steps"
     )
+
+
+def _derived(p: np.ndarray, q: np.ndarray, lam: np.ndarray,
+             gaps: np.ndarray) -> SpectralData:
+    """Everything else from the pole distances gaps[i, j] = lam_j - q_i,
+    by closed forms free of cancellation: 1 - u = -q/gaps, and
+    1/eta_bar_j = sum_i eta_i u_ij^2 - 1 = eta0 lam_j sum_i p_i/gaps_ij^2."""
+    n = len(p)
+    terms = p[:, None] / gaps
+    ratio = p / q
+    eta0 = 1.0 / (1.0 + ratio.sum())
+    eta_bar = 1.0 / (eta0 * lam * (terms / gaps).sum(axis=0))
+    eta_dual0 = 1.0 / (1.0 + eta_bar.sum())
+    a = np.ones((n + 1, n + 1))
+    a[1:, 1:] = -q[:, None] / gaps
     return SpectralData(
-        p=pL.astype(float),
-        q=qL.astype(float),
-        lam=lamL.astype(float),
-        u=uL.astype(float),
-        a=aL.astype(float),
-        eta0=float(eta0L),
-        eta=etaL.astype(float),
-        eta_bar=ebarL.astype(float),
-        eta_dual=np.concatenate(([ed0L], ed0L * ebarL)).astype(float),
-        secular_residuals=residuals,
+        p=p,
+        q=q,
+        lam=lam,
+        u=lam[None, :] / gaps,
+        a=a,
+        eta0=float(eta0),
+        eta=eta0 * ratio,
+        eta_bar=eta_bar,
+        eta_dual=np.concatenate(([eta_dual0], eta_dual0 * eta_bar)),
+        secular_residuals=np.abs(terms.sum(axis=0) - 1.0) / np.abs(terms).sum(axis=0),
     )
 
 
@@ -206,39 +185,30 @@ def solve_spectrum(params: ModelParams, band: float | None = None) -> SpectralDa
 
     p = np.asarray(params.p, dtype=float)
     q = np.asarray(params.q, dtype=float)
-    order = np.argsort(q)
-    ps, qs = p[order], q[order]
-    psum = float(np.sum(p))
-
-    pL_sorted = ps.astype(_LD)
-    qL_sorted = qs.astype(_LD)
-    roots = []
-    for k in range(params.n):
-        lo_pole = qs[k]
-        hi = qs[k + 1] if k + 1 < params.n else qs[-1] + psum
-        hi_is_pole = k + 1 < params.n
-        lam = _bracket_root(ps, qs, lo_pole, hi, hi_is_pole)
-        roots.append(_polish(lam, pL_sorted, qL_sorted, lo_pole, hi))
-    lamL = np.array(roots, dtype=_LD)
-
-    spec = _derived(p.astype(_LD), q.astype(_LD), lamL)
-    _assert_interlacing(spec, qs, psum)
-    return spec
+    qs = sorted(params.q)
+    origin, delta = np.array(
+        [_pole_root(params.p, q, qs, j) for j in range(params.n)]
+    ).T
+    gaps = (origin[None, :] - q[:, None]) + delta
+    _assert_interlacing(gaps[np.argsort(q)], math.fsum(params.p))
+    return _derived(p, q, origin + delta, gaps)
 
 
-def _assert_interlacing(spec: SpectralData, qs: np.ndarray, psum: float) -> None:
-    lam = spec.lam
-    ok = bool(np.all(qs < lam)) and bool(np.all(lam[:-1] < qs[1:]))
-    ok = ok and lam[-1] <= qs[-1] + psum * (1 + 1e-12)
-    if not ok:
-        raise NoConvergence(f"interlacing violated: lam={lam}, sorted q={qs}")
+def _assert_interlacing(sorted_gaps: np.ndarray, psum: float) -> None:
+    """Root j lies above the sorted poles 0..j and below the others, the
+    last within sum p of the largest."""
+    above = np.triu(np.ones(sorted_gaps.shape, dtype=bool))
+    ok = bool(np.all(np.where(above, sorted_gaps > 0, sorted_gaps < 0)))
+    if not (ok and sorted_gaps[-1, -1] <= psum * (1 + 1e-12)):
+        raise NoConvergence(f"interlacing violated: lam - sorted q = {sorted_gaps}")
 
 
 def rational_case_n2(p1: float, p2: float, q: float) -> SpectralData:
     """Bivariate family with rational system parameters.
 
     With q1 = q and q2 = q + 2(p1 - p2) the eigenvalues are lam1 = q+p1-p2
-    and lam2 = q+2*p1, and all four u entries are ratios of the inputs:
+    and lam2 = q+2*p1, and the pole distances are differences of the
+    inputs, lam_j - q_i = [[p1-p2, 2 p1], [p2-p1, 2 p2]], so
     u11 = lam1/(p1-p2), u12 = lam2/(2 p1), u21 = -lam1/(p1-p2),
     u22 = lam2/(2 p2).
     """
@@ -253,23 +223,11 @@ def rational_case_n2(p1: float, p2: float, q: float) -> SpectralData:
     q2 = q + 2.0 * (p1 - p2)
     if q2 <= 0:
         raise ValidationError(f"q + 2(p1 - p2) = {q2} must be positive")
-
-    p1L, p2L, qL = _LD(p1), _LD(p2), _LD(q)
-    lam1L = qL + p1L - p2L
-    lam2L = qL + 2 * p1L
-    if float(lam1L) <= 0:
+    lam = np.array([q + p1 - p2, q + 2.0 * p1])
+    if lam[0] <= 0:
         raise ValidationError("degree-one eigenvalue q + p1 - p2 must be positive")
-    uL = np.array(
-        [
-            [lam1L / (p1L - p2L), lam2L / (2 * p1L)],
-            [lam1L / (p2L - p1L), lam2L / (2 * p2L)],
-        ],
-        dtype=_LD,
-    )
-    pL = np.array([p1L, p2L], dtype=_LD)
-    qvecL = np.array([qL, qL + 2 * (p1L - p2L)], dtype=_LD)
-    lamL = np.array([lam1L, lam2L], dtype=_LD)
-    return _derived(pL, qvecL, lamL, uL=uL)
+    gaps = np.array([[p1 - p2, 2.0 * p1], [p2 - p1, 2.0 * p2]])
+    return _derived(np.array([p1, p2]), np.array([q, q2]), lam, gaps)
 
 
 def identity_checks(spec: SpectralData, tol: float = 1e-10) -> Report:
@@ -297,7 +255,7 @@ def identity_checks(spec: SpectralData, tol: float = 1e-10) -> Report:
     report = Report()
     report.add(
         "secular-residuals", float(np.max(spec.secular_residuals)), tol,
-        detail="at the refined roots",
+        detail="relative to sum |p_i/(lam - q_i)|",
     )
     report.add("weighted-column-sums", float(np.abs(E[0, 1:]).max()), tol)
     report.add("weighted-column-cross-sums", float(cross.max(initial=0.0)), tol,

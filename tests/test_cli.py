@@ -4,9 +4,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from mvkraw import AbsorbingState, NoConvergence, cli
+from mvkraw import AbsorbingState, NoConvergence, cli, solve_spectrum
+from mvkraw.spectrum import _derived
 
 CLI = [sys.executable, "-m", "mvkraw"]
 
@@ -132,18 +134,51 @@ def test_coincident_parameters_exit_code(tmp_path):
     assert "coincident" in res.stderr
 
 
-def test_spectrum_fails_on_secular_residual(tmp_path):
-    # just outside the coincidence band the bisection cannot resolve the root
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(
-        {"schema": 1, "n": 2, "N": 6, "p": [1.0, 2.0], "q": [2.0, 2.000000003]}
-    ))
+def test_spectrum_fails_on_secular_residual(tmp_path, params_file,
+                                           monkeypatch, capsys):
+    # a root moved by 1e-6 relative, with the data derived from it, must
+    # trip the residual gate
+    def off_root(params, band=None):
+        p, q = np.array(params.p), np.array(params.q)
+        lam = solve_spectrum(params).lam * (1.0 + 1e-6)
+        return _derived(p, q, lam, lam[None, :] - q[:, None])
+
+    monkeypatch.setattr(cli, "solve_spectrum", off_root)
     out = tmp_path / "run"
-    res = run_cli("spectrum", "--params", path, "--out", out)
-    assert res.returncode == 1, res.stdout + res.stderr
-    assert "[FAIL] secular-residuals" in res.stdout
+    rc = cli.main(["spectrum", "--params", str(params_file), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert rc == 1, stdout
+    assert "[FAIL] secular-residuals" in stdout
     manifest = json.loads((out / "spectrum.json").read_text())
     assert manifest["report"]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # just outside the coincidence band: |u| is 1e9 here
+        {"n": 2, "N": 6, "p": [1.0, 2.0], "q": [2.0, 2.000000003]},
+        # a valid model the absolute residual scale used to fail (8.3e-9)
+        {"n": 3, "N": 4, "p": [9.333, 7.29412, 3.04224],
+         "q": [0.84237716, 0.84238558, 1.0717204]},
+    ],
+)
+def test_spectrum_and_verify_pass_near_the_coincidence_band(tmp_path, model):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    res = run_cli("spectrum", "--params", path, "--out", tmp_path / "spectrum")
+    assert res.returncode == 0, res.stdout + res.stderr
+    res = run_cli("verify", "--level", "full", "--params", path,
+                  "--out", tmp_path / "verify")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "[FAIL]" not in res.stdout
+
+    res = run_cli("verify", "--level", "full", "--params", path,
+                  "--out", tmp_path / "injected", "--inject-u-perturbation", "1e-6")
+    assert res.returncode == 1, res.stdout + res.stderr
+    failed = {line[len("[FAIL] "):].split(":")[0]
+              for line in res.stdout.splitlines() if line.startswith("[FAIL] ")}
+    assert failed & IDENTITY_CHECKS, res.stdout
 
 
 @pytest.mark.parametrize(
