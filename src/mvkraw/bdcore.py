@@ -144,13 +144,20 @@ def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) 
 def stationary_weight_generic(
     B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
 ) -> np.ndarray:
-    """Stationary weight from the two-term relation, normalized to sum 1.
+    """Stationary weight from the two-term relation, normalized to sum 1."""
+    W = np.exp(_log_weight(B, D, space, tol))
+    return W / W.sum()
 
-    W is propagated from the origin one degree layer at a time (the parents
-    of a layer lie in the one before), accumulating in log space to avoid
-    overflow.  Every alternative parent direction is checked against the
-    first, so agreement here is exactly path-independence of the two-term
-    relation; the first bad (point, direction) in rank order is reported.
+
+def _log_weight(B: np.ndarray, D: np.ndarray, space: StateSpace,
+                tol: float = 1e-10) -> np.ndarray:
+    """log W from the two-term relation, shifted to maximum 0.
+
+    It is propagated from the origin one degree layer at a time (the parents
+    of a layer lie in the one before), so it neither under- nor overflows.
+    Every alternative parent direction is checked against the first, so
+    agreement here is exactly path-independence of the two-term relation;
+    the first bad (point, direction) in rank order is reported.
     """
     B, D = check_rate_tables(B, D, space)
     # math.log once per distinct rate: numpy's log differs from it in the
@@ -190,9 +197,7 @@ def stationary_weight_generic(
                 "rate field fails the compatibility condition"
             )
         logw[lo:hi] = value
-    logw -= logw.max()
-    W = np.exp(logw)
-    return W / W.sum()
+    return logw - logw.max()
 
 
 @dataclass(frozen=True)
@@ -238,6 +243,14 @@ def check_compatibility(
     return CompatibilityResult(worst <= tol, worst, witness, skip.size - skipped, skipped)
 
 
+def _conjugate(A: sp.csr_matrix, logw: np.ndarray) -> sp.csr_matrix:
+    """W^{-1/2} A W^{1/2} on the nonzeros of the CSR matrix A, each times
+    exp((log W[col] - log W[row]) / 2), finite where W underflows."""
+    out = A.copy()
+    out.data *= np.exp(0.5 * (logw[A.indices] - np.repeat(logw, np.diff(A.indptr))))
+    return out
+
+
 def verify_structure(
     B: np.ndarray,
     D: np.ndarray,
@@ -253,11 +266,12 @@ def verify_structure(
     E = H - sum_j A_j^T A_j; the PSD check reports that bound over
     max_x H_xx <= ||H||_2, so never less than max(0, -lambda_min)/||H||_2.
     """
-    import scipy.sparse as sp
-
     B, D = check_rate_tables(B, D, space)
     if W is None:
-        W = stationary_weight_generic(B, D, space)
+        logw = _log_weight(B, D, space)
+        W = np.exp(logw) / np.exp(logw).sum()
+    else:
+        logw = np.log(W)
     L = generator_from_tables(B, D, space)
     H = symmetrized_from_tables(B, D, space)
     Ht = difference_operator_from_tables(B, D, space)
@@ -275,7 +289,7 @@ def verify_structure(
     sym_gap = abs(H - H.T).max()
     report.add("symmetrized-is-symmetric", sym_gap / scale, tol)
 
-    conj = -sp.diags(1.0 / sqw) @ L @ sp.diags(sqw)
+    conj = -_conjugate(L, logw)
     report.add("symmetrized-similarity", abs(H - conj).max() / scale, tol)
 
     gap = abs(H - sum(A.T @ A for A in ladders))
@@ -284,7 +298,7 @@ def verify_structure(
     worst_ladder = max(np.abs(A @ sqw).max() for A in ladders)
     report.add("ladder-annihilates-sqrt-weight", worst_ladder / math.sqrt(scale), tol)
 
-    conj2 = sp.diags(1.0 / sqw) @ H @ sp.diags(sqw)
+    conj2 = _conjugate(H, logw)
     report.add("difference-op-similarity", abs(Ht - conj2).max() / scale, tol)
 
     ones = np.ones(space.size)

@@ -23,7 +23,8 @@ where every |T| <= 1, while raw P values grow like C(N, m).
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
 points for ``table``, ``gen-oracle``, ``verify --level full``, ``rational -N
-99`` and up), 5 a solver did not converge, 6 an absorbing state was reached.
+99`` and up) or polynomial values outside the float64 range, 5 a solver did
+not converge, 6 an absorbing state was reached.
 """
 
 from __future__ import annotations
@@ -192,11 +193,12 @@ def _load_table(args):
     return params, space, spec, table(spec, space)
 
 
-def _oracle_residual(params, spec, space: StateSpace, tab):
-    """The generating-function oracle table and max |T_table - T_oracle| on
-    the orthonormal scale, |T| <= 1."""
+def _oracle_check(params, spec, space: StateSpace, tab, report: Report, tol: float):
+    """The generating-function oracle table, with max |T_table - T_oracle|
+    on the orthonormal scale, |T| <= 1, added to `report`."""
     oracle = table_via_generating_function(spec, space)
     diff = float(np.abs(orthonormal_map(params, spec, space, tab - oracle)).max())
+    report.add("generating-function-agreement", diff, tol, detail="orthonormal scale")
     return oracle, diff
 
 
@@ -207,12 +209,11 @@ def _cmd_table(args) -> int:
     header, rows = _table_rows(space, tab)
     _write_csv(out, "table.csv", "table.json", header, rows)
     summary = {"size": space.size, "coupling_magnitude": spec.u_magnitude}
-    failed = False
+    report = Report()
     if args.level == "full":
-        _, diff = _oracle_residual(params, spec, space, tab)
+        _, diff = _oracle_check(params, spec, space, tab, report, args.tol)
         summary["generating_function_max_abs_diff"] = diff
         summary["residual_scale"] = "orthonormal"
-        failed = diff > args.tol
     _write_manifest(out, "table.json", {
         "command": "table",
         "version": __version__,
@@ -223,17 +224,15 @@ def _cmd_table(args) -> int:
         "summary": summary,
     })
     print(f"wrote {os.path.join(out, 'table.csv')} ({space.size} states)")
-    if args.level == "full":
-        status = "FAIL" if failed else "PASS"
-        print(f"[{status}] generating-function-agreement: "
-              f"residual={summary['generating_function_max_abs_diff']:.3e} "
-              f"tol={args.tol:.1e} (orthonormal scale)")
-    return 1 if failed else 0
+    for line in report.lines():
+        print(line)
+    return 0 if report.passed else 1
 
 
 def _cmd_gen_oracle(args) -> int:
     params, space, spec, tab = _load_table(args)
-    oracle, diff = _oracle_residual(params, spec, space, tab)
+    report = Report()
+    oracle, diff = _oracle_check(params, spec, space, tab, report, args.tol)
     out = _outdir(args)
 
     header, rows = _table_rows(space, oracle)
@@ -247,11 +246,10 @@ def _cmd_gen_oracle(args) -> int:
         "summary": {"cross_check_max_abs_diff": diff, "size": space.size,
                     "residual_scale": "orthonormal"},
     })
-    status = "FAIL" if diff > args.tol else "PASS"
-    print(f"[{status}] cross-check max |direct - generating function| = {diff:.3e} "
-          f"on the orthonormal scale (tol {args.tol:.1e})")
+    for line in report.lines():
+        print(line)
     print(f"wrote {os.path.join(out, 'gen_oracle.csv')}")
-    return 1 if diff > args.tol else 0
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:
@@ -270,9 +268,7 @@ def _cmd_verify(args) -> int:
 
     if args.level == "full":
         tab = table(spec, space)
-        _, diff = _oracle_residual(params, spec, space, tab)
-        report.add("generating-function-agreement", diff, args.tol,
-                   detail="orthonormal scale")
+        _oracle_check(params, spec, space, tab, report, args.tol)
         report.add("eigen-equation",
                    float(eigen_residuals(params, spec, space, tab).max()),
                    max(args.tol, 1e-8))

@@ -111,20 +111,20 @@ def multinomial_weight(params: ModelParams, x) -> float:
 
 
 def _log_route_pmf(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Multinomial pmf of each row of `counts` (x0, x_1..x_n) with cell
-    probabilities `cells`, summed in log space.
+    """Log multinomial pmf of each row of `counts` (x0, x_1..x_n) with
+    cells `cells` (any positive cells: log C(N, x) prod_i cells_i^{x_i}).
 
     log k! are running sums of log k in extended precision (where numpy has
     one): lgamma values near log N! carry absolute errors that become
     relative errors of the pmf.  A zero count contributes nothing, also in a
-    zero cell (0 log 0 = 0); a positive count there gives pmf 0."""
+    zero cell (0 log 0 = 0); a positive count there gives log pmf -inf."""
     logk = np.log(np.arange(1, N + 1, dtype=np.longdouble))
     lgf = np.concatenate(([0.0], np.cumsum(logk)))
     empty = cells == 0
     logc = np.log(np.where(empty, 1.0, cells).astype(np.longdouble))
     logv = lgf[N] - lgf[counts].sum(axis=1) + counts @ logc
     logv[(counts[:, empty] > 0).any(axis=1)] = -np.inf
-    return np.exp(logv).astype(float)
+    return logv
 
 
 def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
@@ -157,7 +157,7 @@ def _multinomial_rows(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarr
         for c, v in enumerate(cells):
             value *= np.array([float(v)**k for k in range(N + 1)])[counts[:, c]]
         return value
-    return _log_route_pmf(N, counts, cells)
+    return np.exp(_log_route_pmf(N, counts, cells)).astype(float)
 
 
 def weight_vector(params: ModelParams, space: StateSpace) -> np.ndarray:

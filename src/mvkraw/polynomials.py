@@ -6,8 +6,9 @@ P_m(x) is the normalized coefficient of a product of linear forms:
 
 with x0 = N - |x|, m0 = N - |m| and `a` the bordered coupling matrix (first
 row and column of ones, block 1 - u).  `table` builds the whole table at
-once as the N-th symmetric power of `a` (`sympower.coefficient_power`);
-this is the production route.
+once from T = Sym^N(R) (`sympower.coefficient_power`), the orthonormal map,
+with R = diag sqrt(eta0, eta) a diag sqrt(1, eta_bar) orthogonal, and reads
+P = T / sqrt(W(x) C(N,m) eta_bar^m) off it in log space.
 
 Two independent routes stay as oracles.  `eval_P` sums the truncated
 hypergeometric series over n x n nonnegative-integer matrices c,
@@ -23,9 +24,9 @@ row-by-row table that `verify --level full` compares with `table`.
 
 The dual polynomials Q_x(m) are the same expression read as functions of m,
 so eval_Q delegates to eval_P.  The module also provides the orthonormal
-map T built from the table, the one check of orthogonality in both
-directions (`orthonormality`, from T^T T and T T^T), and the classical
-single-variable evaluator used as the n=1 oracle.
+map T of a table, the one check of orthogonality in both directions
+(`orthonormality`, from T^T T and T T^T), and the classical single-variable
+evaluator used as the n=1 oracle.
 """
 
 from __future__ import annotations
@@ -37,12 +38,9 @@ import numpy as np
 from .bdcore import difference_operator_from_tables
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
-from .model import ModelParams, multinomial_vector, rate_tables, weight_vector
+from .model import ModelParams, _log_route_pmf, multinomial_vector, rate_tables
 from .spectrum import SpectralData
 from .sympower import DENSE_CAP, coefficient_power, coefficient_row
-
-DEFAULT_EIGEN_TOL = 1e-8
-DEFAULT_ORTHO_TOL = 1e-10
 
 
 def _u_matrix(spec) -> np.ndarray:
@@ -120,20 +118,32 @@ def eval_Q(spec, x, m, N: int) -> float:
     return eval_P(spec, m, x, N)
 
 
+def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float) -> np.ndarray:
+    """tab[x, m] (W(x) C(N,m) eta_bar^m)^power as one exp of long-double log
+    multinomials (`model._log_route_pmf`), the cells read off the one-body
+    matrix: R[:, 0]^2 = (eta0, eta) and (R[0] / R[0, 0])^2 = (1, eta_bar)."""
+    counts = np.column_stack((space.N - space.degrees, space.coords))
+    logW, lognu = (power * _log_route_pmf(space.N, counts, c).astype(float)
+                   for c in (R[:, 0] ** 2, (R[0] / R[0, 0]) ** 2))
+    out = np.add.outer(logW, lognu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(out, out=out)
+        return np.multiply(tab, out, out=out)
+
+
 def table(spec, space: StateSpace) -> np.ndarray:
     """Full polynomial table; rows are x ranks, columns are m ranks.
 
-    `spec` is a SpectralData or a bare (n, n) u-matrix; the table is the
-    symmetric power of the bordered matrix a = [[1, 1], [1, 1 - u]]
-    divided by C(N, m).
+    `spec` is any object with the one-body matrix `.R` (SpectralData,
+    rational.DualPair).  P is read off the orthonormal map T = Sym^N(R) as
+    P_m(x) = T[x, m] / sqrt(W(x) C(N,m) eta_bar^m); CapExceeded when some
+    P lies outside the float64 range.
     """
-    u = _u_matrix(spec)
-    n = u.shape[0]
-    if n != space.n:
-        raise ValidationError("spectral data dimension does not match the lattice")
-    a = np.ones((n + 1, n + 1))
-    a[1:, 1:] = 1.0 - u
-    return coefficient_power(a, space) / multinomial_vector(space, 1.0, np.ones(n))
+    R = np.asarray(spec.R, dtype=float)
+    P = _rescale(coefficient_power(R, space), R, space, -0.5)
+    if not np.isfinite(P).all():
+        raise CapExceeded("polynomial values exceed the float64 range")
+    return P
 
 
 def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
@@ -210,28 +220,12 @@ def orthonormality(T: np.ndarray) -> Orthonormality:
 def orthonormal_map(
     params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
 ) -> np.ndarray:
-    """T[x, m] = sqrt(W(x)) P_m(x) sqrt(C(N,m) eta_bar^m); orthogonal both ways."""
-    W = weight_vector(params, space)
-    norms = multinomial_vector(space, 1.0, spec.eta_bar)
-    return np.sqrt(W)[:, None] * tab * np.sqrt(norms)[None, :]
-
-
-def degree_structure_residuals(space: StateSpace, tab: np.ndarray) -> np.ndarray:
-    """Least-squares defect of fitting each column by monomials x^alpha of
-    total degree at most |m|; near zero iff the column is a polynomial of
-    the right degree."""
-    import scipy.linalg
-
-    coords = space.coords.astype(float)
-    monomials = np.prod(coords[:, None, :] ** coords[None, :, :], axis=2)
-    out = np.empty(space.size)
-    for mr in range(space.size):
-        k = int(np.searchsorted(space.degrees, space.degrees[mr], side="right"))
-        basis = monomials[:, :k]
-        col = tab[:, mr]
-        fit, *_ = scipy.linalg.lstsq(basis, col, lapack_driver="gelsy")
-        out[mr] = np.linalg.norm(basis @ fit - col) / max(1.0, np.linalg.norm(col))
-    return out
+    """T[x, m] = sqrt(W(x)) P_m(x) sqrt(C(N,m) eta_bar^m); orthogonal both
+    ways.  The inverse of the scaling in `table`, so sqrt(W) never
+    underflows on its own."""
+    if space.n != params.n or space.N != params.N:
+        raise ValidationError("state space does not match params")
+    return _rescale(tab, spec.R, space, 0.5)
 
 
 def kr_P(m: int, x: int, p: float, N: int) -> float:

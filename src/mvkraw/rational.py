@@ -28,8 +28,8 @@ import numpy as np
 from .bdcore import difference_operator_from_tables
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
-from .model import linear_rate_tables, multinomial_vector
-from .polynomials import orthonormality, table
+from .model import linear_rate_tables
+from .polynomials import _rescale, orthonormality, table
 from .report import Report
 
 SINGULAR_REL_TOL = 1e-12
@@ -106,6 +106,12 @@ class DualPair:
     @property
     def w(self) -> float:
         return float(self.U[1, 1])
+
+    @property
+    def R(self) -> np.ndarray:
+        """diag sqrt(eta) a(U) diag sqrt(1, eta_bar), as `SpectralData.R`."""
+        a = np.pad(1.0 - self.U, (1, 0), constant_values=1.0)
+        return np.sqrt(self.eta)[:, None] * a * np.sqrt(np.r_[1.0, self.eta_bar])
 
 
 def derive_dual_pair(params: RationalParams) -> DualPair:
@@ -325,12 +331,12 @@ def eval_rational(pair: DualPair, m, x, N: int) -> float:
 def rational_table(pair: DualPair, space: StateSpace) -> np.ndarray:
     """Full table of the rational family; rows x ranks, columns m ranks.
 
-    The symmetric-power kernel of `polynomials.table` with u = pair.U;
-    `eval_rational` is its entry-by-entry oracle.
+    `polynomials.table` of the pair, read off the symmetric power of
+    `DualPair.R`; `eval_rational` is its entry-by-entry oracle.
     """
     if space.n != 2:
         raise ValidationError("the rational family is two-dimensional")
-    return table(pair.U, space)
+    return table(pair, space)
 
 
 def dual_rate_tables(pair: DualPair, space: StateSpace):
@@ -380,13 +386,10 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     report.add("five-term-recurrence", worst_literal / scale, tol)
     report.add("five-term-matches-operator", worst_operator / scale, tol)
 
-    W = multinomial_vector(space, pair.eta[0], pair.eta[1:])
-    Wd = multinomial_vector(space, pair.eta_dual[0], pair.eta_dual[1:])
-
-    # T = sqrt(W) R sqrt(Wd / eta0^N) is orthogonal both ways; its Gram
-    # diagonals are the two Gram diagonals of R over their closed forms
-    # eta0^N / Wd and eta0^N / W (eta_dual[0] = eta[0])
-    o = orthonormality(np.sqrt(W)[:, None] * R * np.sqrt(Wd / pair.eta[0] ** N))
+    # T = sqrt(W) R sqrt(C(N,m) eta_bar^m) = sqrt(W) R sqrt(Wd / eta0^N) is
+    # orthogonal both ways; its Gram diagonals are the two Gram diagonals of
+    # R over their closed forms eta0^N / Wd and eta0^N / W
+    o = orthonormality(_rescale(R, pair.R, space, 0.5))
     # Gram entries cancel across strongly contrasting norms, so the scaled
     # off-diagonal floor sits above the recurrence checks.
     report.add("m-orthogonality", o.offdiagonal, max(tol, 1e-9))

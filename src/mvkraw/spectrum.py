@@ -15,14 +15,16 @@ float64.
 From the distances everything else follows in closed form without
 cancellation: u[i, j] = lam_j/(lam_j - q_i), the coefficient matrix a
 (first row and column of ones, block 1 - u = -q_i/(lam_j - q_i)), the norm
-reciprocals eta_bar, and the dual probabilities eta_dual.
+reciprocals eta_bar, the dual probabilities eta_dual, and the orthogonal
+one-body matrix R (`SpectralData.R`), whose N-th symmetric power is the
+orthonormal map T that `polynomials.table` reads the polynomials off.
 
 The numeric eigenbasis needs none of this: the N particles move
 independently, so the eigenvectors of the symmetric operator H are the N-th
-symmetric power (`sympower.coefficient_power`) of the eigenvectors of the
-(n+1) x (n+1) symmetrized one-body generator.  It holds for every valid
-model, coincident q included.  A dense eigendecomposition of H is the
-reference the tests compare it with.
+symmetric power of the eigenvectors of the (n+1) x (n+1) symmetrized
+one-body generator.  It holds for every valid model, coincident q
+included.  A dense eigendecomposition of H is the reference the tests
+compare it with.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from .model import ModelParams
 from .report import Report
 from .sympower import coefficient_power
 
-MAX_BISECTIONS = 200
+# log2(width/root) + 53 halvings close a bracket to adjacent floats, and
+# float64 (subnormals included) spans 1,024 + 1,074 binades
+MAX_BISECTIONS = 1024 + 1074 + 53
 
 
 def characteristic_matrix(p, q) -> np.ndarray:
@@ -89,9 +93,8 @@ class SpectralData:
     def R(self) -> np.ndarray:
         """The one-body matrix diag sqrt(eta0, eta) a diag sqrt(1, eta_bar),
         orthogonal for exact data; derived from `a`, so a perturbed `a`
-        perturbs it.  Its normalized N-th symmetric power
-        (`sympower.coefficient_power(R, space, normalized=True)`) is the
-        orthonormal map T."""
+        perturbs it.  Its N-th symmetric power in the orthonormal basis
+        (`sympower.coefficient_power(R, space)`) is the orthonormal map T."""
         left = np.sqrt(np.concatenate(([self.eta0], self.eta)))
         right = np.sqrt(np.concatenate(([1.0], self.eta_bar)))
         return left[:, None] * self.a * right[None, :]
@@ -283,7 +286,7 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     One particle is symmetrized to h = [[sum p, -sqrt(p q)^T],
     [-sqrt(p q), diag(q)]] with eigenpairs (lam_k, V[:, k]); the N-particle
     eigenvector with mode occupations m (m_0 = N - |m|) is column m of the
-    normalized symmetric power of V, with eigenvalue sum_k m_k lam_k.
+    symmetric power of V, with eigenvalue sum_k m_k lam_k.
     Columns are sorted by eigenvalue.  Works for any valid params,
     including the coincident-q regime where the closed-form construction
     fails.  The output is dense: CapExceeded above `sympower.DENSE_CAP`
@@ -301,7 +304,7 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     evals = occupations @ lam
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
-    vecs = coefficient_power(V, space, normalized=True)[:, order]
+    vecs = coefficient_power(V, space)[:, order]
     norm = max(abs(evals[0]), abs(evals[-1]), 1e-300)
     gaps = np.diff(evals)
     degenerate = bool(len(gaps) and gaps.min() < 1e-8 * norm)

@@ -1,15 +1,15 @@
 """The symmetric-power kernel: coefficients of a product of linear forms.
 
 For an (n+1) x (n+1) matrix M and the lattice of ceiling N, the N-th
-symmetric power of M in the monomial basis is the table
+symmetric power of M in the orthonormal oscillator basis is the table
 
-    C[x, m] = coefficient of t^m in f_x(t) = prod_{i=0..n} (M_i . t)^{x_i},
+    T[x, m] = C[x, m] sqrt(m!/x!),  C[x, m] = coefficient of t^m in
+                                    f_x(t) = prod_{i=0..n} (M_i . t)^{x_i},
 
-with x_0 = N - |x| and t^m = t_0^{m_0} t_1^{m_1} .. t_n^{m_n},
-m_0 = N - |m|.  With M the bordered coupling matrix `a` this is the
-polynomial table up to the factor C(N, m); with M the orthogonal one-body
-eigenvectors, rescaled to T[x, m] = C[x, m] sqrt(m!/x!), it is the
-orthonormal many-body eigenbasis.
+with x_0 = N - |x|, m_0 = N - |m|, t^m = t_0^{m_0} t_1^{m_1} .. t_n^{m_n}
+and full factorials.  For orthogonal M it is orthogonal, |T| <= 1: with
+M = R of the spectral data the orthonormal map, which `polynomials.table`
+reads P off, and with M the one-body eigenvectors the eigenbasis.
 
 The table is built degree by degree, d = 1..N, on the graded prefix
 |x| <= d of the lattice, where x_0 = d - |x|.  Each layer uses Euler's
@@ -22,12 +22,12 @@ one linear form.  Taking a single parent instead (f_x = f_{x-e_s} M_s . t)
 costs about n+1 times less but is not stable: for orthogonal M it amplifies
 rounding by up to sqrt(C(N, x)), and the orthogonality defect of the
 eigenbasis at n=1 reaches 6e-11 at N=50 and O(1) at N=200.  In the
-normalized basis the averaged layer is a contraction, so rounding only
+orthonormal basis the averaged layer is a contraction, so rounding only
 adds up: the defect stays near 1e-13 at n=1, N=600.
 
-`coefficient_row` is one row of the same table by the single-parent
-product, for the one-body kernel of the transient law (nonnegative, so
-nothing cancels) and for the per-row oracle of the polynomial table.
+`coefficient_row` is one row of C by the single-parent product, for the
+one-body kernel of the transient law (nonnegative, so nothing cancels)
+and for the per-row oracle of the polynomial table.
 
 Every size x size table of the package is built here, so DENSE_CAP, the
 one dense-size cap, is enforced here.
@@ -47,15 +47,14 @@ DENSE_CAP = 5000
 _BLOCK_ELEMENTS = 1 << 21
 
 
-def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndarray:
-    """C[x, m], the coefficient of t^m in prod_i (M_i . t)^{x_i}.
+def coefficient_power(M, space: StateSpace) -> np.ndarray:
+    """T[x, m] = C[x, m] sqrt(m!/x!), C[x, m] the coefficient of t^m in
+    prod_i (M_i . t)^{x_i}: the symmetric power in the orthonormal basis.
 
     Rows and columns are lattice ranks of `space`; M is (n+1, n+1) with row
-    and column 0 belonging to the implicit slot x_0 = N - |x|.  With
-    `normalized` the table is C[x, m] sqrt(m!/x!) (full factorials, slot 0
-    included): the symmetric power in the orthonormal oscillator basis,
-    orthogonal when M is and bounded by 1, where plain coefficients of an
-    orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
+    and column 0 belonging to the implicit slot x_0 = N - |x|.  T is
+    orthogonal when M is and bounded by 1, where the plain coefficients of
+    an orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
     Raises CapExceeded above DENSE_CAP points, before allocating.
     """
     if space.size > DENSE_CAP:
@@ -67,7 +66,7 @@ def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndar
     if M.shape != (n + 1, n + 1):
         raise ValidationError(f"coefficient matrix must be {(n + 1, n + 1)}")
     slots = np.arange(n + 1)
-    C = np.array([[1.0, 0.0]])   # layer 0, and a zero column kept last
+    T = np.array([[1.0, 0.0]])   # layer 0, and a zero column kept last
     prev = 1
     for d in range(1, space.N + 1):
         size = simplex_size(n, d)
@@ -75,21 +74,20 @@ def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndar
         occ = np.column_stack((d - 1 - space.degrees[:prev], space.coords[:prev]))
         dest = np.column_stack((np.arange(prev), space.up[:prev]))
 
-        # rows: out[x' + e_s] += x_s M_sj Z_j[x'] over s, j, one sparse product
-        # with Z_j[:, m] = C[:, m - e_j] stacked over j
+        # rows: out[x' + e_s] += sqrt(x_s) M_sj Z_j[x'] over s, j, one sparse
+        # product with Z_j[:, m] = sqrt(m_j) T[:, m - e_j] stacked over j
         rows = np.repeat(dest, n + 1, axis=1).ravel()
         cols = (slots[None, None, :] * prev + np.arange(prev)[:, None, None])
         cols = np.broadcast_to(cols, (prev, n + 1, n + 1)).ravel()
-        weight = np.sqrt(occ + 1.0) if normalized else occ + 1.0
+        weight = np.sqrt(occ + 1.0)
         vals = (weight[:, :, None] * M[None, :, :]).ravel()
         G = sp.csr_matrix((vals, (rows, cols)), shape=(size, (n + 1) * prev))
 
         # columns: the source of m in Z_j is m - e_j, or the zero column
         src = np.full((n + 1, size), prev)
         src[slots[:, None], dest.T] = np.arange(prev)
-        if normalized:
-            col_weight = np.zeros((n + 1, size))
-            col_weight[slots[:, None], dest.T] = weight.T
+        col_weight = np.zeros((n + 1, size))
+        col_weight[slots[:, None], dest.T] = weight.T
 
         # the last layer is returned as is; earlier ones carry the zero column
         out = np.zeros((size, size + (d < space.N)))
@@ -99,15 +97,13 @@ def coefficient_power(M, space: StateSpace, normalized: bool = False) -> np.ndar
             block = np.empty((n + 1, prev, hi - lo))
             for j in range(n + 1):
                 # indices are in range; "clip" writes to `out` unbuffered
-                np.take(C, src[j, lo:hi], axis=1, out=block[j], mode="clip")
-            if normalized:
-                block *= col_weight[:, None, lo:hi]
-            # integer weights, divided last, keep P_0 = 1 and P_m(0) = 1 exact
+                np.take(T, src[j, lo:hi], axis=1, out=block[j], mode="clip")
+            block *= col_weight[:, None, lo:hi]
             np.divide(G @ block.reshape((n + 1) * prev, hi - lo), d,
                       out=out[:, lo:hi])
-        C = out
+        T = out
         prev = size
-    return C
+    return T
 
 
 def coefficient_row(M, x: np.ndarray, space: StateSpace) -> np.ndarray:

@@ -419,3 +419,20 @@ def test_psd_certificate_fails_on_shifted_operator(monkeypatch):
     check = verify_structure(B, D, space)["symmetrized-positive-semidefinite"]
     assert not check.passed
     assert check.residual >= _dense_negative_part(shifted(B, D, space).toarray())
+
+
+@pytest.mark.parametrize("params", [
+    # smallest W near 1e-334, below the float64 range
+    ModelParams(n=1, N=700, p=(1.0,), q=(2.0,)),
+    ModelParams(n=2, N=60, p=(1.0, 1.0), q=(1e6, 2e6)),
+])
+def test_similarity_checks_survive_underflowing_weight(params):
+    # sqrt(W(col)/W(row)) comes from differences of log W, so the two
+    # similarity checks stay finite where 1/sqrt(W) would read inf
+    space = StateSpace(params.n, params.N)
+    B, D = rate_tables(params, space)
+    assert (stationary_weight_generic(B, D, space) == 0.0).any()
+    report = verify_structure(B, D, space)
+    assert report.passed, "\n".join(report.lines())
+    for name in ("symmetrized-similarity", "difference-op-similarity"):
+        assert report[name].residual <= 1e-12, report[name].line()

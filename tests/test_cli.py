@@ -292,6 +292,27 @@ def test_table_and_oracle(tmp_path, params_file):
     assert manifest["summary"]["cross_check_max_abs_diff"] < 1e-10
 
 
+def test_table_full_fails_on_nan_oracle(tmp_path, params_file, monkeypatch, capsys):
+    # a NaN residual is no pass: the check's rule is residual <= tol
+    monkeypatch.setattr(cli, "table_via_generating_function",
+                        lambda spec, space: np.full((space.size, space.size), np.nan))
+    rc = cli.main(["table", "--level", "full", "--params", str(params_file),
+                   "--out", str(tmp_path)])
+    stdout = capsys.readouterr().out
+    assert rc == 1, stdout
+    assert "[FAIL] generating-function-agreement" in stdout
+
+
+def test_table_beyond_float64_exits_4(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, "n": 1, "N": 80, "p": [1.0], "q": [1e4]}))
+    out = tmp_path / "run"
+    rc = cli.main(["table", "--params", str(path), "--out", str(out)])
+    assert rc == 4
+    assert "float64 range" in capsys.readouterr().err
+    assert not (out / "table.csv").exists()
+
+
 def test_simulate_gillespie(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

@@ -20,8 +20,26 @@ from mvkraw import (
     table_via_generating_function,
 )
 from mvkraw.model import multinomial_vector, weight_vector
-from mvkraw.polynomials import degree_eigenvalues, degree_structure_residuals
+from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.sympower import coefficient_power
+
+
+def degree_structure_residuals(space: StateSpace, tab: np.ndarray) -> np.ndarray:
+    """Least-squares defect of fitting each column by monomials x^alpha of
+    total degree at most |m|; near zero iff the column is a polynomial of
+    the right degree."""
+    import scipy.linalg
+
+    coords = space.coords.astype(float)
+    monomials = np.prod(coords[:, None, :] ** coords[None, :, :], axis=2)
+    out = np.empty(space.size)
+    for mr in range(space.size):
+        k = int(np.searchsorted(space.degrees, space.degrees[mr], side="right"))
+        basis = monomials[:, :k]
+        col = tab[:, mr]
+        fit, *_ = scipy.linalg.lstsq(basis, col, lapack_driver="gelsy")
+        out[mr] = np.linalg.norm(basis @ fit - col) / max(1.0, np.linalg.norm(col))
+    return out
 
 
 def canonical(n):
@@ -94,15 +112,6 @@ def test_table_matches_series_entrywise():
             assert np.abs(table(spec, space) - series).max() / scale.max() < 1e-12
 
 
-def test_table_accepts_bare_u_matrix():
-    params = canonical(3)
-    spec = solve_spectrum(params)
-    space = StateSpace(3, 3)
-    assert np.array_equal(table(spec.u, space), table(spec, space))
-    with pytest.raises(ValidationError):
-        table(spec.u, StateSpace(2, 3))
-
-
 def test_generating_function_at_unit_arguments():
     # at t = (1,..,1): sum_m C(N,m) P_m(x) = prod_i (row sum of a_i)^{x_i}
     from mvkraw.combinatorics import multinomial
@@ -145,6 +154,9 @@ def test_eval_P_validation():
         eval_P(spec, (0, 0), (6, 0), 5)
     with pytest.raises(ValidationError):
         eval_P(spec, (0, -1), (0, 0), 5)
+    # a table needs spectral data of the lattice's dimension
+    with pytest.raises(ValidationError):
+        table(spec, StateSpace(3, 5))
     # the one-row expansion takes slot 0 as a multinomial: row 0 >= 0
     a = spec.a.copy()
     a[0, 1] = -1.0
@@ -230,8 +242,8 @@ def test_orthonormal_map_both_ways():
     tab = table(spec, space)
     T = orthonormal_map(params, spec, space, tab)
     assert orthonormality(T).identity < 1e-12
-    # T is the normalized N-th symmetric power of the one-body matrix R
-    assert np.abs(T - coefficient_power(spec.R, space, normalized=True)).max() < 1e-13
+    # T is the N-th symmetric power of the one-body matrix R
+    assert np.abs(T - coefficient_power(spec.R, space)).max() < 1e-13
 
 
 def test_columns_are_polynomials_of_their_degree():
@@ -302,3 +314,22 @@ def test_generating_function_table_refuses_dense_cap_first():
     space = StateSpace(3, 30)
     with pytest.raises(CapExceeded):
         table_via_generating_function(solve_spectrum(params), space)
+
+
+@pytest.mark.parametrize("q, N", [(2.0, 700), (10.0, 300)])
+def test_table_is_finite_where_raw_coefficients_overflow(q, N):
+    # C(N, m) and the coefficients of a overflow together here (inf/inf);
+    # P read off T = Sym^N(R) in log space stays finite, up to 1e300
+    params = ModelParams(n=1, N=N, p=(1.0,), q=(q,))
+    spec = solve_spectrum(params)
+    space = StateSpace(1, N)
+    tab = table(spec, space)
+    assert np.isfinite(tab).all()
+    assert orthonormality(orthonormal_map(params, spec, space, tab)).identity <= 1e-12
+
+
+def test_table_refuses_values_beyond_float64():
+    # the true P exceed 1e308 at 20 entries
+    params = ModelParams(n=1, N=80, p=(1.0,), q=(1e4,))
+    with pytest.raises(CapExceeded, match="float64 range"):
+        table(solve_spectrum(params), StateSpace(1, 80))

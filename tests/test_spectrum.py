@@ -135,6 +135,16 @@ def test_one_body_matrix_follows_a():
     assert np.abs(_inject(spec, 1e-6).R - R).max() > 1e-7
 
 
+@pytest.mark.parametrize("p1", [1e-45, 1e-100])
+def test_secular_solve_with_tiny_p(p1):
+    # the root sits about p1 above its pole: the bisection needs a halving
+    # per binade down to it, far more than the 53 of one mantissa
+    spec = solve_spectrum(ModelParams(n=2, N=3, p=(p1, 1.0), q=(1.0, 2.0)))
+    report = identity_checks(spec)
+    assert report.passed, report.lines()
+    assert spec.secular_residuals.max() <= 1e-15
+
+
 def test_identity_checks_random_loop():
     rng = np.random.default_rng(20260815)
     for _ in range(50):
