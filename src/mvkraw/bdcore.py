@@ -265,13 +265,15 @@ def verify_structure(
     gives lambda_min(H) >= -||E||_2 >= -sqrt(||E||_1 ||E||_inf) for
     E = H - sum_j A_j^T A_j; the PSD check reports that bound over
     max_x H_xx <= ||H||_2, so never less than max(0, -lambda_min)/||H||_2.
+    The two similarity checks always take log W from the two-term relation
+    (`_log_weight`), finite where W underflows; a caller's W enters only the
+    annihilation checks (L W, A_j sqrt W and H sqrt W).
     """
     B, D = check_rate_tables(B, D, space)
+    logw = _log_weight(B, D, space)
     if W is None:
-        logw = _log_weight(B, D, space)
-        W = np.exp(logw) / np.exp(logw).sum()
-    else:
-        logw = np.log(W)
+        W = np.exp(logw)
+        W /= W.sum()
     L = generator_from_tables(B, D, space)
     H = symmetrized_from_tables(B, D, space)
     Ht = difference_operator_from_tables(B, D, space)

@@ -512,7 +512,7 @@ def main(argv=None) -> int:
         print(msg, file=sys.stderr)
         return 3
     except CapExceeded as exc:
-        print(f"error: size cap exceeded: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 4
     except NoConvergence as exc:
         print(f"error: no convergence: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ class ValidationError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A requested instance exceeds a configured size cap."""
+    """A requested instance exceeds a configured size cap, or its values
+    exceed the float64 range."""
 
 
 class ExceptionalParameters(RuntimeError):

@@ -68,7 +68,7 @@ class StateSpace:
             raise ValidationError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
         size = simplex_size(n, N)
         if size > cap:
-            raise CapExceeded(f"lattice has {size} points, exceeds cap {cap}")
+            raise CapExceeded(f"size cap exceeded: lattice has {size} points > {cap}")
 
         self.n = n
         self.N = N

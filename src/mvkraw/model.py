@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import EXACT_N_MAX
 from .errors import ValidationError
 from .lattice import StateSpace, _point_key
+
+# multinomial coefficients are exact integers up to this N, log-space above
+EXACT_N_MAX = 20
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,8 @@ def table_via_generating_function(spec, space: StateSpace) -> np.ndarray:
     the oracle `verify --level full` compares `table` with.  Raises
     CapExceeded above DENSE_CAP points, before expanding any row."""
     if space.size > DENSE_CAP:
-        raise CapExceeded(f"dense table needs {space.size} <= cap {DENSE_CAP} points")
+        raise CapExceeded(f"size cap exceeded: dense table needs {space.size} "
+                          f"<= {DENSE_CAP} points")
     a = _a_matrix(spec, space)
     rows = np.array([coefficient_row(a, x, space) for x in space.coords])
     return rows / multinomial_vector(space, 1.0, np.ones(space.n))

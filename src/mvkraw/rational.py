@@ -9,8 +9,10 @@ generator; all operator identities still hold and are checked here, but
 the simulator refuses such rates by construction.
 
 Every derived quantity is computed twice: once from the defining relations
-(dual eigenvalues over their pole gaps, moment sums, ratio
-normalizations) and once from independent rational closed forms.  The two
+and once from independent rational closed forms.  The defining-relation
+route is the generic spectral one, `spectrum._derived` on the dual rates
+and their pole gaps, and the weighted sums and moments are entries of the
+orthogonality defects of the pair's one-body matrix `DualPair.R`.  The two
 routes are required to agree and the residuals are recorded.  The closed
 forms for three of the four coupling coefficients circulate in print with
 the wrong denominator (the first rate in place of the matching one), so
@@ -31,6 +33,7 @@ from .lattice import StateSpace
 from .model import linear_rate_tables
 from .polynomials import _rescale, orthonormality, table
 from .report import Report
+from .spectrum import _derived, _gram_defects
 
 SINGULAR_REL_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
@@ -114,6 +117,11 @@ class DualPair:
         return np.sqrt(self.eta)[:, None] * a * np.sqrt(np.r_[1.0, self.eta_bar])
 
 
+def _relative_gap(got, ref) -> float:
+    """max |got - ref| / max |ref|."""
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
 def derive_dual_pair(params: RationalParams) -> DualPair:
     p1, p2, p3, p4 = params.p1, params.p2, params.p3, params.p4
     S = params.total
@@ -126,43 +134,34 @@ def derive_dual_pair(params: RationalParams) -> DualPair:
     lam1d = -(p1 + p2)
     lam2d = p3 + p4
 
+    # Defining relations: the dual system is a birth-death system of its
+    # own, so the generic spectral route derives it from its pole gaps.
+    dual_lam = np.array([lam1d, lam2d])
+    dual_q = np.array([q1d, q2d])
+    dual = _derived(np.array([p1d, p2d]), dual_q, dual_lam,
+                    dual_lam[None, :] - dual_q[:, None])
+    U = dual.u.T
+
     checks = Report()
+    for j, resid in enumerate(dual.secular_residuals, start=1):
+        checks.add(f"dual-secular-root-{j}", float(resid), CROSS_CHECK_TOL)
 
-    # Dual eigenvalues satisfy the dual secular equation exactly.
-    for j, lam in enumerate((lam1d, lam2d), start=1):
-        resid = abs(math.fsum((p1d / (lam - q1d), p2d / (lam - q2d), -1.0)))
-        checks.add(f"dual-secular-root-{j}", resid, CROSS_CHECK_TOL)
-
-    # Coupling coefficients: defining relation (authoritative).
-    lam_d = np.array([lam1d, lam2d])
-    q_d = np.array([q1d, q2d])
-    U = lam_d[:, None] / (lam_d[:, None] - q_d[None, :])
-
-    # Independent rational closed forms, denominator matched to the rate.
-    U_closed = np.array(
+    # Independent rational closed forms, denominator matched to the rate,
+    # and the same forms as commonly printed, all with the first rate in
+    # the denominator.  Only the (1,1) entry of the printed forms survives
+    # contact with the defining relation; the others go into the note.
+    numerators = np.array(
         [
-            [(p1 + p2) * (p1 + p3) / (p1 * S), (p1 + p2) * (p2 + p4) / (p2 * S)],
-            [(p1 + p3) * (p3 + p4) / (p3 * S), (p2 + p4) * (p3 + p4) / (p4 * S)],
+            [(p1 + p2) * (p1 + p3), (p1 + p2) * (p2 + p4)],
+            [(p1 + p3) * (p3 + p4), (p2 + p4) * (p3 + p4)],
         ]
     )
-    checks.add(
-        "coupling-closed-form",
-        float(np.abs(U - U_closed).max() / np.abs(U).max()),
-        CROSS_CHECK_TOL,
-    )
-
-    # The same forms as commonly printed, all with the first rate in the
-    # denominator.  Only the (1,1) entry survives contact with the
-    # defining relation; the others are recorded in the note.
-    U_printed = np.array(
-        [
-            [(p1 + p2) * (p1 + p3) / (p1 * S), (p1 + p2) * (p2 + p4) / (p1 * S)],
-            [(p1 + p3) * (p3 + p4) / (p1 * S), (p2 + p4) * (p3 + p4) / (p1 * S)],
-        ]
-    )
+    U_closed = numerators / (np.array([[p1, p2], [p3, p4]]) * S)
+    checks.add("coupling-closed-form", _relative_gap(U_closed, U), CROSS_CHECK_TOL)
+    U_printed = numerators / (p1 * S)
     printed_diff = np.abs(U - U_printed) / np.abs(U)
 
-    # Probability vectors, closed forms.
+    # Probability vectors and norm ratios, closed forms.
     eta0 = Delta**2 / ((p1 + p2) * (p1 + p3) * (p2 + p4) * (p3 + p4))
     eta1 = p1 * p2 * S / ((p1 + p2) * (p1 + p3) * (p2 + p4))
     eta2 = p3 * p4 * S / ((p1 + p3) * (p2 + p4) * (p3 + p4))
@@ -170,87 +169,18 @@ def derive_dual_pair(params: RationalParams) -> DualPair:
     eta1d = p1 * p3 * S / ((p1 + p2) * (p1 + p3) * (p3 + p4))
     eta2d = p2 * p4 * S / ((p1 + p2) * (p2 + p4) * (p3 + p4))
     eta_dual = np.array([eta0, eta1d, eta2d])
-    checks.add("probability-normalization", abs(math.fsum(eta) - 1.0), CROSS_CHECK_TOL)
-    checks.add(
-        "dual-probability-normalization",
-        abs(math.fsum(eta_dual) - 1.0),
-        CROSS_CHECK_TOL,
-    )
-
-    # Second route to the dual probabilities: normalized rate ratios.
-    r1, r2 = p1d / q1d, p2d / q2d
-    denom = 1.0 + r1 + r2
-    checks.add(
-        "dual-probability-ratio-route",
-        max(abs(r1 / denom - eta1d), abs(r2 / denom - eta2d)) / max(eta1d, eta2d),
-        CROSS_CHECK_TOL,
-    )
-
-    # Norm ratios: closed forms against moment sums over the couplings.
-    eta_bar_dual = np.array(
-        [
-            p1 * p2 * (p3 + p4) * S / Delta**2,
-            p3 * p4 * (p1 + p2) * S / Delta**2,
-        ]
-    )
     eta_bar = np.array([eta1d / eta0, eta2d / eta0])
-    moments_x = np.array(
-        [
-            1.0 / (math.fsum((eta1d * U[j, 0] ** 2, eta2d * U[j, 1] ** 2, -1.0)))
-            for j in range(2)
-        ]
-    )
-    moments_m = np.array(
-        [
-            1.0 / (math.fsum((eta1 * U[0, i] ** 2, eta2 * U[1, i] ** 2, -1.0)))
-            for i in range(2)
-        ]
-    )
-    checks.add(
-        "x-norm-ratio-moment-route",
-        float(np.abs(moments_x - eta_bar_dual).max() / eta_bar_dual.max()),
-        CROSS_CHECK_TOL,
-    )
-    checks.add(
-        "m-norm-ratio-moment-route",
-        float(np.abs(moments_m - eta_bar).max() / eta_bar.max()),
-        CROSS_CHECK_TOL,
-    )
-    # Third route: the probabilities are the normalized x-side ratios.
-    checks.add(
-        "probability-ratio-route",
-        float(
-            np.abs(eta_bar_dual / (1.0 + eta_bar_dual.sum()) - eta[1:]).max()
-            / eta[1:].max()
-        ),
-        CROSS_CHECK_TOL,
-    )
-
-    # Weighted sum identities in both directions, linear and cross terms.
-    checks.add(
-        "x-weighted-row-sums",
-        max(
-            abs(math.fsum((eta1d * U[j, 0], eta2d * U[j, 1], -1.0))) for j in range(2)
-        ),
-        CROSS_CHECK_TOL,
-    )
-    checks.add(
-        "m-weighted-column-sums",
-        max(
-            abs(math.fsum((eta1 * U[0, i], eta2 * U[1, i], -1.0))) for i in range(2)
-        ),
-        CROSS_CHECK_TOL,
-    )
-    checks.add(
-        "x-weighted-cross-sum",
-        abs(math.fsum((eta1d * U[0, 0] * U[1, 0], eta2d * U[0, 1] * U[1, 1], -1.0))),
-        CROSS_CHECK_TOL,
-    )
-    checks.add(
-        "m-weighted-cross-sum",
-        abs(math.fsum((eta1 * U[0, 0] * U[0, 1], eta2 * U[1, 0] * U[1, 1], -1.0))),
-        CROSS_CHECK_TOL,
-    )
+    eta_bar_dual = np.array([p1 * p2 * (p3 + p4) * S / Delta**2,
+                             p3 * p4 * (p1 + p2) * S / Delta**2])
+    checks.add("probability-normalization", abs(math.fsum(eta) - 1.0), CROSS_CHECK_TOL)
+    checks.add("dual-probability-normalization", abs(math.fsum(eta_dual) - 1.0),
+               CROSS_CHECK_TOL)
+    # The dual route's probabilities (normalized rate ratios), norm ratios
+    # (the moment formula) and dual probabilities (normalized norm ratios).
+    checks.add("dual-probability-ratio-route", _relative_gap(dual.eta, eta_dual[1:]),
+               CROSS_CHECK_TOL)
+    checks.add("x-norm-ratio-moment-route", _relative_gap(dual.eta_bar, eta_bar_dual),
+               CROSS_CHECK_TOL)
 
     entries = ("t", "v", "u", "w")
     diffs = dict(zip(entries, printed_diff.ravel()))
@@ -265,7 +195,7 @@ def derive_dual_pair(params: RationalParams) -> DualPair:
         + "."
     )
 
-    return DualPair(
+    pair = DualPair(
         params=params,
         dual_p=(p1d, p2d),
         dual_q=(q1d, q2d),
@@ -278,6 +208,20 @@ def derive_dual_pair(params: RationalParams) -> DualPair:
         cross_checks=checks,
         note=note,
     )
+
+    # The orthogonality defects E = R^T R - I (m side) and E' = R R^T - I
+    # (x side) of the pair's one-body matrix hold the m-side moment route
+    # on diag E, and the weighted sums and cross sums in row 0 and in the
+    # strict upper block.
+    m_side, x_side = _gram_defects(pair.R)
+    checks.add("m-norm-ratio-moment-route", m_side.diagonal, CROSS_CHECK_TOL)
+    checks.add("probability-ratio-route", _relative_gap(dual.eta_dual, eta),
+               CROSS_CHECK_TOL)
+    checks.add("x-weighted-row-sums", x_side.row0, CROSS_CHECK_TOL)
+    checks.add("m-weighted-column-sums", m_side.row0, CROSS_CHECK_TOL)
+    checks.add("x-weighted-cross-sum", x_side.cross, CROSS_CHECK_TOL)
+    checks.add("m-weighted-cross-sum", m_side.cross, CROSS_CHECK_TOL)
+    return pair
 
 
 def _falling(a: int, smax: int) -> list[float]:
@@ -355,14 +299,17 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     """
     space = StateSpace(2, N)
     R = rational_table(pair, space)
-    scale = max(1.0, float(np.abs(R).max()))
+    B, D = dual_rate_tables(pair, space)
+    # the signed dual rates grow like S/Delta near p1*p4 = p2*p3, so the
+    # relations are judged per unit of |P| and of the largest exit rate
+    rates = float((np.abs(B) + np.abs(D)).sum(axis=1).max())
+    scale = max(1.0, float(np.abs(R).max())) * max(1.0, rates)
     report = Report()
 
     p1d, p2d = pair.dual_p
     q1d, q2d = pair.dual_q
     pp = pair.params
 
-    B, D = dual_rate_tables(pair, space)
     Hd = difference_operator_from_tables(B, D, space)
     # Columns of R.T are the dual polynomials as functions of m.
     Ed = space.coords @ np.asarray(pair.dual_lam)

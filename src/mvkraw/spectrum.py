@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,26 +234,48 @@ def rational_case_n2(p1: float, p2: float, q: float) -> SpectralData:
     return _derived(np.array([p1, p2]), np.array([q, q2]), lam, gaps)
 
 
+class _GramDefects(NamedTuple):
+    """Largest |entry| of E = R^T R - I or E' = R R^T - I by part."""
+
+    row0: float      # row 0 past the corner
+    cross: float     # strict upper block below row 0
+    diagonal: float  # diagonal below row 0
+    whole: float
+
+
+def _gram_defects(R: np.ndarray) -> tuple[_GramDefects, _GramDefects]:
+    """E and E' of a one-body matrix R = diag sqrt(eta0, eta) a
+    diag sqrt(1, eta_bar) with a[0] = a[:, 0] = 1 and a[1:, 1:] = 1 - u,
+    where every entry is O(1) however large |u| grows.
+
+    Row 0 of E is -sqrt(eta_bar_j) times the weighted column sums
+    sum_i eta_i u_ij - 1, its strict upper block sqrt(eta_bar_j eta_bar_k)
+    times the cross sums sum_i eta_i u_ij u_ik - 1, and its diagonal the
+    relative error of eta_bar_j against the moment 1/(sum_i eta_i u_ij^2 - 1);
+    E' holds the same sums over the dual probabilities, row by row.
+    """
+    eye = np.eye(len(R))
+    upper = np.triu_indices(len(R) - 1, 1)
+    return tuple(
+        _GramDefects(
+            row0=float(np.abs(E[0, 1:]).max()),
+            cross=float(np.abs(E[1:, 1:][upper]).max(initial=0.0)),
+            diagonal=float(np.abs(np.diag(E)[1:]).max()),
+            whole=float(np.abs(E).max()),
+        )
+        for E in (R.T @ R - eye, R @ R.T - eye)
+    )
+
+
 def identity_checks(spec: SpectralData, tol: float = 1e-10) -> Report:
     """Scalar identities satisfied by exact spectral data, read off the
     defects E = R^T R - I and E' = R R^T - I of the orthogonal one-body
-    matrix R (`SpectralData.R`), where every entry is O(1) however large
-    |u| grows.
-
-    Row 0 of E holds the weighted column sums sum_i eta_i u_ij - 1 (times
-    -sqrt(eta_bar_j)) and its strict upper block the cross sums
-    sum_i eta_i u_ij u_ik - 1 (times sqrt(eta_bar_j eta_bar_k)); the same
-    entries of E' hold the dual sums over the dual probabilities.  The
-    congruence a^T diag(eta0, eta) a = diag(1, 1/eta_bar) is E = 0, so it
-    is judged as max(|E|, |E'|).
+    matrix R (`SpectralData.R`, parts by `_gram_defects`): the weighted
+    column (dual: row) sums and their cross sums.  The congruence
+    a^T diag(eta0, eta) a = diag(1, 1/eta_bar) is E = 0, so it is judged
+    as max(|E|, |E'|).
     """
-    R = spec.R
-    eye = np.eye(spec.n + 1)
-    E = R.T @ R - eye
-    Ed = R @ R.T - eye
-    pairs = np.triu_indices(spec.n, 1)
-    cross = np.abs(E[1:, 1:][pairs])
-    dual_cross = np.abs(Ed[1:, 1:][pairs])
+    E, Ed = _gram_defects(spec.R)
     vacuous = "vacuous for n=1" if spec.n == 1 else ""
 
     report = Report()
@@ -260,14 +283,11 @@ def identity_checks(spec: SpectralData, tol: float = 1e-10) -> Report:
         "secular-residuals", float(np.max(spec.secular_residuals)), tol,
         detail="relative to sum |p_i/(lam - q_i)|",
     )
-    report.add("weighted-column-sums", float(np.abs(E[0, 1:]).max()), tol)
-    report.add("weighted-column-cross-sums", float(cross.max(initial=0.0)), tol,
-               detail=vacuous)
-    report.add("dual-weighted-row-sums", float(np.abs(Ed[0, 1:]).max()), tol)
-    report.add("dual-weighted-row-cross-sums", float(dual_cross.max(initial=0.0)),
-               tol, detail=vacuous)
-    report.add("congruence-diagonalization",
-               max(float(np.abs(E).max()), float(np.abs(Ed).max())), tol)
+    report.add("weighted-column-sums", E.row0, tol)
+    report.add("weighted-column-cross-sums", E.cross, tol, detail=vacuous)
+    report.add("dual-weighted-row-sums", Ed.row0, tol)
+    report.add("dual-weighted-row-cross-sums", Ed.cross, tol, detail=vacuous)
+    report.add("congruence-diagonalization", max(E.whole, Ed.whole), tol)
     return report
 
 

@@ -58,7 +58,8 @@ def coefficient_power(M, space: StateSpace) -> np.ndarray:
     Raises CapExceeded above DENSE_CAP points, before allocating.
     """
     if space.size > DENSE_CAP:
-        raise CapExceeded(f"dense table needs {space.size} <= cap {DENSE_CAP} points")
+        raise CapExceeded(f"size cap exceeded: dense table needs {space.size} "
+                          f"<= {DENSE_CAP} points")
     import scipy.sparse as sp
 
     M = np.asarray(M, dtype=float)

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -42,3 +43,12 @@ def gram_reference(G, expected):
     np.fill_diagonal(normalized, 0.0)
     return (float(normalized.max()),
             float(np.max(np.abs(np.diag(G) - expected) / expected)))
+
+
+def multinomial(N: int, parts) -> float:
+    """N! / (prod parts_i! * (N - sum parts)!) from integer binomials, exact."""
+    out, remaining = 1, N
+    for v in parts:
+        out *= math.comb(remaining, int(v))
+        remaining -= int(v)
+    return float(out)

@@ -432,7 +432,10 @@ def test_similarity_checks_survive_underflowing_weight(params):
     space = StateSpace(params.n, params.N)
     B, D = rate_tables(params, space)
     assert (stationary_weight_generic(B, D, space) == 0.0).any()
-    report = verify_structure(B, D, space)
-    assert report.passed, "\n".join(report.lines())
-    for name in ("symmetrized-similarity", "difference-op-similarity"):
-        assert report[name].residual <= 1e-12, report[name].line()
+    # log W comes from the two-term relation also when the caller passes
+    # a W with zeros in it
+    for W in (None, weight_vector(params, space)):
+        report = verify_structure(B, D, space, W=W)
+        assert report.passed, "\n".join(report.lines())
+        for name in ("symmetrized-similarity", "difference-op-similarity"):
+            assert report[name].residual <= 1e-12, report[name].line()

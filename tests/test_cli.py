@@ -249,7 +249,7 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
 def test_cap_exit_code(tmp_path, params_file):
     res = run_cli("table", "--params", params_file, "--out", tmp_path, "--cap", 3)
     assert res.returncode == 4
-    assert "cap" in res.stderr
+    assert res.stderr.startswith("error: size cap exceeded: lattice has"), res.stderr
 
 
 def test_dense_cap_is_the_kernel_cap(tmp_path):
@@ -271,7 +271,7 @@ def test_dense_cap_is_the_kernel_cap(tmp_path):
         start = time.monotonic()
         res = run_cli(*args, "--params", path, "--out", out)
         assert res.returncode == 4, (args, res.stderr)
-        assert "cap" in res.stderr
+        assert res.stderr.startswith("error: size cap exceeded: dense table"), res.stderr
         assert time.monotonic() - start < 10.0
 
 
@@ -309,7 +309,9 @@ def test_table_beyond_float64_exits_4(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.main(["table", "--params", str(path), "--out", str(out)])
     assert rc == 4
-    assert "float64 range" in capsys.readouterr().err
+    # the float64 range is no size cap, and the message does not call it one
+    err = capsys.readouterr().err
+    assert err == "error: polynomial values exceed the float64 range\n", err
     assert not (out / "table.csv").exists()
 
 
@@ -423,6 +425,15 @@ def test_rational_command(tmp_path):
     assert "note:" in res.stdout
     assert "[FAIL]" not in res.stdout
     manifest = json.loads((out / "rational.json").read_text())
+    assert [c["name"] for c in manifest["report"]["derivation"]["checks"]] == [
+        "dual-secular-root-1", "dual-secular-root-2", "coupling-closed-form",
+        "probability-normalization", "dual-probability-normalization",
+        "dual-probability-ratio-route", "x-norm-ratio-moment-route",
+        "m-norm-ratio-moment-route", "probability-ratio-route",
+        "x-weighted-row-sums", "m-weighted-column-sums",
+        "x-weighted-cross-sum", "m-weighted-cross-sum",
+    ]
+    assert {c["tol"] for c in manifest["report"]["derivation"]["checks"]} == {1e-10}
     assert manifest["dual"]["q"] == [-0.5, pytest.approx(1 / 3)]
     assert manifest["dual"]["couplings"]["t"] == pytest.approx(1.2)
     assert "denominator" in manifest["note"]
@@ -432,5 +443,14 @@ def test_rational_command_at_larger_N(tmp_path):
     # the table of the rational family comes from the symmetric-power
     # kernel; the four-index series failed m-orthogonality here (1.4e-4)
     res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 10, "--out", tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "[FAIL]" not in res.stdout
+
+
+@pytest.mark.parametrize("rates", [(1, 1, 1, 1.001), (1, 2, 3, 6.001)])
+def test_rational_command_near_singular_surface(tmp_path, rates):
+    # near p1*p4 = p2*p3 the dual rates grow like S/Delta; the derivation
+    # and the recurrence both pass on the scale of their own quantities
+    res = run_cli("rational", "--rates", *rates, "-N", 6, "--out", tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[FAIL]" not in res.stdout

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import draw_model
+from conftest import draw_model, multinomial
 
 from mvkraw import (
     ModelParams,
@@ -108,8 +108,6 @@ def test_multinomial_weight_single_point():
 
 
 def test_multinomial_vector_matches_per_point_values():
-    from mvkraw.combinatorics import multinomial
-
     # both routes, exact integers up to N = 20 and log space above, against
     # the exact rational pmf of the float cells
     rng = np.random.default_rng(20260815)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import draw_model, gram_reference, series_table
+from conftest import draw_model, gram_reference, multinomial, series_table
 
 from mvkraw import (
     CapExceeded,
@@ -114,8 +114,6 @@ def test_table_matches_series_entrywise():
 
 def test_generating_function_at_unit_arguments():
     # at t = (1,..,1): sum_m C(N,m) P_m(x) = prod_i (row sum of a_i)^{x_i}
-    from mvkraw.combinatorics import multinomial
-
     params = canonical(2)
     spec = solve_spectrum(params)
     N = 5

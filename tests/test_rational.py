@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -190,3 +191,49 @@ def test_orthogonality_checks_match_gram_reference(pair, corrupt, monkeypatch):
     got = [report[name].residual for name in names]
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
     assert report.passed != corrupt
+
+
+@pytest.mark.parametrize("rates", [
+    # draws of default_rng(7) whose hand-summed moments cancelled to 1e-10..1e-8
+    (6.942639987899722, 9.702732080891543, 6.177916602481983, 8.620051838997199),
+    (13.151336493005433, 66.14260876175193, 17.250720502651607, 87.13033635056198),
+    (5.112286912771546, 8.040365123448286, 5.296025807098314, 8.341902277876528),
+    (47.56261782885369, 23.48056983781713, 18.55259068745847, 9.114530670115784),
+    (52.25454588716373, 35.3121978607448, 42.56115848141706, 28.659156916731803),
+    (16.122618328345975, 28.70679096598723, 51.23158574098012, 91.15606029377022),
+    (1.0, 1.0, 1.0, 1.001),
+])
+def test_cross_checks_pass_near_singular_surface(rates):
+    pair = derive_dual_pair(RationalParams(*rates))
+    assert pair.cross_checks.passed, "\n".join(pair.cross_checks.lines())
+    assert max(c.residual for c in pair.cross_checks.checks) < 1e-12
+
+
+def test_perturbed_coupling_fails_the_identity_checks(monkeypatch):
+    from mvkraw import rational
+
+    def perturbed(*args):
+        spec = derived(*args)
+        spec.u[0, 0] *= 1.0 + 1e-6
+        return spec
+
+    derived = rational._derived
+    monkeypatch.setattr(rational, "_derived", perturbed)
+    checks = derive_dual_pair(RationalParams(1.0, 2.0, 3.0, 4.0)).cross_checks
+    failed = {c.name for c in checks.checks if not c.passed}
+    assert {"coupling-closed-form", "x-weighted-row-sums", "m-weighted-column-sums",
+            "x-weighted-cross-sum", "m-weighted-cross-sum"} <= failed
+
+
+@pytest.mark.parametrize("p4", [4.0, 6.001])
+def test_recurrence_scale_still_sees_a_perturbed_coupling(p4):
+    # the recurrence checks are judged per unit of the largest dual exit
+    # rate, which grows like S/Delta near the singular surface; exact data
+    # passes there and a 1e-6 change of t still reads about 5e-7
+    pair = derive_dual_pair(RationalParams(1.0, 2.0, 3.0, p4))
+    assert verify_recurrence(pair, 6).passed
+    U = pair.U.copy()
+    U[0, 0] *= 1.0 + 1e-6
+    report = verify_recurrence(dataclasses.replace(pair, U=U), 6)
+    for name in ("dual-eigen-equation", "five-term-recurrence"):
+        assert report[name].residual > 1e-7, report[name].line()
