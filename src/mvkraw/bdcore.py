@@ -15,6 +15,11 @@ assembles from them, as sparse matrices over the state space:
   which make H PSD: `verify_structure` certifies it from the residual of
   this factorization, with no eigensolver, so nothing here is dense.
 
+The moves are nearest-neighbour, so each operator is a diagonal plus one
+coefficient per neighbour x +- e_j: every builder states its diagonal and
+two (size, n) coefficient tables aligned with `space.up` and `space.down`,
+and one assembly turns them into CSR.
+
 It also derives the stationary weight W from the two-term relation
 W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j), one degree layer at a time (checking
 path-independence), verifies the pairwise compatibility condition that
@@ -61,57 +66,51 @@ def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     if (B < 0).any() or (D < 0).any():
         i, j = np.argwhere((B < 0) | (D < 0))[0]
         raise ValidationError(f"negative rate in direction {j} at {space.points[i]}")
-    bad_up = (space.up < 0) & (B != 0)
-    if bad_up.any():
-        i, j = np.argwhere(bad_up)[0]
-        raise ValidationError(
-            f"birth rate must vanish at the ceiling: direction {j} at {space.points[i]}"
-        )
-    bad_down = (space.down < 0) & (D != 0)
-    if bad_down.any():
-        i, j = np.argwhere(bad_down)[0]
-        raise ValidationError(
-            f"death rate must vanish at zero population: direction {j} at {space.points[i]}"
-        )
+    for rates, nbr, rule in ((B, space.up, "birth rate must vanish at the ceiling"),
+                             (D, space.down, "death rate must vanish at zero population")):
+        bad = (nbr < 0) & (rates != 0)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValidationError(f"{rule}: direction {j} at {space.points[i]}")
     return B, D
 
 
-def _csr(size: int, pieces) -> sp.csr_matrix:
-    """(size, size) CSR matrix from COO pieces (rows, cols, vals), taken in
-    order; duplicate entries are summed."""
+def _csr(space: StateSpace, diag: np.ndarray, up: np.ndarray,
+         down: np.ndarray) -> sp.csr_matrix:
+    """Operator with diagonal `diag`, up[x, j] at (x, x+e_j) and down[x, j]
+    at (x, x-e_j), as CSR without zeros or entries toward a -1 neighbour.
+    The values are laid out as `space.stencil`, so each row's indices come
+    out sorted and products sum in one order."""
     import scipy.sparse as sp
 
-    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    cols = space.stencil
+    vals = np.column_stack((down, diag, up[:, ::-1]))
+    kept = np.flatnonzero((cols >= 0) & (vals != 0))
+    indptr = np.searchsorted(kept, np.arange(0, cols.size + 1, cols.shape[1]))
+    return sp.csr_matrix((vals.ravel()[kept], cols.ravel()[kept], indptr),
+                         shape=(space.size, space.size))
+
+
+def _across(rates: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """rates_j at the neighbour nbr[x, j], 0 off the lattice (-1 reads the
+    appended zero row): B_j(x-e_j) = _across(B, space.down) and
+    D_j(x+e_j) = _across(D, space.up)."""
+    padded = np.concatenate((rates, np.zeros((1, rates.shape[1]))))
+    return np.take_along_axis(padded, nbr, axis=0)
 
 
 def generator_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Generator L: L[x, x-e_j] = B_j(x-e_j), L[x, x+e_j] = D_j(x+e_j),
     diagonal -(sum_j B_j + D_j)."""
-    size, n = B.shape
-    diag = np.arange(size)
-    pieces = [(diag, diag, -(B.sum(axis=1) + D.sum(axis=1)))]
-    for j in range(n):
-        # column x contributes B_j(x) at row x+e_j and D reciprocally
-        src = np.nonzero(space.up[:, j] >= 0)[0]
-        pieces.append((space.up[src, j], src, B[src, j]))
-        src = np.nonzero(space.down[:, j] >= 0)[0]
-        pieces.append((space.down[src, j], src, D[src, j]))
-    return _csr(size, pieces)
+    return _csr(space, -(B.sum(axis=1) + D.sum(axis=1)),
+                _across(D, space.up), _across(B, space.down))
 
 
 def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
     off-diagonal -sqrt(B_j(x) D_j(x+e_j)) placed symmetrically."""
-    size, n = B.shape
-    diag = np.arange(size)
-    pieces = [(diag, diag, B.sum(axis=1) + D.sum(axis=1))]
-    for j in range(n):
-        src = np.nonzero(space.up[:, j] >= 0)[0]
-        tgt = space.up[src, j]
-        coup = -np.sqrt(B[src, j] * D[tgt, j])
-        pieces += [(src, tgt, coup), (tgt, src, coup)]
-    return _csr(size, pieces)
+    return _csr(space, B.sum(axis=1) + D.sum(axis=1), -np.sqrt(B * _across(D, space.up)),
+                -np.sqrt(_across(B, space.down) * D))
 
 
 def difference_operator_from_tables(
@@ -119,26 +118,16 @@ def difference_operator_from_tables(
 ) -> sp.csr_matrix:
     """Difference operator Ht acting on functions f of the lattice point:
     (Ht f)(x) = sum_j B_j(x)(f(x) - f(x+e_j)) + D_j(x)(f(x) - f(x-e_j))."""
-    size, n = B.shape
-    diag = np.arange(size)
-    pieces = [(diag, diag, B.sum(axis=1) + D.sum(axis=1))]
-    for j in range(n):
-        src = np.nonzero(space.up[:, j] >= 0)[0]
-        pieces.append((src, space.up[src, j], -B[src, j]))
-        src = np.nonzero(space.down[:, j] >= 0)[0]
-        pieces.append((src, space.down[src, j], -D[src, j]))
-    return _csr(size, pieces)
+    return _csr(space, B.sum(axis=1) + D.sum(axis=1), -B, -D)
 
 
 def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) -> sp.csr_matrix:
     """Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
     if not 0 <= j < space.n:
         raise ValidationError(f"direction {j} out of range for n={space.n}")
-    size = B.shape[0]
-    diag = np.arange(size)
-    src = np.nonzero(space.up[:, j] >= 0)[0]
-    tgt = space.up[src, j]
-    return _csr(size, [(diag, diag, np.sqrt(B[:, j])), (src, tgt, -np.sqrt(D[tgt, j]))])
+    up = np.zeros_like(B)
+    up[:, [j]] = -np.sqrt(_across(D[:, [j]], space.up[:, [j]]))
+    return _csr(space, np.sqrt(B[:, j]), up, np.zeros_like(B))
 
 
 def stationary_weight_generic(

@@ -18,7 +18,9 @@ residual summaries (no timestamps, so reruns are byte-identical).
 The table against its generating-function oracle (``table --level full``,
 ``gen-oracle``, ``verify --level full``) is judged on the orthonormal
 scale: max |T_table - T_oracle| with T = sqrt(W) P sqrt(C(N,m) eta_bar^m),
-where every |T| <= 1, while raw P values grow like C(N, m).
+where every |T| <= 1, while raw P values grow like C(N, m).  So is the
+eigen equation of ``verify --level full``: H T - T diag(E), per unit of the
+largest total exit rate.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
@@ -310,13 +312,20 @@ def _load_sim_config(path: str):
 
 
 def _config_number(cfg: dict, key: str, kind):
-    """cfg[key] converted by `kind`; ValidationError if missing or not a number."""
+    """cfg[key] converted by `kind`; ValidationError if missing, boolean, not
+    a number, or, for `int`, not integral."""
     if key not in cfg:
         raise ValidationError(f"simulate config: {cfg['mode']} mode needs '{key}'")
+    value = cfg[key]
     try:
-        return kind(cfg[key])
-    except (TypeError, ValueError):
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"simulate config: {key!r} is not a number") from None
+    if kind is int and out != float(value):
+        raise ValidationError(f"simulate config: {key!r} is not an integer")
+    return out
 
 
 def _cmd_simulate(args) -> int:
@@ -400,6 +409,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rational(args) -> int:
+    StateSpace(2, args.N, cap=args.cap)   # the recurrence lattice, held to --cap
     pair = derive_dual_pair(RationalParams(*args.rates))
     report = pair.cross_checks
     recurrence = verify_recurrence(pair, args.N, tol=args.tol)

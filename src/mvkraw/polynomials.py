@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bdcore import difference_operator_from_tables
+from .bdcore import symmetrized_from_tables
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
 from .model import ModelParams, _log_route_pmf, multinomial_vector, rate_tables
@@ -179,11 +179,15 @@ def degree_eigenvalues(spec: SpectralData, space: StateSpace) -> np.ndarray:
 def eigen_residuals(
     params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
 ) -> np.ndarray:
-    """Per-column relative defect of the eigen equation Ht P_m = E(m) P_m."""
-    Ht = difference_operator_from_tables(*rate_tables(params, space), space)
-    E = degree_eigenvalues(spec, space)
-    defect = Ht @ tab - tab * E[None, :]
-    scale = np.maximum(1.0, np.abs(tab).max(axis=0))
+    """Per-column defect of the eigen equation on the orthonormal scale,
+    H T_m = E(m) T_m with T = `orthonormal_map` of the table and H the
+    symmetrized operator, per unit of the largest total exit rate (as in
+    `bdcore.verify_structure`).  It is Ht P_m = E(m) P_m conjugated by
+    sqrt(W), read where |T| <= 1 rather than on P, which reaches 1e240."""
+    B, D = rate_tables(params, space)
+    T = orthonormal_map(params, spec, space, tab)
+    defect = symmetrized_from_tables(B, D, space) @ T - T * degree_eigenvalues(spec, space)
+    scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
     return np.abs(defect).max(axis=0) / scale
 
 

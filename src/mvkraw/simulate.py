@@ -122,6 +122,8 @@ def gillespie_from_tables(
     B, D = check_rate_tables(B, D, space)
     if n_events < 1:
         raise ValidationError("n_events must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     state = int(initial_rank)
     if not 0 <= state < space.size:
         raise ValidationError(

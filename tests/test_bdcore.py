@@ -246,6 +246,50 @@ def test_difference_operator():
     assert out[r] == pytest.approx(-B[r, 0] + D[r, 0], abs=1e-14)
 
 
+def dense_operators(B, D, space):
+    """L, H, Ht and the A_j entry by entry from their docstring formulas."""
+    size, n = B.shape
+    L, H, Ht = (np.zeros((size, size)) for _ in range(3))
+    ladders = [np.zeros((size, size)) for _ in range(n)]
+    for x in range(size):
+        exit_rate = B[x].sum() + D[x].sum()
+        L[x, x], H[x, x], Ht[x, x] = -exit_rate, exit_rate, exit_rate
+        for j in range(n):
+            ladders[j][x, x] = math.sqrt(B[x, j])
+            up, down = space.up[x, j], space.down[x, j]
+            if up >= 0:
+                L[x, up] = D[up, j]
+                H[x, up] = -math.sqrt(B[x, j] * D[up, j])
+                Ht[x, up] = -B[x, j]
+                ladders[j][x, up] = -math.sqrt(D[up, j])
+            if down >= 0:
+                L[x, down] = B[down, j]
+                H[x, down] = -math.sqrt(B[down, j] * D[x, j])
+                Ht[x, down] = -D[x, j]
+    return L, H, Ht, ladders
+
+
+@pytest.mark.parametrize("n, N", [(1, 6), (2, 4), (3, 3)])
+def test_builders_match_their_formulas(n, N):
+    # generic fields, a fifth of the rates zero inside the lattice as well
+    rng = np.random.default_rng(100 * n + N)
+    space = StateSpace(n, N)
+    for _ in range(4):
+        B, D = (rng.uniform(0.1, 5.0, (space.size, n))
+                * (rng.random((space.size, n)) > 0.2) for _ in range(2))
+        B[space.up < 0] = 0.0
+        D[space.down < 0] = 0.0
+        L, H, Ht, ladders = dense_operators(B, D, space)
+        built = [generator_from_tables(B, D, space), symmetrized_from_tables(B, D, space),
+                 difference_operator_from_tables(B, D, space)]
+        built += [ladder_from_tables(B, D, space, j) for j in range(n)]
+        for op, ref in zip(built, [L, H, Ht, *ladders]):
+            assert op.format == "csr" and op.has_sorted_indices
+            assert np.array_equal(op.toarray(), ref)
+            assert (op.data != 0).all()
+        assert np.array_equal(built[1].toarray(), built[1].toarray().T)
+
+
 def test_stationary_weight_generic_matches_closed_form():
     rng = np.random.default_rng(20260815)
     for _ in range(10):

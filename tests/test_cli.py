@@ -112,6 +112,28 @@ def test_fast_fault_injection_names_an_identity_check(tmp_path, params_file):
     assert failed & IDENTITY_CHECKS, res.stdout
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        # P reaches 1e240 at these; the eigen equation is judged on T
+        {"n": 1, "N": 80, "p": [1.0], "q": [3000.0]},
+        {"n": 1, "N": 200, "p": [1000.0], "q": [1.0]},
+        {"n": 2, "N": 40, "p": [1.0, 1.0], "q": [1e4, 2e4]},
+    ],
+)
+def test_eigen_equation_on_the_orthonormal_scale(tmp_path, model):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    res = run_cli("verify", "--params", path, "--out", tmp_path / "ok")
+    assert res.returncode == 0, res.stdout + res.stderr
+    res = run_cli("verify", "--params", path, "--out", tmp_path / "bad",
+                  "--inject-u-perturbation", "1e-6")
+    assert res.returncode == 1, res.stdout + res.stderr
+    failed = {line[len("[FAIL] "):].split(":")[0]
+              for line in res.stdout.splitlines() if line.startswith("[FAIL] ")}
+    assert failed & IDENTITY_CHECKS, res.stdout
+
+
 def test_verify_passes_near_coincident_q(tmp_path):
     # |u| is 6e3 here; the identities are judged on the orthonormal scale
     path = tmp_path / "params.json"
@@ -418,6 +440,28 @@ def test_simulate_config_validation(tmp_path):
         assert "Traceback" not in res.stderr, broken
 
 
+def test_simulate_integer_inputs(tmp_path):
+    base = {"schema": 1, "mode": "gillespie", "events": 10, "seed": 1,
+            "params": {"schema": 1, "n": 1, "N": 2, "p": [1.0], "q": [2.0]}}
+    uniform = {**base, "mode": "uniformization", "time": 1.0, "steps": 2}
+    del uniform["events"], uniform["seed"]
+    cfg = tmp_path / "cfg.json"
+    for broken, key in (({**base, "seed": -1}, "seed"), ({**base, "events": 2.9}, "events"),
+                        ({**base, "events": True}, "events"),
+                        ({**uniform, "steps": 2.9}, "steps"),
+                        ({**uniform, "steps": True}, "steps"),
+                        ({**uniform, "time": True}, "time")):
+        cfg.write_text(json.dumps(broken))
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path)
+        assert res.returncode == 2, (broken, res.stderr)
+        assert key in res.stderr and "Traceback" not in res.stderr, res.stderr
+    cfg.write_text(json.dumps(base))
+    res = run_cli("simulate", "--config", cfg, "--out", tmp_path, "--seed", -1)
+    assert res.returncode == 2 and "seed" in res.stderr, res.stderr
+    cfg.write_text(json.dumps({**base, "events": 10.0}))
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path).returncode == 0
+
+
 def test_rational_command(tmp_path):
     out = tmp_path / "run"
     res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 5, "--out", out)
@@ -445,6 +489,14 @@ def test_rational_command_at_larger_N(tmp_path):
     res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 10, "--out", tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[FAIL]" not in res.stdout
+
+
+def test_rational_command_respects_cap(tmp_path):
+    # its recurrence lattice at N = 10 has 66 points
+    res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 10, "--cap", 10,
+                  "--out", tmp_path)
+    assert res.returncode == 4
+    assert res.stderr.startswith("error: size cap exceeded: lattice has 66"), res.stderr
 
 
 @pytest.mark.parametrize("rates", [(1, 1, 1, 1.001), (1, 2, 3, 6.001)])
