@@ -16,9 +16,8 @@ assembles from them, as sparse matrices over the state space:
   this factorization, with no eigensolver, so nothing here is dense.
 
 The moves are nearest-neighbour, so each operator is a diagonal plus one
-coefficient per neighbour x +- e_j: every builder states its diagonal and
-two (size, n) coefficient tables aligned with `space.up` and `space.down`,
-and one assembly turns them into CSR.
+coefficient per neighbour x +- e_j, given as (size, n) tables aligned with
+`space.up` and `space.down`; one assembly turns them into CSR.
 
 It also derives the stationary weight W from the two-term relation
 W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j), one degree layer at a time (checking
@@ -76,17 +75,19 @@ def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csr(space: StateSpace, diag: np.ndarray, up: np.ndarray,
-         down: np.ndarray) -> sp.csr_matrix:
-    """Operator with diagonal `diag`, up[x, j] at (x, x+e_j) and down[x, j]
-    at (x, x-e_j), as CSR without zeros or entries toward a -1 neighbour.
-    The values are laid out as `space.stencil`, so each row's indices come
-    out sorted and products sum in one order."""
+         down: np.ndarray, dirs=slice(None)) -> sp.csr_matrix:
+    """Operator with diagonal `diag`, up[x, k] at (x, x+e_j) and down[x, k]
+    at (x, x-e_j) for the k-th direction j in the slice `dirs`, as CSR
+    without zeros or entries toward a -1 neighbour.  A row is laid out as
+    x-e_j (j increasing), x, x+e_j (j decreasing), ranks that graded-lex
+    order makes increasing, so indices come out sorted."""
     import scipy.sparse as sp
 
-    cols = space.stencil
+    cols = np.column_stack((space.down[:, dirs], np.arange(space.size),
+                            space.up[:, dirs][:, ::-1]))
     vals = np.column_stack((down, diag, up[:, ::-1]))
     kept = np.flatnonzero((cols >= 0) & (vals != 0))
-    indptr = np.searchsorted(kept, np.arange(0, cols.size + 1, cols.shape[1]))
+    indptr = np.bincount(kept // cols.shape[1] + 1, minlength=space.size + 1).cumsum()
     return sp.csr_matrix((vals.ravel()[kept], cols.ravel()[kept], indptr),
                          shape=(space.size, space.size))
 
@@ -125,9 +126,9 @@ def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) 
     """Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
     if not 0 <= j < space.n:
         raise ValidationError(f"direction {j} out of range for n={space.n}")
-    up = np.zeros_like(B)
-    up[:, [j]] = -np.sqrt(_across(D[:, [j]], space.up[:, [j]]))
-    return _csr(space, np.sqrt(B[:, j]), up, np.zeros_like(B))
+    dirs = slice(j, j + 1)
+    up = -np.sqrt(_across(D[:, dirs], space.up[:, dirs]))
+    return _csr(space, np.sqrt(B[:, j]), up, np.zeros_like(up), dirs)
 
 
 def stationary_weight_generic(

@@ -20,7 +20,7 @@ The table against its generating-function oracle (``table --level full``,
 scale: max |T_table - T_oracle| with T = sqrt(W) P sqrt(C(N,m) eta_bar^m),
 where every |T| <= 1, while raw P values grow like C(N, m).  So is the
 eigen equation of ``verify --level full``: H T - T diag(E), per unit of the
-largest total exit rate.
+largest total exit rate, held to ``--tol``.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
@@ -52,7 +52,7 @@ from .errors import (
 from .lattice import DEFAULT_CAP, StateSpace
 from .model import ModelParams, rate_tables, weight_vector
 from .polynomials import (
-    eigen_residuals,
+    _eigen_defects,
     orthonormal_map,
     orthonormality,
     table,
@@ -271,10 +271,10 @@ def _cmd_verify(args) -> int:
     if args.level == "full":
         tab = table(spec, space)
         _oracle_check(params, spec, space, tab, report, args.tol)
+        T = orthonormal_map(params, spec, space, tab)
         report.add("eigen-equation",
-                   float(eigen_residuals(params, spec, space, tab).max()),
-                   max(args.tol, 1e-8))
-        o = orthonormality(orthonormal_map(params, spec, space, tab))
+                   float(_eigen_defects(params, spec, space, T).max()), args.tol)
+        o = orthonormality(T)
         report.add("orthogonality-offdiagonal", o.offdiagonal, args.tol)
         report.add("norms-closed-form", o.diagonal, max(args.tol, 1e-8))
         report.add("dual-orthogonality-offdiagonal", o.dual_offdiagonal,
@@ -317,15 +317,14 @@ def _config_number(cfg: dict, key: str, kind):
     if key not in cfg:
         raise ValidationError(f"simulate config: {cfg['mode']} mode needs '{key}'")
     value = cfg[key]
+    if isinstance(value, (bool, str)):
+        raise ValidationError(f"simulate config: {key!r} is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"simulate config: {key!r} is not an integer")
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        out = kind(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"simulate config: {key!r} is not a number") from None
-    if kind is int and out != float(value):
-        raise ValidationError(f"simulate config: {key!r} is not an integer")
-    return out
 
 
 def _cmd_simulate(args) -> int:

@@ -59,11 +59,6 @@ class StateSpace:
     up, down : (size, n) int arrays
         Rank of x + e_j / x - e_j, or -1 when the neighbour leaves the
         lattice.
-    stencil : (size, 2n+1) int array
-        Ranks of x-e_0, .., x-e_{n-1}, x, x+e_{n-1}, .., x+e_0 (`down`, the
-        point, `up` reversed), which graded-lex order makes increasing
-        along each row; -1 where a neighbour leaves the lattice.  Built on
-        first use.
     """
 
     def __init__(self, n: int, N: int, cap: int = DEFAULT_CAP):
@@ -112,10 +107,6 @@ class StateSpace:
     @cached_property
     def points(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.coords.tolist()))
-
-    @cached_property
-    def stencil(self) -> np.ndarray:
-        return np.column_stack((self.down, np.arange(self.size), self.up[:, ::-1]))
 
     @property
     def size(self) -> int:

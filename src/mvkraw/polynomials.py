@@ -184,8 +184,14 @@ def eigen_residuals(
     symmetrized operator, per unit of the largest total exit rate (as in
     `bdcore.verify_structure`).  It is Ht P_m = E(m) P_m conjugated by
     sqrt(W), read where |T| <= 1 rather than on P, which reaches 1e240."""
+    return _eigen_defects(params, spec, space, orthonormal_map(params, spec, space, tab))
+
+
+def _eigen_defects(
+    params: ModelParams, spec: SpectralData, space: StateSpace, T: np.ndarray
+) -> np.ndarray:
+    """`eigen_residuals` from the orthonormal map T itself."""
     B, D = rate_tables(params, space)
-    T = orthonormal_map(params, spec, space, tab)
     defect = symmetrized_from_tables(B, D, space) @ T - T * degree_eigenvalues(spec, space)
     scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
     return np.abs(defect).max(axis=0) / scale

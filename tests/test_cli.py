@@ -132,6 +132,7 @@ def test_eigen_equation_on_the_orthonormal_scale(tmp_path, model):
     failed = {line[len("[FAIL] "):].split(":")[0]
               for line in res.stdout.splitlines() if line.startswith("[FAIL] ")}
     assert failed & IDENTITY_CHECKS, res.stdout
+    assert "eigen-equation" in failed, res.stdout
 
 
 def test_verify_passes_near_coincident_q(tmp_path):
@@ -450,7 +451,9 @@ def test_simulate_integer_inputs(tmp_path):
                         ({**base, "events": True}, "events"),
                         ({**uniform, "steps": 2.9}, "steps"),
                         ({**uniform, "steps": True}, "steps"),
-                        ({**uniform, "time": True}, "time")):
+                        ({**uniform, "time": True}, "time"),
+                        ({**base, "events": "10"}, "events"),
+                        ({**uniform, "time": "1.0"}, "time")):
         cfg.write_text(json.dumps(broken))
         res = run_cli("simulate", "--config", cfg, "--out", tmp_path)
         assert res.returncode == 2, (broken, res.stderr)
@@ -458,8 +461,11 @@ def test_simulate_integer_inputs(tmp_path):
     cfg.write_text(json.dumps(base))
     res = run_cli("simulate", "--config", cfg, "--out", tmp_path, "--seed", -1)
     assert res.returncode == 2 and "seed" in res.stderr, res.stderr
-    cfg.write_text(json.dumps({**base, "events": 10.0}))
-    assert run_cli("simulate", "--config", cfg, "--out", tmp_path).returncode == 0
+    # an integral float, and a seed float64 cannot hold exactly, both run
+    for ok in ({**base, "events": 10.0}, {**base, "seed": 2**53 + 1}):
+        cfg.write_text(json.dumps(ok))
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path)
+        assert res.returncode == 0, (ok, res.stderr)
 
 
 def test_rational_command(tmp_path):
