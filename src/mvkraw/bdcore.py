@@ -4,7 +4,7 @@ A rate field assigns a birth rate B_j(x) to the move x -> x + e_j and a
 death rate D_j(x) to x -> x - e_j.  Every function here takes the field as
 two tables B and D of shape (size, n), row r holding the rates at the
 lattice point of rank r (`model.rate_tables` builds the model's), and
-assembles from them, as sparse matrices over the state space:
+builds from them the operators over the state space:
 
 * the generator L of the continuous-time chain (columns sum to zero),
 * the symmetrized operator H = -W^{-1/2} L W^{1/2}, whose entries only need
@@ -17,7 +17,11 @@ assembles from them, as sparse matrices over the state space:
 
 The moves are nearest-neighbour, so each operator is a diagonal plus one
 coefficient per neighbour x +- e_j, given as (size, n) tables aligned with
-`space.up` and `space.down`; one assembly turns them into CSR.
+`space.up` and `space.down`.  One assembly lays them out as a neighbour
+stencil (`_Stencil`: ranks and values, one row per point), the form
+`verify_structure`, the eigen equation and the dual recurrence apply by
+gather; the public `*_from_tables` builders convert it to CSR, the only
+use of scipy here.
 
 It also derives the stationary weight W from the two-term relation
 W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j), one degree layer at a time (checking
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -74,22 +78,73 @@ def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return B, D
 
 
-def _csr(space: StateSpace, diag: np.ndarray, up: np.ndarray,
-         down: np.ndarray, dirs=slice(None)) -> sp.csr_matrix:
-    """Operator with diagonal `diag`, up[x, k] at (x, x+e_j) and down[x, k]
-    at (x, x-e_j) for the k-th direction j in the slice `dirs`, as CSR
-    without zeros or entries toward a -1 neighbour.  A row is laid out as
-    x-e_j (j increasing), x, x+e_j (j decreasing), ranks that graded-lex
-    order makes increasing, so indices come out sorted."""
-    import scipy.sparse as sp
+class _Stencil(NamedTuple):
+    """An operator in its neighbour layout: row x holds vals[x, s] at the
+    rank cols[x, s], slots laid out as x-e_j (j increasing), x, x+e_j (j
+    decreasing) over the operator's directions, ranks that graded-lex
+    order makes increasing.  A move off the lattice has rank -1 and value
+    0.  Slots s and w-1-s are opposite moves, so the transpose mirrors
+    them."""
 
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def _sources(self) -> np.ndarray:
+        """cols with each -1 replaced by the row's own rank."""
+        return np.where(self.cols >= 0, self.cols, np.arange(len(self.cols))[:, None])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """A v by gather, slot by slot in increasing rank as CSR sums a row;
+        a -1 slot reads row x of v, times 0."""
+        v = np.asarray(v, dtype=float)
+        src = self._sources()
+        vals = self.vals.reshape(self.vals.shape + (1,) * (v.ndim - 1))
+        out = np.zeros((len(src),) + v.shape[1:])
+        term = np.empty_like(out)
+        for s in range(src.shape[1]):
+            # indices are in range; "clip" writes to `term` unbuffered
+            np.take(v, src[:, s], axis=0, out=term, mode="clip")
+            term *= vals[:, s]
+            out += term
+        return out
+
+    @property
+    def T(self) -> _Stencil:
+        """The transpose: A^T[x, y] for y = x +- e_j is A[y, x], the
+        mirrored slot of row y."""
+        mirrored = self.vals[:, ::-1][self.cols, np.arange(self.cols.shape[1])]
+        return self._replace(vals=np.where(self.cols >= 0, mirrored, 0.0))
+
+    def conjugated(self, logw: np.ndarray) -> _Stencil:
+        """W^{-1/2} A W^{1/2}: each entry times exp((log W[col] - log W[row])
+        / 2), finite where W underflows."""
+        return self._replace(vals=self.vals * np.exp(0.5 * (logw[self._sources()]
+                                                            - logw[:, None])))
+
+    def column_sums(self) -> np.ndarray:
+        on = self.cols >= 0
+        return np.bincount(self.cols[on], self.vals[on], minlength=len(self.cols))
+
+    def csr(self) -> sp.csr_matrix:
+        """As CSR, without zeros; each row's indices come out sorted."""
+        import scipy.sparse as sp
+
+        kept = np.flatnonzero((self.cols >= 0) & (self.vals != 0))
+        size = len(self.cols)
+        indptr = np.bincount(kept // self.cols.shape[1] + 1, minlength=size + 1).cumsum()
+        return sp.csr_matrix((self.vals.ravel()[kept], self.cols.ravel()[kept], indptr),
+                             shape=(size, size))
+
+
+def _stencil(space: StateSpace, diag: np.ndarray, up: np.ndarray,
+             down: np.ndarray, dirs=slice(None)) -> _Stencil:
+    """Operator with diagonal `diag`, up[x, k] at (x, x+e_j) and down[x, k]
+    at (x, x-e_j) for the k-th direction j in the slice `dirs`; an entry
+    toward a -1 neighbour is 0."""
     cols = np.column_stack((space.down[:, dirs], np.arange(space.size),
                             space.up[:, dirs][:, ::-1]))
     vals = np.column_stack((down, diag, up[:, ::-1]))
-    kept = np.flatnonzero((cols >= 0) & (vals != 0))
-    indptr = np.bincount(kept // cols.shape[1] + 1, minlength=space.size + 1).cumsum()
-    return sp.csr_matrix((vals.ravel()[kept], cols.ravel()[kept], indptr),
-                         shape=(space.size, space.size))
+    return _Stencil(cols, np.where(cols >= 0, vals, 0.0))
 
 
 def _across(rates: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -100,18 +155,38 @@ def _across(rates: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return np.take_along_axis(padded, nbr, axis=0)
 
 
+def _generator(B, D, space: StateSpace) -> _Stencil:
+    return _stencil(space, -(B.sum(axis=1) + D.sum(axis=1)),
+                    _across(D, space.up), _across(B, space.down))
+
+
+def _symmetrized(B, D, space: StateSpace) -> _Stencil:
+    return _stencil(space, B.sum(axis=1) + D.sum(axis=1),
+                    -np.sqrt(B * _across(D, space.up)), -np.sqrt(_across(B, space.down) * D))
+
+
+def _difference(B, D, space: StateSpace) -> _Stencil:
+    return _stencil(space, B.sum(axis=1) + D.sum(axis=1), -B, -D)
+
+
+def _ladder(B, D, space: StateSpace, j: int) -> _Stencil:
+    if not 0 <= j < space.n:
+        raise ValidationError(f"direction {j} out of range for n={space.n}")
+    dirs = slice(j, j + 1)
+    up = -np.sqrt(_across(D[:, dirs], space.up[:, dirs]))
+    return _stencil(space, np.sqrt(B[:, j]), up, np.zeros_like(up), dirs)
+
+
 def generator_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Generator L: L[x, x-e_j] = B_j(x-e_j), L[x, x+e_j] = D_j(x+e_j),
     diagonal -(sum_j B_j + D_j)."""
-    return _csr(space, -(B.sum(axis=1) + D.sum(axis=1)),
-                _across(D, space.up), _across(B, space.down))
+    return _generator(B, D, space).csr()
 
 
 def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
     off-diagonal -sqrt(B_j(x) D_j(x+e_j)) placed symmetrically."""
-    return _csr(space, B.sum(axis=1) + D.sum(axis=1), -np.sqrt(B * _across(D, space.up)),
-                -np.sqrt(_across(B, space.down) * D))
+    return _symmetrized(B, D, space).csr()
 
 
 def difference_operator_from_tables(
@@ -119,16 +194,12 @@ def difference_operator_from_tables(
 ) -> sp.csr_matrix:
     """Difference operator Ht acting on functions f of the lattice point:
     (Ht f)(x) = sum_j B_j(x)(f(x) - f(x+e_j)) + D_j(x)(f(x) - f(x-e_j))."""
-    return _csr(space, B.sum(axis=1) + D.sum(axis=1), -B, -D)
+    return _difference(B, D, space).csr()
 
 
 def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) -> sp.csr_matrix:
     """Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
-    if not 0 <= j < space.n:
-        raise ValidationError(f"direction {j} out of range for n={space.n}")
-    dirs = slice(j, j + 1)
-    up = -np.sqrt(_across(D[:, dirs], space.up[:, dirs]))
-    return _csr(space, np.sqrt(B[:, j]), up, np.zeros_like(up), dirs)
+    return _ladder(B, D, space, j).csr()
 
 
 def stationary_weight_generic(
@@ -233,14 +304,6 @@ def check_compatibility(
     return CompatibilityResult(worst <= tol, worst, witness, skip.size - skipped, skipped)
 
 
-def _conjugate(A: sp.csr_matrix, logw: np.ndarray) -> sp.csr_matrix:
-    """W^{-1/2} A W^{1/2} on the nonzeros of the CSR matrix A, each times
-    exp((log W[col] - log W[row]) / 2), finite where W underflows."""
-    out = A.copy()
-    out.data *= np.exp(0.5 * (logw[A.indices] - np.repeat(logw, np.diff(A.indptr))))
-    return out
-
-
 def verify_structure(
     B: np.ndarray,
     D: np.ndarray,
@@ -264,42 +327,58 @@ def verify_structure(
     if W is None:
         W = np.exp(logw)
         W /= W.sum()
-    L = generator_from_tables(B, D, space)
-    H = symmetrized_from_tables(B, D, space)
-    Ht = difference_operator_from_tables(B, D, space)
-    ladders = [ladder_from_tables(B, D, space, j) for j in range(space.n)]
+    L = _generator(B, D, space)
+    H = _symmetrized(B, D, space)
+    Ht = _difference(B, D, space)
+    ladders = [_ladder(B, D, space, j) for j in range(space.n)]
 
     scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
     sqw = np.sqrt(W)
     report = Report()
 
-    colsums = np.asarray(L.sum(axis=0)).ravel()
-    report.add("generator-column-sums", np.abs(colsums).max() / scale, tol)
+    report.add("generator-column-sums", np.abs(L.column_sums()).max() / scale, tol)
 
     report.add("generator-annihilates-weight", np.abs(L @ W).max() / scale, tol)
 
-    sym_gap = abs(H - H.T).max()
+    sym_gap = np.abs(H.vals - H.T.vals).max()
     report.add("symmetrized-is-symmetric", sym_gap / scale, tol)
 
-    conj = -_conjugate(L, logw)
-    report.add("symmetrized-similarity", abs(H - conj).max() / scale, tol)
+    conj = -L.conjugated(logw).vals
+    report.add("symmetrized-similarity", np.abs(H.vals - conj).max() / scale, tol)
 
-    gap = abs(H - sum(A.T @ A for A in ladders))
-    report.add("ladder-factorization", gap.max() / scale, tol)
+    gap = _Stencil(H.cols, np.abs(H.vals - _ladder_gram(ladders, space.n)))
+    report.add("ladder-factorization", gap.vals.max() / scale, tol)
 
     worst_ladder = max(np.abs(A @ sqw).max() for A in ladders)
     report.add("ladder-annihilates-sqrt-weight", worst_ladder / math.sqrt(scale), tol)
 
-    conj2 = _conjugate(H, logw)
-    report.add("difference-op-similarity", abs(Ht - conj2).max() / scale, tol)
+    conj2 = H.conjugated(logw).vals
+    report.add("difference-op-similarity", np.abs(Ht.vals - conj2).max() / scale, tol)
 
     ones = np.ones(space.size)
     report.add("difference-op-annihilates-constants", np.abs(Ht @ ones).max() / scale, tol)
 
     report.add("symmetrized-annihilates-sqrt-weight", np.abs(H @ sqw).max() / scale, tol)
 
-    bound = math.sqrt(gap.sum(axis=0).max() * gap.sum(axis=1).max())
-    hmax = max(float(H.diagonal().max()), 1e-300)
+    bound = math.sqrt(gap.column_sums().max() * gap.vals.sum(axis=1).max())
+    hmax = max(float(H.vals[:, space.n].max()), 1e-300)
     report.add("symmetrized-positive-semidefinite", bound / hmax, tol)
 
     return report
+
+
+def _ladder_gram(ladders: list, n: int) -> np.ndarray:
+    """The values of sum_j A_j^T A_j in the full layout, from each A_j's two
+    entries per row, a(x) = A_j[x, x] and b(x) = A_j[x, x+e_j]: column y of
+    A_j holds b(y-e_j) and a(y), so the diagonal is b(y-e_j)^2 + a(y)^2 and
+    the entry toward x+e_j is a(x) b(x), in both directions."""
+    out = np.zeros((len(ladders[0].cols), 2 * n + 1))
+    for j, A in enumerate(ladders):
+        # x-e_j, or the appended 0 off the lattice
+        below = A.cols[:, 0]
+        a, b = A.vals[:, 1], A.vals[:, 2]
+        b_below = np.append(b, 0.0)[below]
+        out[:, n] += b_below * b_below + a * a
+        out[:, 2 * n - j] = a * b
+        out[:, j] = np.append(a * b, 0.0)[below]
+    return out

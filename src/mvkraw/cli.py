@@ -35,6 +35,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -506,10 +507,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_options(args) -> None:
+    """A tolerance that is not positive, or an injection that is not finite,
+    would make every check pass or fail regardless of the model."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
+    inject = getattr(args, "inject_u_perturbation", 0.0)
+    if not math.isfinite(inject):
+        raise ValidationError(f"--inject-u-perturbation must be finite, got {inject}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

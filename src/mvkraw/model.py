@@ -62,10 +62,13 @@ class ModelParams:
 
         In that regime the closed-form eigenpolynomial construction breaks
         down and only the numeric eigenbasis is available.  The default
-        band is 1e-9 * max(q).
+        band is 1e-9 * max(q); a negative or non-finite band is a
+        ValidationError, since it would switch the guard off.
         """
         if band is None:
             band = 1e-9 * max(self.q)
+        elif not (math.isfinite(band) and band >= 0):
+            raise ValidationError(f"coincidence band must be finite and nonnegative, got {band}")
         return self.coincidence_gap <= band
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bdcore import symmetrized_from_tables
+from .bdcore import _symmetrized
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
 from .model import ModelParams, _log_route_pmf, multinomial_vector, rate_tables
@@ -192,7 +192,7 @@ def _eigen_defects(
 ) -> np.ndarray:
     """`eigen_residuals` from the orthonormal map T itself."""
     B, D = rate_tables(params, space)
-    defect = symmetrized_from_tables(B, D, space) @ T - T * degree_eigenvalues(spec, space)
+    defect = _symmetrized(B, D, space) @ T - T * degree_eigenvalues(spec, space)
     scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
     return np.abs(defect).max(axis=0) / scale
 

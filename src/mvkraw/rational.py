@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdcore import difference_operator_from_tables
+from .bdcore import _difference
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
 from .model import linear_rate_tables
@@ -310,10 +310,10 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     q1d, q2d = pair.dual_q
     pp = pair.params
 
-    Hd = difference_operator_from_tables(B, D, space)
     # Columns of R.T are the dual polynomials as functions of m.
+    HdR = _difference(B, D, space) @ R.T
     Ed = space.coords @ np.asarray(pair.dual_lam)
-    defect = Hd @ R.T - R.T * Ed[None, :]
+    defect = HdR - R.T * Ed[None, :]
     report.add(
         "dual-eigen-equation", float(np.abs(defect).max()) / scale, tol,
         detail=f"lattice size {space.size}",
@@ -329,7 +329,7 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
         lhs += np.where(step >= 0, coeff * (R[:, step] - R), 0.0)
     rhs_coeff = (pp.p1 + pp.p2) * m0 - (pp.p3 + pp.p4) * m1
     worst_literal = float(np.abs(lhs - rhs_coeff[:, None] * R).max())
-    worst_operator = float(np.abs(lhs + (Hd @ R.T).T).max())
+    worst_operator = float(np.abs(lhs + HdR.T).max())
     report.add("five-term-recurrence", worst_literal / scale, tol)
     report.add("five-term-matches-operator", worst_operator / scale, tol)
 

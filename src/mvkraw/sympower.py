@@ -11,19 +11,39 @@ and full factorials.  For orthogonal M it is orthogonal, |T| <= 1: with
 M = R of the spectral data the orthonormal map, which `polynomials.table`
 reads P off, and with M the one-body eigenvectors the eigenbasis.
 
-The table is built degree by degree, d = 1..N, on the graded prefix
-|x| <= d of the lattice, where x_0 = d - |x|.  Each layer uses Euler's
-identity for the homogeneous f_x of degree d,
+Sym^N is multiplicative, Sym^N(AB) = Sym^N(A) Sym^N(B), so the table is a
+product of simple factors (Genest, Vinet & Zhedanov, J. Phys. A 46 (2013)
+505203: the polynomials are matrix elements of rotation-group
+representations on oscillator states).  M is factored exactly as
+M = F_1 .. F_K diag(s): the transposed Givens rotations of a QR sweep
+M = Q U, then the unit upper shears [[1, c], [0, 1]] of U diag(1/s), s the
+diagonal of U.  Nothing is orthogonalized, so a perturbed R is powered with
+its defect.  Each F is the identity but for one 2 x 2 block G on a plane of
+slots (i, j), and Sym^N(F) is block-diagonal: a block holds the points whose
+other slots are fixed and whose x_i + x_j = k, and it is Sym^k(G), for a
+rotation the Wigner d-matrix of spin k/2.  Sym^N(diag s) scales column m by
+prod_i s_i^{m_i}.  At n = 1, M itself is the one 2 x 2 factor.
 
-    d f_x = sum_j t_j df_x/dt_j = sum_s x_s f_{x - e_s} (M_s . t),
+Sym^k(G) for every k <= N comes from one pass of the Euler-averaged
+recursion on the 2 x 2 matrix, degree by degree.  For the homogeneous
+f_x of degree d, Euler's identity
 
-so every row is the x_s/d-weighted average of its n+1 parents, each times
-one linear form.  Taking a single parent instead (f_x = f_{x-e_s} M_s . t)
-costs about n+1 times less but is not stable: for orthogonal M it amplifies
-rounding by up to sqrt(C(N, x)), and the orthogonality defect of the
-eigenbasis at n=1 reaches 6e-11 at N=50 and O(1) at N=200.  In the
-orthonormal basis the averaged layer is a contraction, so rounding only
-adds up: the defect stays near 1e-13 at n=1, N=600.
+    d f_x = sum_j t_j df_x/dt_j = sum_s x_s f_{x - e_s} (G_s . t)
+
+makes every row the x_s/d-weighted average of its parents, each times one
+linear form.  Taking a single parent instead (f_x = f_{x-e_s} G_s . t)
+costs less but is not stable: for orthogonal G it amplifies rounding by up
+to sqrt(C(N, x)), and the orthogonality defect at N=50 reaches 6e-11 and at
+N=200 O(1).  In the orthonormal basis the averaged layer of a rotation is a
+contraction, so rounding only adds up: the defect stays near 1e-13 at
+N=600.  The shears of an orthogonal M are the identity to rounding and each
+block product adds a few roundings per entry, so the products stay near
+orthogonal too: T^T T - I reads 2.5e-14 at (2,40) and 1.3e-14 at (3,20).
+
+Each factor is applied to the table in place, one k at a time: the blocks
+of that k are gathered as rows, multiplied by Sym^k(G) in one matrix
+product and written back.  The blocks are disjoint, so the peak memory is
+the table plus one group of rows and its product.
 
 `coefficient_row` is one row of C by the single-parent product, for the
 one-body kernel of the transient law (nonnegative, so nothing cancels)
@@ -35,6 +55,8 @@ one dense-size cap, is enforced here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
@@ -42,9 +64,6 @@ from .lattice import StateSpace, simplex_size
 from .model import _multinomial_rows
 
 DENSE_CAP = 5000
-
-# columns of the next layer built per block, to bound the (n+1)-fold copy
-_BLOCK_ELEMENTS = 1 << 21
 
 
 def coefficient_power(M, space: StateSpace) -> np.ndarray:
@@ -55,56 +74,95 @@ def coefficient_power(M, space: StateSpace) -> np.ndarray:
     and column 0 belonging to the implicit slot x_0 = N - |x|.  T is
     orthogonal when M is and bounded by 1, where the plain coefficients of
     an orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
-    Raises CapExceeded above DENSE_CAP points, before allocating.
+    Raises CapExceeded above DENSE_CAP points, before allocating, and
+    ValidationError for a singular M with n >= 2.
     """
     if space.size > DENSE_CAP:
         raise CapExceeded(f"size cap exceeded: dense table needs {space.size} "
                           f"<= {DENSE_CAP} points")
-    import scipy.sparse as sp
-
     M = np.asarray(M, dtype=float)
-    n = space.n
+    n, N = space.n, space.N
     if M.shape != (n + 1, n + 1):
         raise ValidationError(f"coefficient matrix must be {(n + 1, n + 1)}")
-    slots = np.arange(n + 1)
-    T = np.array([[1.0, 0.0]])   # layer 0, and a zero column kept last
-    prev = 1
-    for d in range(1, space.N + 1):
-        size = simplex_size(n, d)
-        # occupation of every slot of the prefix x' and the rank of x' + e_s
-        occ = np.column_stack((d - 1 - space.degrees[:prev], space.coords[:prev]))
-        dest = np.column_stack((np.arange(prev), space.up[:prev]))
-
-        # rows: out[x' + e_s] += sqrt(x_s) M_sj Z_j[x'] over s, j, one sparse
-        # product with Z_j[:, m] = sqrt(m_j) T[:, m - e_j] stacked over j
-        rows = np.repeat(dest, n + 1, axis=1).ravel()
-        cols = (slots[None, None, :] * prev + np.arange(prev)[:, None, None])
-        cols = np.broadcast_to(cols, (prev, n + 1, n + 1)).ravel()
-        weight = np.sqrt(occ + 1.0)
-        vals = (weight[:, :, None] * M[None, :, :]).ravel()
-        G = sp.csr_matrix((vals, (rows, cols)), shape=(size, (n + 1) * prev))
-
-        # columns: the source of m in Z_j is m - e_j, or the zero column
-        src = np.full((n + 1, size), prev)
-        src[slots[:, None], dest.T] = np.arange(prev)
-        col_weight = np.zeros((n + 1, size))
-        col_weight[slots[:, None], dest.T] = weight.T
-
-        # the last layer is returned as is; earlier ones carry the zero column
-        out = np.zeros((size, size + (d < space.N)))
-        step = max(1, _BLOCK_ELEMENTS // ((n + 1) * prev))
-        for lo in range(0, size, step):
-            hi = min(lo + step, size)
-            block = np.empty((n + 1, prev, hi - lo))
-            for j in range(n + 1):
-                # indices are in range; "clip" writes to `out` unbuffered
-                np.take(T, src[j, lo:hi], axis=1, out=block[j], mode="clip")
-            block *= col_weight[:, None, lo:hi]
-            np.divide(G @ block.reshape((n + 1) * prev, hi - lo), d,
-                      out=out[:, lo:hi])
-        T = out
-        prev = size
+    if n == 1:
+        for T in _plane_powers(M, N):
+            pass
+        return T
+    factors, scale = _plane_factors(M)
+    occ = np.column_stack((N - space.degrees, space.coords))
+    T = np.eye(space.size)
+    for (i, j), G in reversed(factors):
+        for rows, W in zip(_plane_blocks(occ, i, j), _plane_powers(G, N)):
+            # one group: the rows of every block of one k, multiplied at once
+            group = T[rows]
+            T[rows] = (W @ group.reshape(len(W), -1)).reshape(group.shape)
+    # Sym^N(diag s) is diag prod_i s_i^{m_i}, a column scaling on the right
+    T *= np.prod(scale ** occ, axis=1)
     return T
+
+
+def _plane_factors(M: np.ndarray):
+    """M = F_1 .. F_K diag(s) as ([((i, j), G_1), ..], s): each F is the
+    identity but for the 2 x 2 block G on slots i < j.  The first factors
+    are the transposed Givens rotations of a QR sweep, M = Q U; the rest
+    are the unit upper shears [[1, c], [0, 1]] of U diag(1/s), s the
+    diagonal of U, column by column from the last.  Factors equal to the
+    identity are left out; the product is exact, so a non-orthogonal M is
+    powered as it is."""
+    U = M.copy()
+    factors = []
+    for i in range(len(U) - 1):
+        for j in range(len(U) - 1, i, -1):
+            if U[j, i] == 0.0:
+                continue
+            rho = math.hypot(U[i, i], U[j, i])
+            c, s = U[i, i] / rho, U[j, i] / rho
+            rotation = np.array([[c, s], [-s, c]])
+            U[[i, j]] = rotation @ U[[i, j]]
+            U[j, i] = 0.0
+            factors.append(((i, j), rotation.T))
+    scale = U.diagonal().copy()
+    if (scale == 0.0).any():
+        raise ValidationError("coefficient matrix is singular")
+    V = U / scale
+    for j in range(len(V) - 1, 0, -1):
+        factors += [((i, j), np.array([[1.0, V[i, j]], [0.0, 1.0]]))
+                    for i in range(j) if V[i, j] != 0.0]
+    return factors, scale
+
+
+def _plane_blocks(occ: np.ndarray, i: int, j: int) -> list:
+    """Blocks of Sym^N of a factor on slots (i, j), k = 0..N: the points
+    with occ_i + occ_j = k as a (k+1, blocks) array of ranks, one column
+    per setting of the other slots, rows by occ_j = 0..k."""
+    k = occ[:, i] + occ[:, j]
+    others = np.delete(occ, (i, j), axis=1)
+    order = np.lexsort((occ[:, j], *others.T, k))
+    bounds = np.searchsorted(k[order], np.arange(k.max() + 2))
+    return [order[lo:hi].reshape(-1, d + 1).T
+            for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+
+
+def _plane_powers(G: np.ndarray, N: int):
+    """Sym^d(G) in the orthonormal basis for d = 0..N, G a 2 x 2 matrix:
+    the layers of the Euler-averaged recursion, rows and columns indexed by
+    the occupation of slot 1, 0..d.  For orthogonal G these are the Wigner
+    d-matrices of the rotation.  Each layer is yielded and then dropped."""
+    T = np.ones((1, 1))
+    yield T
+    for d in range(1, N + 1):
+        # row x of layer d - 1 is the parent of row x (slot 0 grows to
+        # d - x) and of row x + 1 (slot 1 grows to x + 1); the same roots
+        # weigh the columns, Z_j[:, m] = sqrt(m_j) T[:, m - e_j]
+        x = np.arange(d)
+        root0, root1 = np.sqrt(d - x), np.sqrt(x + 1.0)
+        out = np.zeros((d + 1, d + 1))
+        for rows, root, g in ((slice(0, d), root0, G[0]), (slice(1, d + 1), root1, G[1])):
+            parent = T * (root / d)[:, None]
+            out[rows, :-1] += parent * (g[0] * root0)
+            out[rows, 1:] += parent * (g[1] * root1)
+        T = out
+        yield T
 
 
 def coefficient_row(M, x: np.ndarray, space: StateSpace) -> np.ndarray:

@@ -290,6 +290,35 @@ def test_builders_match_their_formulas(n, N):
         assert np.array_equal(built[1].toarray(), built[1].toarray().T)
 
 
+@pytest.mark.parametrize("n, N", [(1, 6), (2, 4), (3, 3)])
+def test_stencils_act_as_their_matrices(n, N):
+    # the neighbour layout `verify_structure` reads: gather, mirrored
+    # transpose, conjugation and column sums against the dense matrices
+    rng = np.random.default_rng(7 * n + N)
+    space = StateSpace(n, N)
+    B, D = (rng.uniform(0.1, 5.0, (space.size, n)) for _ in range(2))
+    B[space.up < 0] = 0.0
+    D[space.down < 0] = 0.0
+    logw = rng.normal(0.0, 3.0, space.size)
+    v, V = rng.normal(size=space.size), rng.normal(size=(space.size, 4))
+    stencils = [bdcore._generator(B, D, space), bdcore._symmetrized(B, D, space),
+                bdcore._difference(B, D, space)]
+    stencils += [bdcore._ladder(B, D, space, j) for j in range(n)]
+    for op in stencils:
+        A = op.csr().toarray()
+        assert np.allclose(op @ v, A @ v, rtol=0.0, atol=1e-13)
+        assert np.allclose(op @ V, A @ V, rtol=0.0, atol=1e-13)
+        assert np.array_equal(op.T.csr().toarray(), A.T)
+        conj = np.exp(0.5 * (logw[None, :] - logw[:, None])) * A
+        assert np.allclose(op.conjugated(logw).csr().toarray(), conj, rtol=1e-14, atol=0.0)
+        assert np.allclose(op.column_sums(), A.sum(axis=0), rtol=0.0, atol=1e-13)
+    # sum_j A_j^T A_j in the full layout, from the ladders' entries
+    H = stencils[1]
+    gram = bdcore._Stencil(H.cols, bdcore._ladder_gram(stencils[3:], n))
+    dense = sum(A.csr().toarray().T @ A.csr().toarray() for A in stencils[3:])
+    assert np.allclose(gram.csr().toarray(), dense, rtol=0.0, atol=1e-13)
+
+
 def test_stationary_weight_generic_matches_closed_form():
     rng = np.random.default_rng(20260815)
     for _ in range(10):
@@ -448,21 +477,23 @@ def _dense_negative_part(H):
 
 
 def test_psd_certificate_fails_on_shifted_operator(monkeypatch):
-    # H - c I has lambda_min = -c; the ladder residual must flag it
+    # H - c I has lambda_min = -c; the ladder residual must flag it.  The
+    # shift enters through the stencil `verify_structure` reads H from.
     params = ModelParams(n=2, N=5, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 5)
-    build = bdcore.symmetrized_from_tables
+    build = bdcore._symmetrized
 
     def shifted(B, D, space):
         H = build(B, D, space)
-        c = 1e-3 * H.diagonal().max()
-        return H - c * scipy.sparse.identity(space.size, format="csr")
+        vals = H.vals.copy()
+        vals[:, space.n] -= 1e-3 * vals[:, space.n].max()
+        return H._replace(vals=vals)
 
-    monkeypatch.setattr(bdcore, "symmetrized_from_tables", shifted)
+    monkeypatch.setattr(bdcore, "_symmetrized", shifted)
     B, D = rate_tables(params, space)
     check = verify_structure(B, D, space)["symmetrized-positive-semidefinite"]
     assert not check.passed
-    assert check.residual >= _dense_negative_part(shifted(B, D, space).toarray())
+    assert check.residual >= _dense_negative_part(shifted(B, D, space).csr().toarray())
 
 
 @pytest.mark.parametrize("params", [

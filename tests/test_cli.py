@@ -269,6 +269,71 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
             assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("spectrum", "--band", "nan"),
+    ("spectrum", "--band", "-1"),
+    ("verify", "--band", "nan"),
+    ("verify", "--band", "-1"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1"),
+    ("rational", "--tol", "nan"),
+    ("rational", "--tol", "-1"),
+    ("verify", "--inject-u-perturbation", "nan"),
+])
+def test_bad_option_values_exit_2(tmp_path, capsys, command, option, value):
+    # q = (3, 3) is coincident, so a band that switched the guard off would
+    # reach the secular solve; a bad tolerance or injection would make the
+    # checks pass or fail whatever the model
+    q = [3.0, 3.0] if option == "--band" else [1.0, 3.0]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, "n": 2, "N": 3, "p": [1.0, 2.0], "q": q}))
+    source = ["--rates", "1", "2", "3", "4"] if command == "rational" else ["--params", str(path)]
+    rc = cli.main([command, *source, option, value, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert (option[2:] if option == "--band" else option) in err, err
+
+
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    # every command runs on numpy alone but uniformization from a general
+    # start: operators are applied as neighbour stencils, tables are
+    # products of plane factors
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(
+        {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]}
+    ))
+    simulate = {"schema": 1, "params": json.loads(params.read_text()),
+                "mode": "uniformization", "time": 2.0, "steps": 4}
+    origin, point = tmp_path / "origin.json", tmp_path / "point.json"
+    origin.write_text(json.dumps({**simulate, "initial": "origin"}))
+    point.write_text(json.dumps({**simulate, "initial": [0.0] * 4 + [1.0] + [0.0] * 10}))
+    model = ["--params", str(params)]
+    runs = [
+        (["table", *model], 0),
+        (["gen-oracle", *model], 0),
+        (["verify", "--level", "fast", *model], 0),
+        (["verify", "--level", "fast", *model, "--inject-u-perturbation", "1e-6"], 1),
+        (["verify", "--level", "full", *model], 0),
+        (["verify", "--level", "full", *model, "--inject-u-perturbation", "1e-6"], 1),
+        (["spectrum", *model], 0),
+        (["rational", "--rates", "1", "2", "3", "4"], 0),
+        (["simulate", "--config", str(origin)], 0),
+        (["simulate", "--config", str(point)], 0),
+    ]
+    code = (
+        "import sys\n"
+        "from mvkraw.cli import main\n"
+        f"for args, expected in {runs!r}:\n"
+        f"    rc = main(args + ['--out', {str(tmp_path)!r}])\n"
+        "    assert rc == expected, (args, rc)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert "uniformization: exact route" in out.stdout
+
+
 def test_cap_exit_code(tmp_path, params_file):
     res = run_cli("table", "--params", params_file, "--out", tmp_path, "--cap", 3)
     assert res.returncode == 4

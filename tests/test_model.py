@@ -164,3 +164,12 @@ def test_multinomial_vector_zero_cell_above_exact_range():
     np.testing.assert_allclose(W[on_axis], expected, rtol=1e-13, atol=0)
     assert np.all(W[~on_axis] == 0)
     assert W.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("band", [math.nan, -1.0, math.inf])
+def test_bad_coincidence_band_is_refused(band):
+    # a NaN or negative band would switch the coincidence guard off
+    params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 3.0))
+    with pytest.raises(ValidationError, match="band"):
+        params.exceptional(band)
+    assert params.exceptional(0.0)

@@ -136,28 +136,6 @@ def test_gillespie_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "occupation.csv").exists()
 
 
-def test_verify_leaves_scipy_linalg_unloaded(tmp_path):
-    # the PSD check is certified from the ladder residual, with no dense solve
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps(
-        {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]}
-    ))
-    code = (
-        "import sys\n"
-        "from mvkraw.cli import main\n"
-        "loaded = []\n"
-        "for level in ('fast', 'full'):\n"
-        f"    rc = main(['verify', '--level', level, '--params', {str(params)!r},\n"
-        f"               '--out', {str(tmp_path)!r}])\n"
-        "    assert rc == 0, (level, rc)\n"
-        "    loaded.append(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
-        "print(loaded)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[[], []]"
-
-
 def test_rate_table_validation(setup):
     params, space = setup
     B = np.ones((space.size, 2))
