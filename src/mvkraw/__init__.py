@@ -2,75 +2,101 @@
 multidimensional birth-death process: lattice and operator construction,
 spectral data, polynomial tables with dual orthogonality, the rational
 two-dimensional family with its explicit dual system, and stochastic /
-uniformized evolution."""
+uniformized evolution.
+
+The public names below are resolved on first use (PEP 562), so
+``import mvkraw`` loads neither a submodule nor numpy; each name imports
+only the submodule that defines it."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bdcore import (
-    check_compatibility,
-    check_rate_tables,
-    difference_operator_from_tables,
-    generator_from_tables,
-    ladder_from_tables,
-    stationary_weight_generic,
-    symmetrized_from_tables,
-    verify_structure,
-)
-from .errors import (
-    AbsorbingState,
-    CapExceeded,
-    ExceptionalParameters,
-    NoConvergence,
-    SingularParameters,
-    ValidationError,
-)
-from .lattice import StateSpace, simplex_size
-from .model import (
-    ModelParams,
-    multinomial_weight,
-    probabilities,
-    rate_tables,
-    weight_vector,
-)
-from .polynomials import (
-    eigen_residuals,
-    eval_P,
-    eval_P_via_generating_function,
-    eval_Q,
-    kr_P,
-    orthonormal_map,
-    orthonormality,
-    table,
-    table_via_generating_function,
-)
-from .rational import (
-    DualPair,
-    RationalParams,
-    derive_dual_pair,
-    eval_rational,
-    rational_table,
-    verify_recurrence,
-)
-from .report import Check, Report
-from .simulate import (
-    EvolveResult,
-    GillespieResult,
-    RelaxationFit,
-    evolve_distribution,
-    gillespie_run,
-    kl_divergence,
-    relaxation_rate,
-    run_replicas,
-    total_variation,
-)
-from .spectrum import (
-    EigenBasis,
-    SpectralData,
-    identity_checks,
-    numeric_eigenbasis,
-    rational_case_n2,
-    secular_function,
-    solve_spectrum,
-)
+# submodule -> the public names it defines; each submodule is public too
+_EXPORTS = {
+    "bdcore": (
+        "check_compatibility",
+        "check_rate_tables",
+        "difference_operator_from_tables",
+        "generator_from_tables",
+        "ladder_from_tables",
+        "stationary_weight_generic",
+        "symmetrized_from_tables",
+        "verify_structure",
+    ),
+    "errors": (
+        "AbsorbingState",
+        "CapExceeded",
+        "ExceptionalParameters",
+        "NoConvergence",
+        "SingularParameters",
+        "ValidationError",
+    ),
+    "lattice": ("StateSpace", "simplex_size"),
+    "model": (
+        "ModelParams",
+        "multinomial_weight",
+        "probabilities",
+        "rate_tables",
+        "weight_vector",
+    ),
+    "polynomials": (
+        "eigen_residuals",
+        "eval_P",
+        "eval_P_via_generating_function",
+        "eval_Q",
+        "kr_P",
+        "orthonormal_map",
+        "orthonormality",
+        "table",
+        "table_via_generating_function",
+    ),
+    "rational": (
+        "DualPair",
+        "RationalParams",
+        "derive_dual_pair",
+        "eval_rational",
+        "rational_table",
+        "verify_recurrence",
+    ),
+    "report": ("Check", "Report"),
+    "simulate": (
+        "EvolveResult",
+        "GillespieResult",
+        "RelaxationFit",
+        "evolve_distribution",
+        "gillespie_run",
+        "kl_divergence",
+        "relaxation_rate",
+        "run_replicas",
+        "total_variation",
+    ),
+    "spectrum": (
+        "EigenBasis",
+        "SpectralData",
+        "identity_checks",
+        "numeric_eigenbasis",
+        "rational_case_n2",
+        "secular_function",
+        "solve_spectrum",
+    ),
+    "sympower": (),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_SOURCE])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -42,7 +42,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bdcore import verify_structure
 from .errors import (
     AbsorbingState,
     CapExceeded,
@@ -52,21 +51,13 @@ from .errors import (
 )
 from .lattice import DEFAULT_CAP, StateSpace
 from .model import ModelParams, rate_tables, weight_vector
-from .polynomials import (
-    _eigen_defects,
-    orthonormal_map,
-    orthonormality,
-    table,
-    table_via_generating_function,
-)
-from .rational import RationalParams, derive_dual_pair, verify_recurrence
 from .report import Report
-from .simulate import (
-    evolve_distribution,
-    gillespie_run,
-    relaxation_rate,
-)
-from .spectrum import identity_checks, solve_spectrum
+
+# Each command imports the layers it computes with when it starts, so a call
+# pays only for its own: `simulate` loads no spectrum or polynomials,
+# `verify --level fast` no polynomials or sympower.  The imports come before
+# the first array is built: a module loaded between array allocations raised
+# the peak RSS of `verify --level full` at (3,8) by about 0.15 MB.
 
 
 def _load_json(path: str) -> dict:
@@ -132,6 +123,8 @@ def _label(point) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import solve_spectrum
+
     params = _load_params(args.params)
     spec = solve_spectrum(params, band=args.band)
     out = _outdir(args)
@@ -181,15 +174,15 @@ def _cmd_spectrum(args) -> int:
 
 def _table_rows(space: StateSpace, tab: np.ndarray):
     header = ["x\\m"] + [_label(m) for m in space.points]
-    rows = [
-        [_label(x)] + [float(v) for v in tab[xr]]
-        for xr, x in enumerate(space.points)
-    ]
+    rows = [[_label(x)] + row for x, row in zip(space.points, tab.tolist())]
     return header, rows
 
 
 def _load_table(args):
     """The model, its lattice, spectral data and polynomial table."""
+    from .polynomials import table
+    from .spectrum import solve_spectrum
+
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
     spec = solve_spectrum(params, band=args.band)
@@ -199,6 +192,8 @@ def _load_table(args):
 def _oracle_check(params, spec, space: StateSpace, tab, report: Report, tol: float):
     """The generating-function oracle table, with max |T_table - T_oracle|
     on the orthonormal scale, |T| <= 1, added to `report`."""
+    from .polynomials import orthonormal_map, table_via_generating_function
+
     oracle = table_via_generating_function(spec, space)
     diff = float(np.abs(orthonormal_map(params, spec, space, tab - oracle)).max())
     report.add("generating-function-agreement", diff, tol, detail="orthonormal scale")
@@ -256,6 +251,12 @@ def _cmd_gen_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .bdcore import verify_structure
+    from .spectrum import identity_checks, solve_spectrum
+
+    if args.level == "full":
+        from .polynomials import _eigen_defects, orthonormal_map, orthonormality, table
+
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
     report = verify_structure(*rate_tables(params, space), space, tol=args.tol)
@@ -329,6 +330,8 @@ def _config_number(cfg: dict, key: str, kind):
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import evolve_distribution, gillespie_run, relaxation_rate
+
     cfg, params = _load_sim_config(args.config)
     space = StateSpace(params.n, params.N, cap=args.cap)
     mode = cfg["mode"]
@@ -409,6 +412,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rational(args) -> int:
+    from .rational import RationalParams, derive_dual_pair, verify_recurrence
+
     StateSpace(2, args.N, cap=args.cap)   # the recurrence lattice, held to --cap
     pair = derive_dual_pair(RationalParams(*args.rates))
     report = pair.cross_checks
@@ -509,9 +514,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_options(args) -> None:
     """A tolerance that is not positive, or an injection that is not finite,
-    would make every check pass or fail regardless of the model."""
+    would make every check pass or fail regardless of the model; a cap below
+    one point would fail every lattice as if it were too large."""
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
+    if args.cap < 1:
+        raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     inject = getattr(args, "inject_u_perturbation", 0.0)
     if not math.isfinite(inject):
         raise ValidationError(f"--inject-u-perturbation must be finite, got {inject}")

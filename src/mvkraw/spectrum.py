@@ -39,7 +39,6 @@ from .errors import ExceptionalParameters, NoConvergence, ValidationError
 from .lattice import StateSpace
 from .model import ModelParams
 from .report import Report
-from .sympower import coefficient_power
 
 # log2(width/root) + 53 halvings close a bracket to adjacent floats, and
 # float64 (subnormals included) spans 1,024 + 1,074 binades
@@ -312,6 +311,8 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     fails.  The output is dense: CapExceeded above `sympower.DENSE_CAP`
     lattice points.
     """
+    from .sympower import coefficient_power  # kept out of `verify --level fast`
+
     if space.n != params.n or space.N != params.N:
         raise ValidationError("state space does not match params")
     p = np.asarray(params.p, dtype=float)
@@ -324,7 +325,7 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     evals = occupations @ lam
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
-    vecs = coefficient_power(V, space)[:, order]
+    vecs = coefficient_power(V, space, order)
     norm = max(abs(evals[0]), abs(evals[-1]), 1e-300)
     gaps = np.diff(evals)
     degenerate = bool(len(gaps) and gaps.min() < 1e-8 * norm)

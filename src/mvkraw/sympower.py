@@ -18,7 +18,13 @@ representations on oscillator states).  M is factored exactly as
 M = F_1 .. F_K diag(s): the transposed Givens rotations of a QR sweep
 M = Q U, then the unit upper shears [[1, c], [0, 1]] of U diag(1/s), s the
 diagonal of U.  Nothing is orthogonalized, so a perturbed R is powered with
-its defect.  Each F is the identity but for one 2 x 2 block G on a plane of
+its defect.  Two kinds of factor are left out: rotations that are exactly
+the identity, and shears whose entry is within the rounding of the sweep,
+|c| <= (n+1) eps.  An orthogonal M (the spectral R, or the one-body
+eigenvectors) has only such shears, 0.2-1.7 eps at n = 3, so it is powered
+by its n(n+1)/2 rotations alone, half the dense passes; the shears of R
+perturbed by 1e-6, as `verify --inject-u-perturbation` does, are ~1e-6 and
+stay.  Each F is the identity but for one 2 x 2 block G on a plane of
 slots (i, j), and Sym^N(F) is block-diagonal: a block holds the points whose
 other slots are fixed and whose x_i + x_j = k, and it is Sym^k(G), for a
 rotation the Wigner d-matrix of spin k/2.  Sym^N(diag s) scales column m by
@@ -36,14 +42,22 @@ costs less but is not stable: for orthogonal G it amplifies rounding by up
 to sqrt(C(N, x)), and the orthogonality defect at N=50 reaches 6e-11 and at
 N=200 O(1).  In the orthonormal basis the averaged layer of a rotation is a
 contraction, so rounding only adds up: the defect stays near 1e-13 at
-N=600.  The shears of an orthogonal M are the identity to rounding and each
-block product adds a few roundings per entry, so the products stay near
-orthogonal too: T^T T - I reads 2.5e-14 at (2,40) and 1.3e-14 at (3,20).
+N=600.  Each block product adds a few roundings per entry, so the products
+stay near orthogonal too: T^T T - I reads 1.6e-14 at (2,40) and 4.9e-15 at
+(3,20) for the spectral R, against the all-factor product by at most
+1.8e-15.
 
-Each factor is applied to the table in place, one k at a time: the blocks
-of that k are gathered as rows, multiplied by Sym^k(G) in one matrix
-product and written back.  The blocks are disjoint, so the peak memory is
-the table plus one group of rows and its product.
+The table starts as the permutation matrix of the requested column order,
+C-contiguous, and every factor acts on its rows, so the eigenbasis comes
+out sorted by eigenvalue at no cost.  The first factor is written in as
+its blocks, not multiplied in; each later one is applied in place, one k
+at a time: the blocks of that k are gathered as rows, multiplied by
+Sym^k(G) in one matrix product and written back.  The blocks are
+disjoint, so the peak memory is the table plus one group of rows and its
+product.  Sym^N of the spectral R takes 17 ms at (2,40), 82 ms at (3,20),
+0.13 s at (4,12) and 0.58 s at (3,29) on one BLAS thread (2 shared
+cores), against 57 ms, 0.17 s, 0.25 s and 1.78 s with every shear
+multiplied in and the table starting from the identity.
 
 `coefficient_row` is one row of C by the single-parent product, for the
 one-body kernel of the transient law (nonnegative, so nothing cancels)
@@ -66,7 +80,7 @@ from .model import _multinomial_rows
 DENSE_CAP = 5000
 
 
-def coefficient_power(M, space: StateSpace) -> np.ndarray:
+def coefficient_power(M, space: StateSpace, order=None) -> np.ndarray:
     """T[x, m] = C[x, m] sqrt(m!/x!), C[x, m] the coefficient of t^m in
     prod_i (M_i . t)^{x_i}: the symmetric power in the orthonormal basis.
 
@@ -74,30 +88,43 @@ def coefficient_power(M, space: StateSpace) -> np.ndarray:
     and column 0 belonging to the implicit slot x_0 = N - |x|.  T is
     orthogonal when M is and bounded by 1, where the plain coefficients of
     an orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
-    Raises CapExceeded above DENSE_CAP points, before allocating, and
-    ValidationError for a singular M with n >= 2.
+    With `order`, a permutation of the ranks, column k is column order[k]
+    of T (T[:, order], C-contiguous, at no extra cost).  Raises CapExceeded
+    above DENSE_CAP points, before allocating, and ValidationError for a
+    singular M with n >= 2.
     """
     if space.size > DENSE_CAP:
         raise CapExceeded(f"size cap exceeded: dense table needs {space.size} "
                           f"<= {DENSE_CAP} points")
     M = np.asarray(M, dtype=float)
-    n, N = space.n, space.N
+    n, N, size = space.n, space.N, space.size
     if M.shape != (n + 1, n + 1):
         raise ValidationError(f"coefficient matrix must be {(n + 1, n + 1)}")
     if n == 1:
         for T in _plane_powers(M, N):
             pass
-        return T
+        return T if order is None else T.take(order, axis=1)
+    order = np.arange(size) if order is None else np.asarray(order)
     factors, scale = _plane_factors(M)
     occ = np.column_stack((N - space.degrees, space.coords))
-    T = np.eye(space.size)
+    # T starts as the permutation P = I[:, order], C-contiguous; every factor
+    # acts on rows, so the product is Sym^N(M) P = Sym^N(M)[:, order]
+    column = np.empty(size, dtype=np.intp)
+    column[order] = np.arange(size)
+    T = np.zeros((size, size))
+    T[order, np.arange(size)] = 1.0
+    if factors:
+        # Sym^N(F_K) P is the blocks of F_K, written over P with no product
+        (i, j), G = factors.pop()
+        for rows, W in zip(_plane_blocks(occ, i, j), _plane_powers(G, N)):
+            T[rows[:, None], column[rows][None]] = W[:, :, None]
     for (i, j), G in reversed(factors):
         for rows, W in zip(_plane_blocks(occ, i, j), _plane_powers(G, N)):
             # one group: the rows of every block of one k, multiplied at once
             group = T[rows]
             T[rows] = (W @ group.reshape(len(W), -1)).reshape(group.shape)
     # Sym^N(diag s) is diag prod_i s_i^{m_i}, a column scaling on the right
-    T *= np.prod(scale ** occ, axis=1)
+    T *= np.prod(scale ** occ[order], axis=1)
     return T
 
 
@@ -106,9 +133,11 @@ def _plane_factors(M: np.ndarray):
     identity but for the 2 x 2 block G on slots i < j.  The first factors
     are the transposed Givens rotations of a QR sweep, M = Q U; the rest
     are the unit upper shears [[1, c], [0, 1]] of U diag(1/s), s the
-    diagonal of U, column by column from the last.  Factors equal to the
-    identity are left out; the product is exact, so a non-orthogonal M is
-    powered as it is."""
+    diagonal of U, column by column from the last.  Rotations equal to the
+    identity are left out, and so are shears with |c| <= (n+1) eps: the
+    sweep itself rounds U by that much, so such a shear is rounding, not a
+    defect of M (an orthogonal M keeps no shear at all).  Larger shears
+    stay, so a non-orthogonal M is powered as it is."""
     U = M.copy()
     factors = []
     for i in range(len(U) - 1):
@@ -125,9 +154,10 @@ def _plane_factors(M: np.ndarray):
     if (scale == 0.0).any():
         raise ValidationError("coefficient matrix is singular")
     V = U / scale
+    rounding = len(V) * np.finfo(float).eps
     for j in range(len(V) - 1, 0, -1):
         factors += [((i, j), np.array([[1.0, V[i, j]], [0.0, 1.0]]))
-                    for i in range(j) if V[i, j] != 0.0]
+                    for i in range(j) if abs(V[i, j]) > rounding]
     return factors, scale
 
 

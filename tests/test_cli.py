@@ -166,7 +166,7 @@ def test_spectrum_fails_on_secular_residual(tmp_path, params_file,
         lam = solve_spectrum(params).lam * (1.0 + 1e-6)
         return _derived(p, q, lam, lam[None, :] - q[:, None])
 
-    monkeypatch.setattr(cli, "solve_spectrum", off_root)
+    monkeypatch.setattr("mvkraw.spectrum.solve_spectrum", off_root)
     out = tmp_path / "run"
     rc = cli.main(["spectrum", "--params", str(params_file), "--out", str(out)])
     stdout = capsys.readouterr().out
@@ -213,7 +213,7 @@ def test_runtime_failures_have_own_exit_codes(
     def fail(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(cli, "solve_spectrum", fail)
+    monkeypatch.setattr("mvkraw.spectrum.solve_spectrum", fail)
     rc = cli.main(["spectrum", "--params", str(params_file), "--out", str(tmp_path)])
     assert rc == code
     err = capsys.readouterr().err
@@ -279,11 +279,14 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
     ("rational", "--tol", "nan"),
     ("rational", "--tol", "-1"),
     ("verify", "--inject-u-perturbation", "nan"),
+    ("table", "--cap", "0"),
+    ("table", "--cap", "-1"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, command, option, value):
     # q = (3, 3) is coincident, so a band that switched the guard off would
     # reach the secular solve; a bad tolerance or injection would make the
-    # checks pass or fail whatever the model
+    # checks pass or fail whatever the model, and a cap below one point
+    # would be reported as a lattice over its size cap
     q = [3.0, 3.0] if option == "--band" else [1.0, 3.0]
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"schema": 1, "n": 2, "N": 3, "p": [1.0, 2.0], "q": q}))
@@ -334,6 +337,81 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
     assert "uniformization: exact route" in out.stdout
 
 
+PUBLIC_NAMES = [
+    "AbsorbingState", "CapExceeded", "Check", "DualPair", "EigenBasis",
+    "EvolveResult", "ExceptionalParameters", "GillespieResult", "ModelParams",
+    "NoConvergence", "RationalParams", "RelaxationFit", "Report",
+    "SingularParameters", "SpectralData", "StateSpace", "ValidationError",
+    "bdcore", "check_compatibility", "check_rate_tables", "derive_dual_pair",
+    "difference_operator_from_tables", "eigen_residuals", "errors", "eval_P",
+    "eval_P_via_generating_function", "eval_Q", "eval_rational",
+    "evolve_distribution", "generator_from_tables", "gillespie_run",
+    "identity_checks", "kl_divergence", "kr_P", "ladder_from_tables", "lattice",
+    "model", "multinomial_weight", "numeric_eigenbasis", "orthonormal_map",
+    "orthonormality", "polynomials", "probabilities", "rate_tables", "rational",
+    "rational_case_n2", "rational_table", "relaxation_rate", "report",
+    "run_replicas", "secular_function", "simplex_size", "simulate",
+    "solve_spectrum", "spectrum", "stationary_weight_generic",
+    "symmetrized_from_tables", "sympower", "table",
+    "table_via_generating_function", "total_variation", "verify_recurrence",
+    "verify_structure", "weight_vector",
+]
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    (None, {"numpy", "mvkraw.errors", "mvkraw.lattice", "mvkraw.model"}),
+    ("verify", {"mvkraw.polynomials", "mvkraw.sympower", "mvkraw.simulate",
+                "mvkraw.rational"}),
+    ("simulate", {"mvkraw.spectrum", "mvkraw.polynomials", "mvkraw.rational"}),
+])
+def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
+    # `import mvkraw` resolves its names on first use, and each command
+    # imports the layers it computes with when it runs
+    params = {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]}
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    runs = {
+        None: [],
+        "verify": [["verify", "--level", "fast", "--params", str(tmp_path / "params.json")]],
+        "simulate": [["simulate", "--config", str(tmp_path / mode)]
+                     for mode in ("gillespie.json", "uniformization.json")],
+    }[command]
+    (tmp_path / "gillespie.json").write_text(json.dumps(
+        {"schema": 1, "params": params, "mode": "gillespie", "events": 1000, "seed": 1}))
+    (tmp_path / "uniformization.json").write_text(json.dumps(
+        {"schema": 1, "params": params, "mode": "uniformization", "time": 1.0,
+         "steps": 2, "initial": "origin"}))
+    code = (
+        "import json, sys\n"
+        "import mvkraw\n"
+        f"for args in {runs!r}:\n"
+        "    from mvkraw.cli import main\n"
+        f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in ('mvkraw', 'numpy')]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    assert not loaded & unloaded, sorted(loaded & unloaded)
+    if command is None:
+        assert loaded == {"mvkraw"}
+
+
+def test_public_names_resolve():
+    code = (
+        "import mvkraw\n"
+        "names = sorted(mvkraw.__all__)\n"
+        "missing = [n for n in names if getattr(mvkraw, n, None) is None]\n"
+        "scope = {}\n"
+        "exec('from mvkraw import *', scope)\n"
+        "assert set(names) <= set(scope), set(names) - set(scope)\n"
+        "assert set(names) <= set(dir(mvkraw))\n"
+        "print(names, missing)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"{PUBLIC_NAMES} []"
+
+
 def test_cap_exit_code(tmp_path, params_file):
     res = run_cli("table", "--params", params_file, "--out", tmp_path, "--cap", 3)
     assert res.returncode == 4
@@ -382,7 +460,7 @@ def test_table_and_oracle(tmp_path, params_file):
 
 def test_table_full_fails_on_nan_oracle(tmp_path, params_file, monkeypatch, capsys):
     # a NaN residual is no pass: the check's rule is residual <= tol
-    monkeypatch.setattr(cli, "table_via_generating_function",
+    monkeypatch.setattr("mvkraw.polynomials.table_via_generating_function",
                         lambda spec, space: np.full((space.size, space.size), np.nan))
     rc = cli.main(["table", "--level", "full", "--params", str(params_file),
                    "--out", str(tmp_path)])
