@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bdcore": (
         "check_compatibility",
-        "check_rate_tables",
         "difference_operator_from_tables",
         "generator_from_tables",
         "ladder_from_tables",
@@ -35,6 +34,7 @@ _EXPORTS = {
     "lattice": ("StateSpace", "simplex_size"),
     "model": (
         "ModelParams",
+        "check_rate_tables",
         "multinomial_weight",
         "probabilities",
         "rate_tables",

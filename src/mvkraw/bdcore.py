@@ -28,7 +28,7 @@ W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j), one degree layer at a time (checking
 path-independence), verifies the pairwise compatibility condition that
 makes that relation consistent, and bundles all structural identities into
 one report.  Tables entering those three are validated by
-`check_rate_tables`.
+`model.check_rate_tables`.
 """
 
 from __future__ import annotations
@@ -41,41 +41,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import StateSpace
+from .model import check_rate_tables
 from .report import Report
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_IDENTITY_TOL = 1e-10
-
-
-def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a rate field given as tables; returns them as float arrays.
-
-    Raises ValidationError for tables of the wrong shape, non-finite or
-    negative rates, and boundary violations (a nonzero rate pointing
-    outside the lattice).
-    """
-    B = np.asarray(B, dtype=float)
-    D = np.asarray(D, dtype=float)
-    shape = (space.size, space.n)
-    if B.shape != shape or D.shape != shape:
-        raise ValidationError(
-            f"rate tables have shapes {B.shape} and {D.shape}, lattice needs {shape}"
-        )
-    if not (np.isfinite(B).all() and np.isfinite(D).all()):
-        i, j = np.argwhere(~(np.isfinite(B) & np.isfinite(D)))[0]
-        raise ValidationError(f"non-finite rate in direction {j} at {space.points[i]}")
-    if (B < 0).any() or (D < 0).any():
-        i, j = np.argwhere((B < 0) | (D < 0))[0]
-        raise ValidationError(f"negative rate in direction {j} at {space.points[i]}")
-    for rates, nbr, rule in ((B, space.up, "birth rate must vanish at the ceiling"),
-                             (D, space.down, "death rate must vanish at zero population")):
-        bad = (nbr < 0) & (rates != 0)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValidationError(f"{rule}: direction {j} at {space.points[i]}")
-    return B, D
 
 
 class _Stencil(NamedTuple):

@@ -12,6 +12,10 @@ closed form, with d = |x|, r_0 = d, r_{k+1} = r_k - x_k and m_k = n - 1 - k,
 (the points of lower degree, then those of degree d that agree with x
 before coordinate k and are smaller there).  Its binomials C(r + m, m),
 r <= N and m <= n, are at most the lattice size, so int64 cannot overflow.
+
+A lattice holds its coordinates, degrees and binomial table; the neighbour
+tables `up` and `down` are built on first read, since the multinomial laws
+and the symmetric-power tables never read them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class StateSpace:
         Total degree |x| per rank.
     up, down : (size, n) int arrays
         Rank of x + e_j / x - e_j, or -1 when the neighbour leaves the
-        lattice.
+        lattice.  Both are built on the first read of either; at (3,80)
+        they hold 4.4 MB beside the 2.9 MB of the rest.
     """
 
     def __init__(self, n: int, N: int, cap: int = DEFAULT_CAP):
@@ -87,13 +92,6 @@ class StateSpace:
         self.coords[self._ranks(pts)] = pts
         self.degrees = self.coords.sum(axis=1)
 
-        self.up = np.full((size, n), -1, dtype=np.int64)
-        self.down = np.full((size, n), -1, dtype=np.int64)
-        inner = np.nonzero(self.degrees < N)[0]
-        for j, step in enumerate(np.eye(n, dtype=np.int64)):
-            self.up[inner, j] = self._ranks(self.coords[inner] + step)
-            self.down[self.up[inner, j], j] = inner
-
     def _ranks(self, pts: np.ndarray) -> np.ndarray:
         """Ranks of lattice points, the rows of `pts`, by the closed form."""
         T, n = self._binom, self.n
@@ -103,6 +101,25 @@ class StateSpace:
             rank += T[r, n - 1 - k] - T[r - pts[:, k], n - 1 - k]
             r = r - pts[:, k]
         return rank
+
+    @cached_property
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(up, down), the neighbour tables, built once on first use."""
+        up = np.full((self.size, self.n), -1, dtype=np.int64)
+        down = np.full((self.size, self.n), -1, dtype=np.int64)
+        inner = np.nonzero(self.degrees < self.N)[0]
+        for j, step in enumerate(np.eye(self.n, dtype=np.int64)):
+            up[inner, j] = self._ranks(self.coords[inner] + step)
+            down[up[inner, j], j] = inner
+        return up, down
+
+    @property
+    def up(self) -> np.ndarray:
+        return self._neighbours[0]
+
+    @property
+    def down(self) -> np.ndarray:
+        return self._neighbours[1]
 
     @cached_property
     def points(self) -> list[tuple[int, ...]]:

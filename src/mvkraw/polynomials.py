@@ -119,11 +119,11 @@ def eval_Q(spec, x, m, N: int) -> float:
 
 
 def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float) -> np.ndarray:
-    """tab[x, m] (W(x) C(N,m) eta_bar^m)^power as one exp of long-double log
+    """tab[x, m] (W(x) C(N,m) eta_bar^m)^power as one exp of log
     multinomials (`model._log_route_pmf`), the cells read off the one-body
     matrix: R[:, 0]^2 = (eta0, eta) and (R[0] / R[0, 0])^2 = (1, eta_bar)."""
     counts = np.column_stack((space.N - space.degrees, space.coords))
-    logW, lognu = (power * _log_route_pmf(space.N, counts, c).astype(float)
+    logW, lognu = (power * np.add(*_log_route_pmf(space.N, counts, c))
                    for c in (R[:, 0] ** 2, (R[0] / R[0, 0]) ** 2))
     out = np.add.outer(logW, lognu)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -26,8 +26,16 @@ Two engines:
   K = I + L/Lam is column-stochastic and the Poisson-weighted series
   sum_k pois(k; Lam dt) K^k converges with explicitly controlled tail.
   P1(t) is the same series on the one-body kernel I + Q1/Lam1, so all of
-  its terms are nonnegative and its rows sum to 1 up to rounding; only
-  uniformization on the lattice needs ``scipy.sparse``.
+  its terms are nonnegative and its rows sum to 1 up to rounding.  The
+  rate tables live only while the rate bound is taken (uniformization
+  from a general start builds them again).  KL to W is d log(d/W) where
+  W is positive; where W underflows to 0 (n=1, N=2000, p=q=1: 396 of the
+  2,001 points) it is taken from log W, the log route's own values, which
+  are finite there.
+
+Each route imports the layers it computes with when it runs: the exact
+law needs ``sympower``, uniformization on the lattice ``bdcore`` and
+``scipy.sparse``, and the Gillespie loop neither.
 
 Both refuse rate tables with negative entries, which rules out signed dual
 systems by construction.
@@ -41,11 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdcore import check_rate_tables, generator_from_tables
 from .errors import AbsorbingState, NoConvergence, ValidationError
 from .lattice import StateSpace
-from .model import ModelParams, rate_tables, weight_vector
-from .sympower import coefficient_row
+from .model import (
+    ModelParams, check_rate_tables, log_weight_vector, rate_tables, weight_vector,
+)
 
 RNG_FAMILY = "numpy-PCG64"
 _BLOCK = 1 << 14
@@ -233,7 +241,6 @@ def evolve_distribution(
         raise ValidationError(f"horizon T must be positive, got {T}")
     if steps < 1:
         raise ValidationError("steps must be at least 1")
-    B, D = rate_tables(params, space)
     W = weight_vector(params, space)
 
     if isinstance(initial, str):
@@ -256,7 +263,7 @@ def evolve_distribution(
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
             raise ValidationError("initial must be a probability vector")
 
-    lam = float((B.sum(axis=1) + D.sum(axis=1)).max())
+    lam = _rate_bound(params, space)
     times = np.linspace(0.0, T, steps + 1)
     dists = np.empty((steps + 1, space.size))
     dists[0] = v
@@ -265,6 +272,8 @@ def evolve_distribution(
         route = "exact"
         dists[1:] = W
     elif len(support) == 1:
+        from .sympower import coefficient_row
+
         route = "exact"
         Q1 = np.zeros((space.n + 1, space.n + 1))
         Q1[0, 1:] = params.p
@@ -278,16 +287,40 @@ def evolve_distribution(
     else:
         import scipy.sparse
 
+        from .bdcore import generator_from_tables
+
         route = "uniformization"
-        L = generator_from_tables(B, D, space)
+        L = generator_from_tables(*rate_tables(params, space), space)
         K = ((L / lam) + scipy.sparse.identity(space.size, format="csr")).tocsr()
         for k, snapshot in enumerate(_snapshots(K, v, lam, times), 1):
             dists[k] = snapshot
 
     tv = np.array([total_variation(d, W) for d in dists])
-    kl = np.array([kl_divergence(d, W) for d in dists])
+    logW = None if W.all() else log_weight_vector(params, space)
+    kl = np.array([_kl_to_weight(d, W, logW) for d in dists])
     mass = float(np.abs(dists.sum(axis=1) - 1.0).max())
     return EvolveResult(times, dists, tv, kl, mass, lam, route)
+
+
+def _rate_bound(params: ModelParams, space: StateSpace) -> float:
+    """Largest total jump rate over the lattice, the uniformization rate;
+    the rate tables live only for this call."""
+    B, D = rate_tables(params, space)
+    return float((B.sum(axis=1) + D.sum(axis=1)).max())
+
+
+def _kl_to_weight(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None) -> float:
+    """KL(d || W) as `kl_divergence` takes it, d log(d/W), but with
+    log d - log W where W underflows to 0: log W from the log route is
+    finite there (`logW`, needed only when W has a zero)."""
+    mask = d > 0
+    d, W = d[mask], W[mask]
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(d / W)
+    gone = W == 0
+    if gone.any():
+        log_ratio[gone] = np.log(d[gone]) - logW[mask][gone]
+    return float(np.sum(d * log_ratio))
 
 
 def _snapshots(K, v: np.ndarray, lam: float, times: np.ndarray):

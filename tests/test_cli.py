@@ -363,10 +363,14 @@ PUBLIC_NAMES = [
     ("verify", {"mvkraw.polynomials", "mvkraw.sympower", "mvkraw.simulate",
                 "mvkraw.rational"}),
     ("simulate", {"mvkraw.spectrum", "mvkraw.polynomials", "mvkraw.rational"}),
+    ("uniformization", {"mvkraw.bdcore", "mvkraw.spectrum", "mvkraw.polynomials", "scipy"}),
+    ("gillespie", {"mvkraw.bdcore", "mvkraw.sympower", "scipy"}),
 ])
 def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
     # `import mvkraw` resolves its names on first use, and each command
-    # imports the layers it computes with when it runs
+    # imports the layers it computes with when it runs: neither the exact
+    # law from the origin nor the Gillespie loop needs an operator (bdcore)
+    # or a sparse matrix (scipy)
     params = {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]}
     (tmp_path / "params.json").write_text(json.dumps(params))
     runs = {
@@ -374,6 +378,8 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
         "verify": [["verify", "--level", "fast", "--params", str(tmp_path / "params.json")]],
         "simulate": [["simulate", "--config", str(tmp_path / mode)]
                      for mode in ("gillespie.json", "uniformization.json")],
+        "uniformization": [["simulate", "--config", str(tmp_path / "uniformization.json")]],
+        "gillespie": [["simulate", "--config", str(tmp_path / "gillespie.json")]],
     }[command]
     (tmp_path / "gillespie.json").write_text(json.dumps(
         {"schema": 1, "params": params, "mode": "gillespie", "events": 1000, "seed": 1}))
@@ -386,7 +392,8 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
         f"for args in {runs!r}:\n"
         "    from mvkraw.cli import main\n"
         f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in ('mvkraw', 'numpy')]))\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('mvkraw', 'numpy', 'scipy')]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,3 +175,56 @@ def test_computations_do_not_read_points(monkeypatch):
     assert gillespie_run(params, space, 200, seed=1, initial=(1, 1)).events == 200
     with pytest.raises(AssertionError, match="read by a computation"):
         space.points
+
+
+def test_neighbour_tables_built_on_first_read(monkeypatch):
+    # the multinomial laws and the symmetric-power tables read coords and
+    # degrees alone; up/down are built when a reader first asks for them
+    from mvkraw import (
+        ModelParams, evolve_distribution, gillespie_run, numeric_eigenbasis,
+        rate_tables, solve_spectrum, table, verify_structure, weight_vector,
+    )
+    from mvkraw.sympower import coefficient_row
+
+    def unbuilt(self):
+        raise AssertionError("neighbour tables built")
+
+    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(1.0, 4.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(StateSpace, "_neighbours", property(unbuilt))
+        space = StateSpace(2, 4)
+        weight_vector(params, space)
+        evolve_distribution(params, space, "origin", 1.0, 2)
+        table(solve_spectrum(params), space)
+        numeric_eigenbasis(params, space)
+        with pytest.raises(AssertionError, match="neighbour tables built"):
+            space.up
+
+    _, _, _, up, down = reference_lattice(2, 4)
+    one_body = np.full((3, 3), 1.0 / 3.0)
+    readers = [
+        lambda space: verify_structure(*rate_tables(params, space), space).passed,
+        lambda space: gillespie_run(params, space, 200, seed=1, initial=(1, 1)).events == 200,
+        lambda space: coefficient_row(one_body, np.array([1, 2]), space).sum()
+        == pytest.approx(1.0, rel=1e-14),
+    ]
+    for reader in readers:
+        space = StateSpace(2, 4)
+        assert "_neighbours" not in vars(space)
+        assert reader(space)
+        assert "_neighbours" in vars(space)
+        assert np.array_equal(space.up, up) and np.array_equal(space.down, down)
+
+
+def test_lattice_memory_is_bounded():
+    # tracemalloc counts numpy's buffers exactly, unlike RSS: at (3,80),
+    # 91,881 points, the lattice holds coords, degrees and the binomial
+    # table, 2.9 MB; the neighbour tables would add 4.4 MB
+    tracemalloc.start()
+    try:
+        space = StateSpace(3, 80)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.size == 91_881
+    assert held <= 3.5e6, held

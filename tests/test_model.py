@@ -173,3 +173,36 @@ def test_bad_coincidence_band_is_refused(band):
     with pytest.raises(ValidationError, match="band"):
         params.exceptional(band)
     assert params.exceptional(0.0)
+
+
+@pytest.mark.parametrize("n, N, sampled", [(2, 40, 300), (3, 80, 300), (1, 2000, None)])
+def test_multinomial_vector_against_50_digits(n, N, sampled):
+    # the log route against the exact pmf of the float cells at 50 digits:
+    # within 4 ulp in the normal range; in the subnormal range, and where
+    # the pmf rounds to 0, within two subnormal spacings.  At (1,2000) every
+    # point is compared, the tails included.
+    import mpmath
+
+    rng = np.random.default_rng(2000 + N)
+    space = StateSpace(n, N)
+    cells = rng.dirichlet(np.ones(n + 1)) if n > 1 else np.array([0.3, 0.7])
+    W = multinomial_vector(space, cells[0], cells[1:])
+    ranks = (range(space.size) if sampled is None
+             else rng.choice(space.size, sampled, replace=False))
+    tiny, spacing = np.finfo(float).tiny, 2.0**-1074
+    tails = []
+    with mpmath.workdps(50):
+        for r in ranks:
+            counts = [N - int(space.degrees[r]), *space.coords[r].tolist()]
+            exact = mpmath.factorial(N)
+            for c, k in zip(cells, counts):
+                exact *= mpmath.mpf(float(c)) ** k / mpmath.factorial(k)
+            error = abs(mpmath.mpf(float(W[r])) - exact)
+            if exact >= tiny:
+                assert error <= 4 * math.ulp(float(exact)), (counts, W[r], exact)
+            else:
+                tails.append(W[r])
+                assert error <= 2 * spacing, (counts, W[r], exact)
+    if N == 2000:
+        tails = np.array(tails)
+        assert (tails == 0).sum() > 100 and ((tails > 0) & (tails < tiny)).sum() > 10

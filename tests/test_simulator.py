@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,3 +392,48 @@ def test_kl_refuses_zero_reference_on_the_support():
     r = np.array([0.5, 0.5, 0.0])
     with pytest.raises(ValidationError):
         kl_divergence(d, r)
+
+
+def test_kl_where_the_weight_underflows(tmp_path):
+    # n=1, N=2000, p=q=1: W = C(2000, x) 2^-2000 is 0.0 on 396 of the 2,001
+    # points, where the law from the origin has mass.  KL is taken from
+    # log W there, so the run exits 0, and KL is N KL(P1(t)[0] || eta) with
+    # P1(t)[0] = ((1 + e^-2t)/2, (1 - e^-2t)/2) and eta = (1/2, 1/2).
+    params = ModelParams(1, 2000, (1.0,), (1.0,))
+    assert (weight_vector(params, StateSpace(1, 2000)) == 0.0).sum() == 396
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema": 1,
+        "params": {"schema": 1, "n": 1, "N": 2000, "p": [1], "q": [1]},
+        "mode": "uniformization", "time": 2.0, "steps": 4, "initial": "origin",
+    }))
+    out = subprocess.run(
+        [sys.executable, "-m", "mvkraw", "simulate", "--config", str(config),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "Warning" not in out.stderr, out.stderr
+    rows = (tmp_path / "evolution.csv").read_text().splitlines()[2:]
+    assert len(rows) == 5
+    for row in rows:
+        t, _, kl = map(float, row.split(","))
+        decay = math.exp(-2.0 * t)
+        one_body = [(1.0 + decay) / 2.0, (1.0 - decay) / 2.0]
+        closed = 2000 * sum(c * math.log(2.0 * c) for c in one_body if c > 0)
+        assert kl == pytest.approx(closed, rel=1e-9), (t, kl, closed)
+
+
+def test_evolution_memory_is_bounded():
+    # tracemalloc counts numpy's buffers exactly, unlike RSS: the exact law
+    # from the origin at (3,80) holds the snapshots, W and one multinomial
+    # pass at a time, no rate or neighbour tables
+    params = ModelParams(3, 80, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
+    tracemalloc.start()
+    try:
+        res = evolve_distribution(params, StateSpace(3, 80), "origin", 2.0, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.route == "exact"
+    assert peak <= 18e6, peak
