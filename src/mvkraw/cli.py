@@ -15,18 +15,20 @@ are rejected.  Every CSV output starts with a comment line naming its
 manifest, a JSON file recording the command, inputs, package version, and
 residual summaries (no timestamps, so reruns are byte-identical).
 
-The table against its generating-function oracle (``table --level full``,
-``gen-oracle``, ``verify --level full``) is judged on the orthonormal
-scale: max |T_table - T_oracle| with T = sqrt(W) P sqrt(C(N,m) eta_bar^m),
-where every |T| <= 1, while raw P values grow like C(N, m).  So is the
-eigen equation of ``verify --level full``: H T - T diag(E), per unit of the
-largest total exit rate, held to ``--tol``.
+Every table check reads the orthonormal map T = Sym^N(R) =
+sqrt(W) P sqrt(C(N,m) eta_bar^m), where every |T| <= 1, while raw P values
+grow like C(N, m).  The generating-function oracle (``table --level full``,
+``gen-oracle``, ``verify --level full``) is judged as max |T - T_oracle|,
+the eigen equation of ``verify --level full`` as H T - T diag(E) per unit
+of the largest total exit rate, held to ``--tol``.  P is formed only where
+a P table is written: ``table.csv`` and ``gen_oracle.csv``.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
 points for ``table``, ``gen-oracle``, ``verify --level full``, ``rational -N
-99`` and up) or polynomial values outside the float64 range, 5 a solver did
-not converge, 6 an absorbing state was reached.
+99`` and up) or, for ``table`` and ``gen-oracle``, polynomial values outside
+the float64 range, 5 a solver did not converge, 6 an absorbing state was
+reached.
 """
 
 from __future__ import annotations
@@ -111,9 +113,10 @@ def _write_csv(directory: str, name: str, manifest_name: str, header, rows) -> s
 
 
 def _write_manifest(directory: str, name: str, payload: dict) -> str:
+    """`payload` and the package version as sorted JSON."""
     path = os.path.join(directory, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -152,7 +155,6 @@ def _cmd_spectrum(args) -> int:
                ("quantity", "i", "j", "value"), rows)
     _write_manifest(out, "spectrum.json", {
         "command": "spectrum",
-        "version": __version__,
         "params": _params_echo(params),
         "band": args.band,
         "tol": args.tol,
@@ -179,29 +181,33 @@ def _table_rows(space: StateSpace, tab: np.ndarray):
 
 
 def _load_table(args):
-    """The model, its lattice, spectral data and polynomial table."""
-    from .polynomials import table
+    """The model, its lattice, spectral data and orthonormal map
+    T = Sym^N(R), the kernel every table is read off."""
     from .spectrum import solve_spectrum
+    from .sympower import coefficient_power
 
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
     spec = solve_spectrum(params, band=args.band)
-    return params, space, spec, table(spec, space)
+    return params, space, spec, coefficient_power(spec.R, space)
 
 
-def _oracle_check(params, spec, space: StateSpace, tab, report: Report, tol: float):
-    """The generating-function oracle table, with max |T_table - T_oracle|
-    on the orthonormal scale, |T| <= 1, added to `report`."""
-    from .polynomials import orthonormal_map, table_via_generating_function
+def _oracle_check(spec, space: StateSpace, T, report: Report, tol: float):
+    """The generating-function oracle of T, with max |T - T_oracle| on the
+    orthonormal scale, |T| <= 1, added to `report`."""
+    from .polynomials import _oracle_map
 
-    oracle = table_via_generating_function(spec, space)
-    diff = float(np.abs(orthonormal_map(params, spec, space, tab - oracle)).max())
+    oracle = _oracle_map(spec, space)
+    diff = float(np.abs(T - oracle).max())
     report.add("generating-function-agreement", diff, tol, detail="orthonormal scale")
     return oracle, diff
 
 
 def _cmd_table(args) -> int:
-    params, space, spec, tab = _load_table(args)
+    from .polynomials import _to_P
+
+    params, space, spec, T = _load_table(args)
+    tab = _to_P(T, spec, space)
     out = _outdir(args)
 
     header, rows = _table_rows(space, tab)
@@ -209,12 +215,11 @@ def _cmd_table(args) -> int:
     summary = {"size": space.size, "coupling_magnitude": spec.u_magnitude}
     report = Report()
     if args.level == "full":
-        _, diff = _oracle_check(params, spec, space, tab, report, args.tol)
+        _, diff = _oracle_check(spec, space, T, report, args.tol)
         summary["generating_function_max_abs_diff"] = diff
         summary["residual_scale"] = "orthonormal"
     _write_manifest(out, "table.json", {
         "command": "table",
-        "version": __version__,
         "params": _params_echo(params),
         "level": args.level,
         "tol": args.tol,
@@ -228,16 +233,17 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gen_oracle(args) -> int:
-    params, space, spec, tab = _load_table(args)
+    from .polynomials import _to_P
+
+    params, space, spec, T = _load_table(args)
     report = Report()
-    oracle, diff = _oracle_check(params, spec, space, tab, report, args.tol)
+    oracle, diff = _oracle_check(spec, space, T, report, args.tol)
     out = _outdir(args)
 
-    header, rows = _table_rows(space, oracle)
+    header, rows = _table_rows(space, _to_P(oracle, spec, space))
     _write_csv(out, "gen_oracle.csv", "gen_oracle.json", header, rows)
     _write_manifest(out, "gen_oracle.json", {
         "command": "gen-oracle",
-        "version": __version__,
         "params": _params_echo(params),
         "tol": args.tol,
         "outputs": ["gen_oracle.csv"],
@@ -255,7 +261,8 @@ def _cmd_verify(args) -> int:
     from .spectrum import identity_checks, solve_spectrum
 
     if args.level == "full":
-        from .polynomials import _eigen_defects, orthonormal_map, orthonormality, table
+        from .polynomials import _eigen_defects, orthonormality
+        from .sympower import coefficient_power
 
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
@@ -271,9 +278,9 @@ def _cmd_verify(args) -> int:
     report.extend(identity_checks(spec, tol=args.tol))
 
     if args.level == "full":
-        tab = table(spec, space)
-        _oracle_check(params, spec, space, tab, report, args.tol)
-        T = orthonormal_map(params, spec, space, tab)
+        # every table check reads T = Sym^N(R), |T| <= 1; no P is formed
+        T = coefficient_power(spec.R, space)
+        _oracle_check(spec, space, T, report, args.tol)
         report.add("eigen-equation",
                    float(_eigen_defects(params, spec, space, T).max()), args.tol)
         o = orthonormality(T)
@@ -289,7 +296,6 @@ def _cmd_verify(args) -> int:
     out = _outdir(args)
     _write_manifest(out, "verify.json", {
         "command": "verify",
-        "version": __version__,
         "params": _params_echo(params),
         "level": args.level,
         "tol": args.tol,
@@ -353,8 +359,7 @@ def _cmd_simulate(args) -> int:
                    ("rank", "state", "occupation", "stationary"), rows)
         _write_manifest(out, "simulate.json", {
             "command": "simulate",
-            "version": __version__,
-            "mode": mode,
+                "mode": mode,
             "params": _params_echo(params),
             "events": events,
             "seed": seed,
@@ -395,8 +400,7 @@ def _cmd_simulate(args) -> int:
             summary["relaxation_slope"] = None
         _write_manifest(out, "simulate.json", {
             "command": "simulate",
-            "version": __version__,
-            "mode": mode,
+                "mode": mode,
             "params": _params_echo(params),
             "time": time,
             "steps": steps,
@@ -428,7 +432,6 @@ def _cmd_rational(args) -> int:
     out = _outdir(args)
     _write_manifest(out, "rational.json", {
         "command": "rational",
-        "version": __version__,
         "rates": list(args.rates),
         "N": args.N,
         "tol": args.tol,

@@ -8,7 +8,8 @@ with x0 = N - |x|, m0 = N - |m| and `a` the bordered coupling matrix (first
 row and column of ones, block 1 - u).  `table` builds the whole table at
 once from T = Sym^N(R) (`sympower.coefficient_power`), the orthonormal map,
 with R = diag sqrt(eta0, eta) a diag sqrt(1, eta_bar) orthogonal, and reads
-P = T / sqrt(W(x) C(N,m) eta_bar^m) off it in log space.
+P = T / sqrt(W(x) C(N,m) eta_bar^m) off it in log space (`_to_P`, the one
+reading of P off T, also for the oracle tables).
 
 Two independent routes stay as oracles.  `eval_P` sums the truncated
 hypergeometric series over n x n nonnegative-integer matrices c,
@@ -17,10 +18,12 @@ hypergeometric series over n x n nonnegative-integer matrices c,
                     / (-N)_{|c|} * prod_ij u_ij^{c_ij} / c_ij!,
 
 enumerated depth-first with exact budget pruning (the shifted factorials
-vanish once a row sum exceeds x_i or a column sum exceeds m_j).
-`eval_P_via_generating_function` expands the product for one x at a time
-(`sympower.coefficient_row`); `table_via_generating_function` is the
-row-by-row table that `verify --level full` compares with `table`.
+vanish once a row sum exceeds x_i or a column sum exceeds m_j).  The other
+is the generating function of R in the orthonormal basis (`_oracle_map`):
+row x of T is the coefficient row of prod_i (R_i . t)^{x_i}, expanded one
+factor at a time (`sympower.coefficient_row`), times sqrt(m!/x!).  The CLI
+compares it with the kernel's T; `eval_P_via_generating_function` (one x)
+and `table_via_generating_function` (every x) read P off it.
 
 The dual polynomials Q_x(m) are the same expression read as functions of m,
 so eval_Q delegates to eval_P.  The module also provides the orthonormal
@@ -38,9 +41,9 @@ import numpy as np
 from .bdcore import _symmetrized
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
-from .model import ModelParams, _log_route_pmf, multinomial_vector, rate_tables
+from .model import ModelParams, _log_route_pmf, rate_tables
 from .spectrum import SpectralData
-from .sympower import DENSE_CAP, coefficient_power, coefficient_row
+from .sympower import _dense, coefficient_power, coefficient_row
 
 
 def _u_matrix(spec) -> np.ndarray:
@@ -48,14 +51,6 @@ def _u_matrix(spec) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("u must be a square matrix")
     return u
-
-
-def _a_matrix(spec, space: StateSpace) -> np.ndarray:
-    a = spec.a if isinstance(spec, SpectralData) else np.asarray(spec, dtype=float)
-    shape = (space.n + 1, space.n + 1)
-    if a.shape != shape:
-        raise ValidationError(f"coefficient matrix must be {shape}")
-    return a
 
 
 def _check_point(name: str, v, n: int, N: int) -> list[int]:
@@ -118,17 +113,29 @@ def eval_Q(spec, x, m, N: int) -> float:
     return eval_P(spec, m, x, N)
 
 
-def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float) -> np.ndarray:
+def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float, rows=slice(None)):
     """tab[x, m] (W(x) C(N,m) eta_bar^m)^power as one exp of log
     multinomials (`model._log_route_pmf`), the cells read off the one-body
-    matrix: R[:, 0]^2 = (eta0, eta) and (R[0] / R[0, 0])^2 = (1, eta_bar)."""
+    matrix: R[:, 0]^2 = (eta0, eta) and (R[0] / R[0, 0])^2 = (1, eta_bar).
+    The rows of `tab` are the x ranks `rows`, all by default."""
     counts = np.column_stack((space.N - space.degrees, space.coords))
-    logW, lognu = (power * np.add(*_log_route_pmf(space.N, counts, c))
-                   for c in (R[:, 0] ** 2, (R[0] / R[0, 0]) ** 2))
+    logW = power * np.add(*_log_route_pmf(space.N, counts[rows], R[:, 0] ** 2))
+    lognu = power * np.add(*_log_route_pmf(space.N, counts, (R[0] / R[0, 0]) ** 2))
     out = np.add.outer(logW, lognu)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(out, out=out)
         return np.multiply(tab, out, out=out)
+
+
+def _to_P(T: np.ndarray, spec, space: StateSpace, rows=slice(None)) -> np.ndarray:
+    """P_m(x) = T[x, m] / sqrt(W(x) C(N,m) eta_bar^m) for the x ranks
+    `rows` of T, the cells read off `spec.R`: the one place P is read off
+    the orthonormal scale.  CapExceeded when some P lies outside the
+    float64 range."""
+    P = _rescale(T, spec.R, space, -0.5, rows)
+    if not np.isfinite(P).all():
+        raise CapExceeded("polynomial values exceed the float64 range")
+    return P
 
 
 def table(spec, space: StateSpace) -> np.ndarray:
@@ -139,36 +146,41 @@ def table(spec, space: StateSpace) -> np.ndarray:
     P_m(x) = T[x, m] / sqrt(W(x) C(N,m) eta_bar^m); CapExceeded when some
     P lies outside the float64 range.
     """
-    R = np.asarray(spec.R, dtype=float)
-    P = _rescale(coefficient_power(R, space), R, space, -0.5)
-    if not np.isfinite(P).all():
-        raise CapExceeded("polynomial values exceed the float64 range")
-    return P
+    return _to_P(coefficient_power(spec.R, space), spec, space)
+
+
+def _oracle_map(spec, space: StateSpace, rows=None) -> np.ndarray:
+    """Rows of T = Sym^N(R) from the generating function of R, for the x
+    ranks `rows`; all of them by default, and then CapExceeded above
+    DENSE_CAP points before any row is expanded.
+
+    Row x is `sympower.coefficient_row(R, x, space)`, the coefficients of
+    prod_i (R_i . t)^{x_i}, times sqrt(m!/x!) = sqrt(C(N,x) / C(N,m)) in
+    log space.  Row 0 of R is positive; ValidationError for an R that is
+    not (n+1) x (n+1).
+    """
+    if rows is None:
+        rows = np.arange(_dense(space))
+    R = spec.R
+    counts = np.column_stack((space.N - space.degrees, space.coords))
+    half_logC = 0.5 * np.add(*_log_route_pmf(space.N, counts, np.ones(space.n + 1)))
+    T = np.array([coefficient_row(R, x, space) for x in space.coords[rows]])
+    return T * np.exp(np.subtract.outer(half_logC[rows], half_logC))
 
 
 def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
-    """All P_m(x) for one x, via the generating function.
-
-    Expands prod_{i=0}^{n} (sum_j a_ij t_j)^{x_i} (row 0 is all ones, raised
-    to the x0 = N - |x| power) as a homogeneous polynomial of degree N in
-    (t0, .., tn), one factor at a time (`sympower.coefficient_row`).  The
-    coefficient of t0^{m0} t^m equals C(N, m) P_m(x).
-    """
-    a = _a_matrix(spec, space)
-    x = np.array(_check_point("x", x, space.n, space.N))
-    return coefficient_row(a, x, space) / multinomial_vector(space, 1.0, np.ones(space.n))
+    """All P_m(x) for one x, via the generating function: row x of
+    T = Sym^N(R) by `_oracle_map`, P read off it as in `table`.  `spec` is
+    any object with the one-body matrix `.R`."""
+    rows = [space.rank(x)]
+    return _to_P(_oracle_map(spec, space, rows), spec, space, rows)[0]
 
 
 def table_via_generating_function(spec, space: StateSpace) -> np.ndarray:
-    """Independent full table, one generating-function expansion per row;
-    the oracle `verify --level full` compares `table` with.  Raises
-    CapExceeded above DENSE_CAP points, before expanding any row."""
-    if space.size > DENSE_CAP:
-        raise CapExceeded(f"size cap exceeded: dense table needs {space.size} "
-                          f"<= {DENSE_CAP} points")
-    a = _a_matrix(spec, space)
-    rows = np.array([coefficient_row(a, x, space) for x in space.coords])
-    return rows / multinomial_vector(space, 1.0, np.ones(space.n))
+    """Independent full table, one generating-function expansion of R per
+    row (`_oracle_map`), P read off it as in `table`.  Raises CapExceeded
+    above DENSE_CAP points, before expanding any row."""
+    return _to_P(_oracle_map(spec, space), spec, space)
 
 
 def degree_eigenvalues(spec: SpectralData, space: StateSpace) -> np.ndarray:

@@ -18,6 +18,10 @@ forms for three of the four coupling coefficients circulate in print with
 the wrong denominator (the first rate in place of the matching one), so
 the defining relations are treated as authoritative and a discrepancy note
 is attached to the derived system; see ``DualPair.note``.
+
+The table of the pair is read off T = Sym^N(DualPair.R), as for every
+model (`polynomials.table`).  `verify_recurrence` powers R once: the
+recurrence checks read P off that T, the orthogonality checks read T.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .bdcore import _difference
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
 from .model import linear_rate_tables
-from .polynomials import _rescale, orthonormality, table
+from .polynomials import _to_P, orthonormality, table
 from .report import Report
 from .spectrum import _derived, _gram_defects
+from .sympower import coefficient_power
 
 SINGULAR_REL_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
@@ -298,7 +303,8 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     closed-form diagonals.
     """
     space = StateSpace(2, N)
-    R = rational_table(pair, space)
+    T = coefficient_power(pair.R, space)
+    R = _to_P(T, pair, space)
     B, D = dual_rate_tables(pair, space)
     # the signed dual rates grow like S/Delta near p1*p4 = p2*p3, so the
     # relations are judged per unit of |P| and of the largest exit rate
@@ -336,7 +342,7 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     # T = sqrt(W) R sqrt(C(N,m) eta_bar^m) = sqrt(W) R sqrt(Wd / eta0^N) is
     # orthogonal both ways; its Gram diagonals are the two Gram diagonals of
     # R over their closed forms eta0^N / Wd and eta0^N / W
-    o = orthonormality(_rescale(R, pair.R, space, 0.5))
+    o = orthonormality(T)
     # Gram entries cancel across strongly contrasting norms, so the scaled
     # off-diagonal floor sits above the recurrence checks.
     report.add("m-orthogonality", o.offdiagonal, max(tol, 1e-9))

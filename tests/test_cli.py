@@ -119,6 +119,9 @@ def test_fast_fault_injection_names_an_identity_check(tmp_path, params_file):
         {"n": 1, "N": 80, "p": [1.0], "q": [3000.0]},
         {"n": 1, "N": 200, "p": [1000.0], "q": [1.0]},
         {"n": 2, "N": 40, "p": [1.0, 1.0], "q": [1e4, 2e4]},
+        # P leaves the float64 range at these; every check reads T alone
+        {"n": 1, "N": 80, "p": [1.0], "q": [1e4]},
+        {"n": 2, "N": 50, "p": [1.0, 1.0], "q": [1e6, 2e6]},
     ],
 )
 def test_eigen_equation_on_the_orthonormal_scale(tmp_path, model):
@@ -126,6 +129,7 @@ def test_eigen_equation_on_the_orthonormal_scale(tmp_path, model):
     path.write_text(json.dumps({"schema": 1, **model}))
     res = run_cli("verify", "--params", path, "--out", tmp_path / "ok")
     assert res.returncode == 0, res.stdout + res.stderr
+    assert "[FAIL]" not in res.stdout
     res = run_cli("verify", "--params", path, "--out", tmp_path / "bad",
                   "--inject-u-perturbation", "1e-6")
     assert res.returncode == 1, res.stdout + res.stderr
@@ -133,6 +137,35 @@ def test_eigen_equation_on_the_orthonormal_scale(tmp_path, model):
               for line in res.stdout.splitlines() if line.startswith("[FAIL] ")}
     assert failed & IDENTITY_CHECKS, res.stdout
     assert "eigen-equation" in failed, res.stdout
+
+
+VERIFY_FULL_CHECKS = [
+    "generator-column-sums", "generator-annihilates-weight",
+    "symmetrized-is-symmetric", "symmetrized-similarity", "ladder-factorization",
+    "ladder-annihilates-sqrt-weight", "difference-op-similarity",
+    "difference-op-annihilates-constants", "symmetrized-annihilates-sqrt-weight",
+    "symmetrized-positive-semidefinite", "secular-residuals",
+    "weighted-column-sums", "weighted-column-cross-sums",
+    "dual-weighted-row-sums", "dual-weighted-row-cross-sums",
+    "congruence-diagonalization", "generating-function-agreement",
+    "eigen-equation", "orthogonality-offdiagonal", "norms-closed-form",
+    "dual-orthogonality-offdiagonal", "dual-norms-closed-form", "orthonormal-map",
+]
+
+
+def test_verify_forms_no_polynomial_table(tmp_path, params_file, monkeypatch):
+    # every check of verify --level full reads T = Sym^N(R): no P table is
+    # formed, and none is turned back into T
+    def refuse(*_):
+        raise AssertionError("verify formed a P table")
+
+    for name in ("table", "orthonormal_map", "_to_P"):
+        monkeypatch.setattr(f"mvkraw.polynomials.{name}", refuse)
+    rc = cli.main(["verify", "--level", "full", "--params", str(params_file),
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "verify.json").read_text())["report"]
+    assert [c["name"] for c in report["checks"]] == VERIFY_FULL_CHECKS
 
 
 def test_verify_passes_near_coincident_q(tmp_path):
@@ -365,6 +398,7 @@ PUBLIC_NAMES = [
     ("simulate", {"mvkraw.spectrum", "mvkraw.polynomials", "mvkraw.rational"}),
     ("uniformization", {"mvkraw.bdcore", "mvkraw.spectrum", "mvkraw.polynomials", "scipy"}),
     ("gillespie", {"mvkraw.bdcore", "mvkraw.sympower", "scipy"}),
+    ("verify-full", {"mvkraw.simulate", "mvkraw.rational", "scipy"}),
 ])
 def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
     # `import mvkraw` resolves its names on first use, and each command
@@ -376,6 +410,8 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
     runs = {
         None: [],
         "verify": [["verify", "--level", "fast", "--params", str(tmp_path / "params.json")]],
+        "verify-full": [["verify", "--level", "full", "--params",
+                         str(tmp_path / "params.json")]],
         "simulate": [["simulate", "--config", str(tmp_path / mode)]
                      for mode in ("gillespie.json", "uniformization.json")],
         "uniformization": [["simulate", "--config", str(tmp_path / "uniformization.json")]],
@@ -467,13 +503,14 @@ def test_table_and_oracle(tmp_path, params_file):
 
 def test_table_full_fails_on_nan_oracle(tmp_path, params_file, monkeypatch, capsys):
     # a NaN residual is no pass: the check's rule is residual <= tol
-    monkeypatch.setattr("mvkraw.polynomials.table_via_generating_function",
+    monkeypatch.setattr("mvkraw.polynomials._oracle_map",
                         lambda spec, space: np.full((space.size, space.size), np.nan))
-    rc = cli.main(["table", "--level", "full", "--params", str(params_file),
-                   "--out", str(tmp_path)])
-    stdout = capsys.readouterr().out
-    assert rc == 1, stdout
-    assert "[FAIL] generating-function-agreement" in stdout
+    for command in ("table", "verify"):
+        rc = cli.main([command, "--level", "full", "--params", str(params_file),
+                       "--out", str(tmp_path)])
+        stdout = capsys.readouterr().out
+        assert rc == 1, stdout
+        assert "[FAIL] generating-function-agreement" in stdout
 
 
 def test_table_beyond_float64_exits_4(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -155,11 +157,16 @@ def test_eval_P_validation():
     # a table needs spectral data of the lattice's dimension
     with pytest.raises(ValidationError):
         table(spec, StateSpace(3, 5))
-    # the one-row expansion takes slot 0 as a multinomial: row 0 >= 0
-    a = spec.a.copy()
-    a[0, 1] = -1.0
+    # the one-row expansion takes slot 0 as a multinomial: row 0 of R >= 0
+    R = spec.R.copy()
+    R[0, 1] = -1.0
     with pytest.raises(ValidationError):
-        eval_P_via_generating_function(a, (1, 0), StateSpace(2, 5))
+        eval_P_via_generating_function(SimpleNamespace(R=R), (1, 0), StateSpace(2, 5))
+    # the oracle expands R, which must be (n+1) x (n+1) for the lattice
+    with pytest.raises(ValidationError, match="coefficient matrix"):
+        table_via_generating_function(spec, StateSpace(3, 2))
+    with pytest.raises(ValidationError, match="coefficient matrix"):
+        eval_P_via_generating_function(spec, (1, 0, 0), StateSpace(3, 2))
 
 
 def test_eigen_equation_canonical():
@@ -306,10 +313,13 @@ def test_single_point_generating_function():
     assert np.abs(row - tab[space.rank((2, 1))]).max() < 1e-11
 
 
-def test_generating_function_table_refuses_dense_cap_first():
-    # (3,30) has 5,456 points, above the 5,000-point dense cap
+def test_generating_function_table_refuses_dense_cap_first(monkeypatch):
+    # (3,30) has 5,456 points, above the 5,000-point dense cap; no row is
+    # expanded before the refusal
     params = ModelParams(n=3, N=30, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
     space = StateSpace(3, 30)
+    monkeypatch.setattr("mvkraw.polynomials.coefficient_row",
+                        lambda *_: pytest.fail("a row was expanded"))
     with pytest.raises(CapExceeded):
         table_via_generating_function(solve_spectrum(params), space)
 

@@ -17,6 +17,7 @@ from mvkraw import (
     verify_recurrence,
 )
 from mvkraw.model import multinomial_vector
+from mvkraw.polynomials import _rescale
 from mvkraw.rational import dual_rate_tables
 from mvkraw.simulate import gillespie_from_tables
 
@@ -136,13 +137,12 @@ def test_level_one_values(pair):
 
 
 def test_generating_function_route(pair):
-    # bordered coefficient matrix reproduces the rational table
+    # the generating function of the pair's one-body matrix R reproduces
+    # the rational table
     from mvkraw.polynomials import table_via_generating_function
 
-    a = np.ones((3, 3))
-    a[1:, 1:] = 1.0 - pair.U
     space = StateSpace(2, 4)
-    oracle = table_via_generating_function(a, space)
+    oracle = table_via_generating_function(pair, space)
     R = rational_table(pair, space)
     assert np.abs(R - oracle).max() < 1e-12
 
@@ -171,14 +171,17 @@ def test_recurrence_other_parameters():
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_orthogonality_checks_match_gram_reference(pair, corrupt, monkeypatch):
     # the m-side Gram R^T W R against eta0^N / Wd and the x-side Gram
-    # R Wd R^T against eta0^N / W, read through the orthonormal scaling
+    # R Wd R^T against eta0^N / W, read through the orthonormal scaling;
+    # verify_recurrence reads its table off T = Sym^N(pair.R), so the
+    # corrupted table reaches it as its T
     N = 6
     space = StateSpace(2, N)
     R = rational_table(pair, space)
     if corrupt:
         R[:, 2] *= 1.0 + 1e-6
         R[3, 4] += 1e-6
-        monkeypatch.setattr("mvkraw.rational.rational_table", lambda *_: R)
+        T = _rescale(R, pair.R, space, 0.5)
+        monkeypatch.setattr("mvkraw.rational.coefficient_power", lambda *_: T)
     report = verify_recurrence(pair, N)
     W = multinomial_vector(space, pair.eta[0], pair.eta[1:])
     Wd = multinomial_vector(space, pair.eta_dual[0], pair.eta_dual[1:])
