@@ -2,12 +2,12 @@
 
 Subcommands:
 
-* ``spectrum``    solve the secular equation, write spectrum.csv
-* ``table``       evaluate the polynomial table, write table.csv
-* ``gen-oracle``  independent table via the generating function
-* ``verify``      structural, spectral, and orthogonality checks
-* ``simulate``    stochastic or uniformized evolution from a config file
-* ``rational``    explicit dual pair of the rational two-dimensional family
+* ``spectrum``  solve the secular equation, write spectrum.csv
+* ``table``     evaluate the polynomial table, write table.csv; with
+  ``--level full`` also the generating-function oracle's, gen_oracle.csv
+* ``verify``    structural, spectral, and orthogonality checks
+* ``simulate``  stochastic or uniformized evolution from a config file
+* ``rational``  explicit dual pair of the rational two-dimensional family
 
 Model parameters are read from a strict JSON file
 ``{"schema": 1, "n": 2, "N": 5, "p": [1, 1], "q": [1, 3]}``; unknown keys
@@ -18,24 +18,23 @@ residual summaries (no timestamps, so reruns are byte-identical).
 Every table check reads the orthonormal map T = Sym^N(R) =
 sqrt(W) P sqrt(C(N,m) eta_bar^m), where every |T| <= 1, while raw P values
 grow like C(N, m).  The generating-function oracle (``table --level full``,
-``gen-oracle``, ``verify --level full``) is judged as max |T - T_oracle|,
-the eigen equation of ``verify --level full`` as H T - T diag(E) per unit
-of the largest total exit rate, held to ``--tol``.  P is formed only where
-a P table is written: ``table.csv`` and ``gen_oracle.csv``.
+``verify --level full``) is judged as max |T - T_oracle|, the eigen
+equation of ``verify --level full`` as H T - T diag(E) per unit of the
+largest total exit rate, held to ``--tol``.  P is formed only where a P
+table is written: ``table.csv``, and ``gen_oracle.csv`` when the oracle
+agrees with the kernel; every P is read off before either is written.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
-points for ``table``, ``gen-oracle``, ``verify --level full``, ``rational -N
-99`` and up) or, for ``table`` and ``gen-oracle``, polynomial values outside
-the float64 range, 5 a solver did not converge, 6 an absorbing state was
-reached.
+points for ``table``, ``verify --level full``, ``rational -N 99`` and up)
+or, for ``table`` only, polynomial values outside the float64 range, 5 a
+solver did not converge, 6 an absorbing state was reached.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -56,10 +55,11 @@ from .model import ModelParams, rate_tables, weight_vector
 from .report import Report
 
 # Each command imports the layers it computes with when it starts, so a call
-# pays only for its own: `simulate` loads no spectrum or polynomials,
-# `verify --level fast` no polynomials or sympower.  The imports come before
-# the first array is built: a module loaded between array allocations raised
-# the peak RSS of `verify --level full` at (3,8) by about 0.15 MB.
+# pays only for its own: `simulate` loads no spectrum or polynomials, `table`
+# no bdcore, `verify --level fast` no polynomials or sympower.  The imports
+# come before the first array is built: a module loaded between array
+# allocations raised the peak RSS of `verify --level full` at (3,8) by about
+# 0.15 MB.
 
 
 def _load_json(path: str) -> dict:
@@ -180,18 +180,6 @@ def _table_rows(space: StateSpace, tab: np.ndarray):
     return header, rows
 
 
-def _load_table(args):
-    """The model, its lattice, spectral data and orthonormal map
-    T = Sym^N(R), the kernel every table is read off."""
-    from .spectrum import solve_spectrum
-    from .sympower import coefficient_power
-
-    params = _load_params(args.params)
-    space = StateSpace(params.n, params.N, cap=args.cap)
-    spec = solve_spectrum(params, band=args.band)
-    return params, space, spec, coefficient_power(spec.R, space)
-
-
 def _oracle_check(spec, space: StateSpace, T, report: Report, tol: float):
     """The generating-function oracle of T, with max |T - T_oracle| on the
     orthonormal scale, |T| <= 1, added to `report`."""
@@ -205,60 +193,48 @@ def _oracle_check(spec, space: StateSpace, T, report: Report, tol: float):
 
 def _cmd_table(args) -> int:
     from .polynomials import _to_P
+    from .spectrum import solve_spectrum
+    from .sympower import coefficient_power
 
-    params, space, spec, T = _load_table(args)
-    tab = _to_P(T, spec, space)
-    out = _outdir(args)
-
-    header, rows = _table_rows(space, tab)
-    _write_csv(out, "table.csv", "table.json", header, rows)
+    params = _load_params(args.params)
+    space = StateSpace(params.n, params.N, cap=args.cap)
+    spec = solve_spectrum(params, band=args.band)
+    T = coefficient_power(spec.R, space)
+    # every P is read off before anything is written: a P outside the
+    # float64 range exits 4 with no table
+    tables = {"table.csv": _to_P(T, spec, space)}
     summary = {"size": space.size, "coupling_magnitude": spec.u_magnitude}
     report = Report()
     if args.level == "full":
-        _, diff = _oracle_check(spec, space, T, report, args.tol)
+        oracle, diff = _oracle_check(spec, space, T, report, args.tol)
         summary["generating_function_max_abs_diff"] = diff
         summary["residual_scale"] = "orthonormal"
+        # the oracle's table only where it agrees with the kernel's
+        if report.passed:
+            tables["gen_oracle.csv"] = _to_P(oracle, spec, space)
+    out = _outdir(args)
+
+    for name, tab in tables.items():
+        _write_csv(out, name, "table.json", *_table_rows(space, tab))
     _write_manifest(out, "table.json", {
         "command": "table",
         "params": _params_echo(params),
         "level": args.level,
         "tol": args.tol,
-        "outputs": ["table.csv"],
+        "outputs": list(tables),
         "summary": summary,
     })
     print(f"wrote {os.path.join(out, 'table.csv')} ({space.size} states)")
+    if "gen_oracle.csv" in tables:
+        print(f"wrote {os.path.join(out, 'gen_oracle.csv')}")
     for line in report.lines():
         print(line)
-    return 0 if report.passed else 1
-
-
-def _cmd_gen_oracle(args) -> int:
-    from .polynomials import _to_P
-
-    params, space, spec, T = _load_table(args)
-    report = Report()
-    oracle, diff = _oracle_check(spec, space, T, report, args.tol)
-    out = _outdir(args)
-
-    header, rows = _table_rows(space, _to_P(oracle, spec, space))
-    _write_csv(out, "gen_oracle.csv", "gen_oracle.json", header, rows)
-    _write_manifest(out, "gen_oracle.json", {
-        "command": "gen-oracle",
-        "params": _params_echo(params),
-        "tol": args.tol,
-        "outputs": ["gen_oracle.csv"],
-        "summary": {"cross_check_max_abs_diff": diff, "size": space.size,
-                    "residual_scale": "orthonormal"},
-    })
-    for line in report.lines():
-        print(line)
-    print(f"wrote {os.path.join(out, 'gen_oracle.csv')}")
     return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:
     from .bdcore import verify_structure
-    from .spectrum import identity_checks, solve_spectrum
+    from .spectrum import _perturbed, identity_checks, solve_spectrum
 
     if args.level == "full":
         from .polynomials import _eigen_defects, orthonormality
@@ -266,15 +242,12 @@ def _cmd_verify(args) -> int:
 
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
-    report = verify_structure(*rate_tables(params, space), space, tol=args.tol)
+    B, D = rate_tables(params, space)
+    report = verify_structure(B, D, space, tol=args.tol)
 
     spec = solve_spectrum(params, band=args.band)
     if args.inject_u_perturbation:
-        u = spec.u.copy()
-        u[0, 0] *= 1.0 + args.inject_u_perturbation
-        a = spec.a.copy()
-        a[1, 1] = 1.0 - u[0, 0]
-        spec = dataclasses.replace(spec, u=u, a=a)
+        spec = _perturbed(spec, args.inject_u_perturbation)
     report.extend(identity_checks(spec, tol=args.tol))
 
     if args.level == "full":
@@ -282,7 +255,7 @@ def _cmd_verify(args) -> int:
         T = coefficient_power(spec.R, space)
         _oracle_check(spec, space, T, report, args.tol)
         report.add("eigen-equation",
-                   float(_eigen_defects(params, spec, space, T).max()), args.tol)
+                   float(_eigen_defects(B, D, spec, space, T).max()), args.tol)
         o = orthonormality(T)
         report.add("orthogonality-offdiagonal", o.offdiagonal, args.tol)
         report.add("norms-closed-form", o.diagonal, max(args.tol, 1e-8))
@@ -479,13 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="evaluate the polynomial table")
     common(sp)
     sp.add_argument("--level", choices=("fast", "full"), default="fast",
-                    help="'full' also cross-checks the generating function")
+                    help="'full' also cross-checks the generating function "
+                         "and, where it agrees, writes its table")
     sp.set_defaults(func=_cmd_table)
-
-    sp = sub.add_parser("gen-oracle",
-                        help="independent table via the generating function")
-    common(sp)
-    sp.set_defaults(func=_cmd_gen_oracle)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     common(sp)

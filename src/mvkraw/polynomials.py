@@ -9,7 +9,8 @@ row and column of ones, block 1 - u).  `table` builds the whole table at
 once from T = Sym^N(R) (`sympower.coefficient_power`), the orthonormal map,
 with R = diag sqrt(eta0, eta) a diag sqrt(1, eta_bar) orthogonal, and reads
 P = T / sqrt(W(x) C(N,m) eta_bar^m) off it in log space (`_to_P`, the one
-reading of P off T, also for the oracle tables).
+reading of P off T, also for the oracle tables; `rational.verify_recurrence`
+reads P up to one positive constant by the same `_rescale`).
 
 Two independent routes stay as oracles.  `eval_P` sums the truncated
 hypergeometric series over n x n nonnegative-integer matrices c,
@@ -38,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bdcore import _symmetrized
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
 from .model import ModelParams, _log_route_pmf, rate_tables
@@ -113,14 +113,20 @@ def eval_Q(spec, x, m, N: int) -> float:
     return eval_P(spec, m, x, N)
 
 
-def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float, rows=slice(None)):
+def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float,
+             rows=slice(None), unit: bool = False):
     """tab[x, m] (W(x) C(N,m) eta_bar^m)^power as one exp of log
     multinomials (`model._log_route_pmf`), the cells read off the one-body
     matrix: R[:, 0]^2 = (eta0, eta) and (R[0] / R[0, 0])^2 = (1, eta_bar).
-    The rows of `tab` are the x ranks `rows`, all by default."""
+    The rows of `tab` are the x ranks `rows`, all by default.  With `unit`
+    the largest exponent is subtracted first: the result is then off by one
+    positive constant, and no factor exceeds 1."""
     counts = np.column_stack((space.N - space.degrees, space.coords))
     logW = power * np.add(*_log_route_pmf(space.N, counts[rows], R[:, 0] ** 2))
     lognu = power * np.add(*_log_route_pmf(space.N, counts, (R[0] / R[0, 0]) ** 2))
+    if unit:
+        logW -= logW.max()
+        lognu -= lognu.max()
     out = np.add.outer(logW, lognu)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(out, out=out)
@@ -196,14 +202,17 @@ def eigen_residuals(
     symmetrized operator, per unit of the largest total exit rate (as in
     `bdcore.verify_structure`).  It is Ht P_m = E(m) P_m conjugated by
     sqrt(W), read where |T| <= 1 rather than on P, which reaches 1e240."""
-    return _eigen_defects(params, spec, space, orthonormal_map(params, spec, space, tab))
+    return _eigen_defects(*rate_tables(params, space), spec, space,
+                          orthonormal_map(params, spec, space, tab))
 
 
 def _eigen_defects(
-    params: ModelParams, spec: SpectralData, space: StateSpace, T: np.ndarray
+    B: np.ndarray, D: np.ndarray, spec: SpectralData, space: StateSpace, T: np.ndarray
 ) -> np.ndarray:
-    """`eigen_residuals` from the orthonormal map T itself."""
-    B, D = rate_tables(params, space)
+    """`eigen_residuals` from the rate tables B, D and the orthonormal map
+    T itself."""
+    from .bdcore import _symmetrized
+
     defect = _symmetrized(B, D, space) @ T - T * degree_eigenvalues(spec, space)
     scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
     return np.abs(defect).max(axis=0) / scale

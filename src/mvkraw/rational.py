@@ -21,7 +21,8 @@ is attached to the derived system; see ``DualPair.note``.
 
 The table of the pair is read off T = Sym^N(DualPair.R), as for every
 model (`polynomials.table`).  `verify_recurrence` powers R once: the
-recurrence checks read P off that T, the orthogonality checks read T.
+recurrence checks read P, up to one positive constant, off that T, the
+orthogonality checks read T.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .bdcore import _difference
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
 from .model import linear_rate_tables
-from .polynomials import _to_P, orthonormality, table
+from .polynomials import _rescale, orthonormality, table
 from .report import Report
 from .spectrum import _derived, _gram_defects
 from .sympower import coefficient_power
@@ -304,22 +305,26 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     """
     space = StateSpace(2, N)
     T = coefficient_power(pair.R, space)
-    R = _to_P(T, pair, space)
+    # the relations are linear in P, so they read P c = T exp(e - max e),
+    # e = -log sqrt(W(x) C(N,m) eta_bar^m): P up to one positive constant c,
+    # |P c| <= 1 where P itself may pass the float64 range
+    P = _rescale(T, pair.R, space, -0.5, unit=True)
     B, D = dual_rate_tables(pair, space)
     # the signed dual rates grow like S/Delta near p1*p4 = p2*p3, so the
-    # relations are judged per unit of |P| and of the largest exit rate
+    # relations are judged per unit of max |P c| (P_0 = 1 puts max |P| at
+    # 1 or above) and of the largest exit rate
     rates = float((np.abs(B) + np.abs(D)).sum(axis=1).max())
-    scale = max(1.0, float(np.abs(R).max())) * max(1.0, rates)
+    scale = float(np.abs(P).max()) * max(1.0, rates)
     report = Report()
 
     p1d, p2d = pair.dual_p
     q1d, q2d = pair.dual_q
     pp = pair.params
 
-    # Columns of R.T are the dual polynomials as functions of m.
-    HdR = _difference(B, D, space) @ R.T
+    # Columns of P.T are the dual polynomials as functions of m.
+    HdP = _difference(B, D, space) @ P.T
     Ed = space.coords @ np.asarray(pair.dual_lam)
-    defect = HdR - R.T * Ed[None, :]
+    defect = HdP - P.T * Ed[None, :]
     report.add(
         "dual-eigen-equation", float(np.abs(defect).max()) / scale, tol,
         detail=f"lattice size {space.size}",
@@ -329,19 +334,19 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     # neighbour ranks; moves off the lattice add nothing
     m0, m1 = space.coords.T
     rem = N - space.degrees
-    lhs = np.zeros_like(R)
+    lhs = np.zeros_like(P)
     for coeff, step in ((rem * p1d, space.up[:, 0]), (rem * p2d, space.up[:, 1]),
                         (m0 * q1d, space.down[:, 0]), (m1 * q2d, space.down[:, 1])):
-        lhs += np.where(step >= 0, coeff * (R[:, step] - R), 0.0)
+        lhs += np.where(step >= 0, coeff * (P[:, step] - P), 0.0)
     rhs_coeff = (pp.p1 + pp.p2) * m0 - (pp.p3 + pp.p4) * m1
-    worst_literal = float(np.abs(lhs - rhs_coeff[:, None] * R).max())
-    worst_operator = float(np.abs(lhs + HdR.T).max())
+    worst_literal = float(np.abs(lhs - rhs_coeff[:, None] * P).max())
+    worst_operator = float(np.abs(lhs + HdP.T).max())
     report.add("five-term-recurrence", worst_literal / scale, tol)
     report.add("five-term-matches-operator", worst_operator / scale, tol)
 
-    # T = sqrt(W) R sqrt(C(N,m) eta_bar^m) = sqrt(W) R sqrt(Wd / eta0^N) is
+    # T = sqrt(W) P sqrt(C(N,m) eta_bar^m) = sqrt(W) P sqrt(Wd / eta0^N) is
     # orthogonal both ways; its Gram diagonals are the two Gram diagonals of
-    # R over their closed forms eta0^N / Wd and eta0^N / W
+    # P over their closed forms eta0^N / Wd and eta0^N / W
     o = orthonormality(T)
     # Gram entries cancel across strongly contrasting norms, so the scaled
     # off-diagonal floor sits above the recurrence checks.

@@ -30,7 +30,7 @@ compare it with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -162,6 +162,17 @@ def _derived(p: np.ndarray, q: np.ndarray, lam: np.ndarray,
         eta_dual=np.concatenate(([eta_dual0], eta_dual0 * eta_bar)),
         secular_residuals=np.abs(terms.sum(axis=0) - 1.0) / np.abs(terms).sum(axis=0),
     )
+
+
+def _perturbed(spec: SpectralData, eps: float) -> SpectralData:
+    """Fault injection: u[0, 0] scaled by 1 + eps and only the matching
+    entry a[1, 1] = 1 - u[0, 0] rebuilt, so R and every check read off it
+    carry the defect."""
+    u = spec.u.copy()
+    u[0, 0] *= 1.0 + eps
+    a = spec.a.copy()
+    a[1, 1] = 1.0 - u[0, 0]
+    return replace(spec, u=u, a=a)
 
 
 def solve_spectrum(params: ModelParams, band: float | None = None) -> SpectralData:

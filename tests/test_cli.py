@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -7,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from mvkraw import AbsorbingState, NoConvergence, cli, solve_spectrum
+from mvkraw import (AbsorbingState, ModelParams, NoConvergence, StateSpace, cli,
+                    solve_spectrum, table_via_generating_function)
 from mvkraw.spectrum import _derived
 
 CLI = [sys.executable, "-m", "mvkraw"]
@@ -346,7 +349,7 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
     model = ["--params", str(params)]
     runs = [
         (["table", *model], 0),
-        (["gen-oracle", *model], 0),
+        (["table", "--level", "full", *model], 0),
         (["verify", "--level", "fast", *model], 0),
         (["verify", "--level", "fast", *model, "--inject-u-perturbation", "1e-6"], 1),
         (["verify", "--level", "full", *model], 0),
@@ -399,6 +402,7 @@ PUBLIC_NAMES = [
     ("uniformization", {"mvkraw.bdcore", "mvkraw.spectrum", "mvkraw.polynomials", "scipy"}),
     ("gillespie", {"mvkraw.bdcore", "mvkraw.sympower", "scipy"}),
     ("verify-full", {"mvkraw.simulate", "mvkraw.rational", "scipy"}),
+    ("table-full", {"mvkraw.bdcore", "mvkraw.simulate", "mvkraw.rational", "scipy"}),
 ])
 def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
     # `import mvkraw` resolves its names on first use, and each command
@@ -412,6 +416,8 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
         "verify": [["verify", "--level", "fast", "--params", str(tmp_path / "params.json")]],
         "verify-full": [["verify", "--level", "full", "--params",
                          str(tmp_path / "params.json")]],
+        "table-full": [["table", "--level", "full", "--params",
+                        str(tmp_path / "params.json")]],
         "simulate": [["simulate", "--config", str(tmp_path / mode)]
                      for mode in ("gillespie.json", "uniformization.json")],
         "uniformization": [["simulate", "--config", str(tmp_path / "uniformization.json")]],
@@ -495,10 +501,58 @@ def test_table_and_oracle(tmp_path, params_file):
     assert lines[1].startswith("x\\m,")
     assert len(lines) == 2 + 15      # header rows + one row per state
 
-    res = run_cli("gen-oracle", "--params", params_file, "--out", out)
-    assert res.returncode == 0
-    manifest = json.loads((out / "gen_oracle.json").read_text())
-    assert manifest["summary"]["cross_check_max_abs_diff"] < 1e-10
+    manifest = json.loads((out / "table.json").read_text())
+    assert manifest["summary"]["generating_function_max_abs_diff"] < 1e-10
+    lines = (out / "gen_oracle.csv").read_text().splitlines()
+    assert lines[0] == "# manifest: table.json"
+    assert lines[1].startswith("x\\m,")
+    assert len(lines) == 2 + 15
+
+
+@pytest.mark.parametrize("n, N", [(2, 4), (2, 10)])
+def test_table_full_writes_both_tables(tmp_path, n, N, capsys):
+    # `--level full` leaves table.csv as plain `table` writes it and puts
+    # the oracle's table beside it, read off as `table_via_generating_function`
+    model = {"schema": 1, "n": n, "N": N, "p": [1.0, 2.0], "q": [1.0, 4.0]}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(model))
+    fast, full = tmp_path / "fast", tmp_path / "full"
+    assert cli.main(["table", "--params", str(path), "--out", str(fast)]) == 0
+    assert cli.main(["table", "--level", "full", "--params", str(path),
+                     "--out", str(full)]) == 0
+    capsys.readouterr()
+    assert (full / "table.csv").read_bytes() == (fast / "table.csv").read_bytes()
+    assert json.loads((full / "table.json").read_text())["outputs"] == [
+        "table.csv", "gen_oracle.csv"]
+
+    space = StateSpace(n, N)
+    params = ModelParams(n=n, N=N, p=model["p"], q=model["q"])
+    header, rows = cli._table_rows(
+        space, table_via_generating_function(solve_spectrum(params), space))
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows([header, *rows])
+    text = (full / "gen_oracle.csv").read_text()
+    assert text == "# manifest: table.json\n" + body.getvalue()
+
+
+def test_table_full_writes_no_failing_oracle(tmp_path, capsys):
+    # the oracle's single-parent product drifts from the kernel at (1,80):
+    # only the kernel's table is written, and the check fails
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, "n": 1, "N": 80, "p": [1.0], "q": [2.0]}))
+    out = tmp_path / "run"
+    rc = cli.main(["table", "--level", "full", "--params", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "[FAIL] generating-function-agreement" in capsys.readouterr().out
+    assert sorted(f.name for f in out.iterdir()) == ["table.csv", "table.json"]
+    assert json.loads((out / "table.json").read_text())["outputs"] == ["table.csv"]
+
+
+def test_gen_oracle_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-oracle", "--params", "params.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gen-oracle'" in capsys.readouterr().err
 
 
 def test_table_full_fails_on_nan_oracle(tmp_path, params_file, monkeypatch, capsys):
@@ -511,18 +565,24 @@ def test_table_full_fails_on_nan_oracle(tmp_path, params_file, monkeypatch, caps
         stdout = capsys.readouterr().out
         assert rc == 1, stdout
         assert "[FAIL] generating-function-agreement" in stdout
+    # a failing oracle's table is not written beside the kernel's
+    assert (tmp_path / "table.csv").exists()
+    assert not (tmp_path / "gen_oracle.csv").exists()
 
 
 def test_table_beyond_float64_exits_4(tmp_path, capsys):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"schema": 1, "n": 1, "N": 80, "p": [1.0], "q": [1e4]}))
-    out = tmp_path / "run"
-    rc = cli.main(["table", "--params", str(path), "--out", str(out)])
-    assert rc == 4
-    # the float64 range is no size cap, and the message does not call it one
-    err = capsys.readouterr().err
-    assert err == "error: polynomial values exceed the float64 range\n", err
-    assert not (out / "table.csv").exists()
+    # every P is read off before anything is written, so neither level
+    # leaves a file
+    for level in ("fast", "full"):
+        out = tmp_path / level
+        rc = cli.main(["table", "--level", level, "--params", str(path), "--out", str(out)])
+        assert rc == 4
+        # the float64 range is no size cap, and the message does not call it one
+        err = capsys.readouterr().err
+        assert err == "error: polynomial values exceed the float64 range\n", err
+        assert not out.exists()
 
 
 def test_simulate_gillespie(tmp_path):
@@ -690,6 +750,18 @@ def test_rational_command_respects_cap(tmp_path):
                   "--out", tmp_path)
     assert res.returncode == 4
     assert res.stderr.startswith("error: size cap exceeded: lattice has 66"), res.stderr
+
+
+@pytest.mark.parametrize("N", [54, 60])
+def test_rational_command_where_P_passes_float64(tmp_path, N):
+    # products of P overflow float64 at N = 54, and P itself from N = 55;
+    # the recurrence reads P up to one positive constant off T, so nothing
+    # overflows and no warning is printed
+    res = run_cli("rational", "--rates", 0.001, 1000, 1000, 0.001, "-N", N,
+                  "--out", tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stderr == ""
+    assert "[FAIL]" not in res.stdout
 
 
 @pytest.mark.parametrize("rates", [(1, 1, 1, 1.001), (1, 2, 3, 6.001)])

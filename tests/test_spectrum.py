@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +20,7 @@ from mvkraw import (
 )
 from mvkraw.bdcore import difference_operator_from_tables, symmetrized_from_tables
 from mvkraw.model import rate_tables
-from mvkraw.spectrum import characteristic_matrix
+from mvkraw.spectrum import _perturbed, characteristic_matrix
 
 
 def test_quadratic_anchor():
@@ -79,16 +78,6 @@ IDENTITY_NAMES = (
 )
 
 
-def _inject(spec, eps):
-    """The CLI's fault injection: u[0, 0] scaled by 1 + eps, and only the
-    matching entry of a rebuilt."""
-    u = spec.u.copy()
-    u[0, 0] *= 1.0 + eps
-    a = spec.a.copy()
-    a[1, 1] = 1.0 - u[0, 0]
-    return dataclasses.replace(spec, u=u, a=a)
-
-
 def test_identity_checks_on_orthonormal_scale_near_coincidence():
     # |u| grows like 1/gap; the identities, read off R^T R - I and
     # R R^T - I, and the secular residual relative to its terms stay at
@@ -118,7 +107,7 @@ def test_identity_checks_on_orthonormal_scale_near_coincidence():
                 # the injection changes one entry of R by delta; R is
                 # orthogonal, so some entry of R^T R - I moves by at least
                 # delta / sqrt(n + 1): the checks see the whole change
-                injected = _inject(spec, 1e-6)
+                injected = _perturbed(spec, 1e-6)
                 delta = float(np.abs(injected.R - spec.R).max())
                 checks = identity_checks(injected)
                 worst = max(checks[name].residual for name in IDENTITY_NAMES)
@@ -132,7 +121,7 @@ def test_one_body_matrix_follows_a():
     assert spec.u_magnitude > 1e3
     R = spec.R
     assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
-    assert np.abs(_inject(spec, 1e-6).R - R).max() > 1e-7
+    assert np.abs(_perturbed(spec, 1e-6).R - R).max() > 1e-7
 
 
 @pytest.mark.parametrize("p1", [1e-45, 1e-100])

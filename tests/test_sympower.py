@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mvkraw import ModelParams, StateSpace, ValidationError, orthonormality, solve_spectrum
+from mvkraw.spectrum import _perturbed
 from mvkraw.sympower import (
     _plane_blocks,
     _plane_factors,
@@ -54,11 +54,7 @@ def test_perturbed_one_body_matrix_stays_perturbed(n, N):
     # not orthogonalized away
     params = ModelParams(n, N, tuple(np.linspace(1.0, 2.0, n)), tuple(np.linspace(1.0, 6.0, n)))
     spec = solve_spectrum(params)
-    u = spec.u.copy()
-    u[0, 0] *= 1.0 + 1e-6
-    a = spec.a.copy()
-    a[1, 1] = 1.0 - u[0, 0]
-    R = dataclasses.replace(spec, u=u, a=a).R
+    R = _perturbed(spec, 1e-6).R
     one_body = np.abs(R.T @ R - np.eye(n + 1)).max()
     assert 1e-8 < one_body < 1e-5
     identity = orthonormality(coefficient_power(R, StateSpace(n, N))).identity
