@@ -87,10 +87,13 @@ def _require_keys(obj: dict, what: str, required: set, optional: set = frozenset
         raise ValidationError(f"{what}: schema must be 1")
 
 
-def _load_params(path: str) -> ModelParams:
-    obj = _load_json(path)
-    _require_keys(obj, "params file", {"schema", "n", "N", "p", "q"})
+def _model_params(obj: dict, what: str) -> ModelParams:
+    _require_keys(obj, what, {"schema", "n", "N", "p", "q"})
     return ModelParams(n=obj["n"], N=obj["N"], p=obj["p"], q=obj["q"])
+
+
+def _load_params(path: str) -> ModelParams:
+    return _model_params(_load_json(path), "params file")
 
 
 def _params_echo(params: ModelParams) -> dict:
@@ -126,30 +129,22 @@ def _label(point) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectrum import solve_spectrum
+    from .spectrum import identity_checks, solve_spectrum
 
     params = _load_params(args.params)
     spec = solve_spectrum(params, band=args.band)
     out = _outdir(args)
 
-    rows = []
-    for j, v in enumerate(spec.lam, start=1):
-        rows.append(("lambda", "", j, float(v)))
-    for (i, j), v in np.ndenumerate(spec.u):
-        rows.append(("u", i + 1, j + 1, float(v)))
-    rows.append(("eta", 0, "", spec.eta0))
-    for i, v in enumerate(spec.eta, start=1):
-        rows.append(("eta", i, "", float(v)))
-    for j, v in enumerate(spec.eta_bar, start=1):
-        rows.append(("eta_bar", j, "", float(v)))
-    for i, v in enumerate(spec.eta_dual):
-        rows.append(("eta_dual", i, "", float(v)))
-    for j, v in enumerate(spec.secular_residuals, start=1):
-        rows.append(("secular_residual", j, "", float(v)))
+    rows = [("lambda", "", j, float(v)) for j, v in enumerate(spec.lam, start=1)]
+    rows += [("u", i + 1, j + 1, float(v)) for (i, j), v in np.ndenumerate(spec.u)]
+    for name, start, values in (("eta", 0, [spec.eta0, *spec.eta]),
+                                ("eta_bar", 1, spec.eta_bar),
+                                ("eta_dual", 0, spec.eta_dual),
+                                ("secular_residual", 1, spec.secular_residuals)):
+        rows += [(name, i, "", float(v)) for i, v in enumerate(values, start)]
 
-    report = Report()
-    report.add("secular-residuals", float(np.max(spec.secular_residuals)),
-               args.tol, detail="relative to sum |p_i/(lam - q_i)|")
+    secular = identity_checks(spec, args.tol)["secular-residuals"]
+    report = Report([secular])
 
     _write_csv(out, "spectrum.csv", "spectrum.json",
                ("quantity", "i", "j", "value"), rows)
@@ -162,12 +157,12 @@ def _cmd_spectrum(args) -> int:
         "report": report.as_dict(),
         "summary": {
             "eigenvalues": [float(v) for v in spec.lam],
-            "max_secular_residual": float(np.max(spec.secular_residuals)),
+            "max_secular_residual": secular.residual,
             "coupling_magnitude": spec.u_magnitude,
         },
     })
     print(f"eigenvalues: {', '.join(f'{v:.12g}' for v in spec.lam)}")
-    print(f"max secular residual: {np.max(spec.secular_residuals):.3e}")
+    print(f"max secular residual: {secular.residual:.3e}")
     for line in report.lines():
         print(line)
     print(f"wrote {os.path.join(out, 'spectrum.csv')}")
@@ -284,12 +279,9 @@ def _load_sim_config(path: str):
         obj, "simulate config", {"schema", "params", "mode"},
         {"initial", "events", "time", "steps", "seed"},
     )
-    pobj = obj["params"]
-    if not isinstance(pobj, dict):
+    if not isinstance(obj["params"], dict):
         raise ValidationError("simulate config: params must be an object")
-    _require_keys(pobj, "simulate config params", {"schema", "n", "N", "p", "q"})
-    params = ModelParams(n=pobj["n"], N=pobj["N"], p=pobj["p"], q=pobj["q"])
-    return obj, params
+    return obj, _model_params(obj["params"], "simulate config params")
 
 
 def _config_number(cfg: dict, key: str, kind):
@@ -314,8 +306,9 @@ def _cmd_simulate(args) -> int:
     cfg, params = _load_sim_config(args.config)
     space = StateSpace(params.n, params.N, cap=args.cap)
     mode = cfg["mode"]
-    out = _outdir(args)
 
+    # each mode computes its table, inputs, summary and console line; the
+    # files are written only once the run has succeeded
     if mode == "gillespie":
         events = _config_number(cfg, "events", int)
         seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
@@ -324,42 +317,31 @@ def _cmd_simulate(args) -> int:
             initial = None
         result = gillespie_run(params, space, events, seed, initial=initial)
         W = weight_vector(params, space)
+        name, header = "occupation.csv", ("rank", "state", "occupation", "stationary")
         rows = [
             (r, _label(x), float(result.occupation[r]), float(W[r]))
             for r, x in enumerate(space.points)
         ]
-        _write_csv(out, "occupation.csv", "simulate.json",
-                   ("rank", "state", "occupation", "stationary"), rows)
-        _write_manifest(out, "simulate.json", {
-            "command": "simulate",
-                "mode": mode,
-            "params": _params_echo(params),
-            "events": events,
-            "seed": seed,
-            "rng_family": result.rng_family,
-            "summary": {
-                "tv_to_stationary": result.tv_to_stationary,
-                "total_time": result.total_time,
-                "final_state": list(result.final_state),
-            },
-        })
-        print(f"gillespie: {result.events} events, "
-              f"tv to stationary = {result.tv_to_stationary:.4f}")
-        print(f"wrote {os.path.join(out, 'occupation.csv')}")
-        return 0
-
-    if mode == "uniformization":
+        inputs = {"events": events, "seed": seed, "rng_family": result.rng_family}
+        summary = {
+            "tv_to_stationary": result.tv_to_stationary,
+            "total_time": result.total_time,
+            "final_state": list(result.final_state),
+        }
+        line = (f"gillespie: {result.events} events, "
+                f"tv to stationary = {result.tv_to_stationary:.4f}")
+    elif mode == "uniformization":
         time = _config_number(cfg, "time", float)
         steps = _config_number(cfg, "steps", int)
         initial = cfg.get("initial", "origin")
         result = evolve_distribution(params, space, initial, time, steps)
+        name, header = "evolution.csv", ("time", "tv", "kl")
         rows = [
             (float(t), float(tv), float(kl))
             for t, tv, kl in zip(result.times, result.tv_to_stationary,
                                  result.kl_to_stationary)
         ]
-        _write_csv(out, "evolution.csv", "simulate.json",
-                   ("time", "tv", "kl"), rows)
+        inputs = {"time": time, "steps": steps}
         summary = {
             "final_tv": float(result.tv_to_stationary[-1]),
             "mass_defect": result.mass_defect,
@@ -367,25 +349,27 @@ def _cmd_simulate(args) -> int:
             "route": result.route,
         }
         try:
-            fit = relaxation_rate(result)
-            summary["relaxation_slope"] = fit.slope
+            summary["relaxation_slope"] = relaxation_rate(result).slope
         except ValidationError:
             summary["relaxation_slope"] = None
-        _write_manifest(out, "simulate.json", {
-            "command": "simulate",
-                "mode": mode,
-            "params": _params_echo(params),
-            "time": time,
-            "steps": steps,
-            "summary": summary,
-        })
-        print(f"uniformization: {result.route} route, "
-              f"tv(T) = {summary['final_tv']:.3e}, "
-              f"mass defect = {summary['mass_defect']:.3e}")
-        print(f"wrote {os.path.join(out, 'evolution.csv')}")
-        return 0
+        line = (f"uniformization: {result.route} route, "
+                f"tv(T) = {summary['final_tv']:.3e}, "
+                f"mass defect = {summary['mass_defect']:.3e}")
+    else:
+        raise ValidationError(f"simulate config: unknown mode {mode!r}")
 
-    raise ValidationError(f"simulate config: unknown mode {mode!r}")
+    out = _outdir(args)
+    _write_csv(out, name, "simulate.json", header, rows)
+    _write_manifest(out, "simulate.json", {
+        "command": "simulate",
+        "mode": mode,
+        "params": _params_echo(params),
+        **inputs,
+        "summary": summary,
+    })
+    print(line)
+    print(f"wrote {os.path.join(out, name)}")
+    return 0
 
 
 def _cmd_rational(args) -> int:
@@ -497,30 +481,26 @@ def _check_options(args) -> None:
         raise ValidationError(f"--inject-u-perturbation must be finite, got {inject}")
 
 
+# error type -> (exit code, stderr prefix); SingularParameters is a
+# ValidationError and exits 2
+_EXITS = {
+    ValidationError: (2, "error: "),
+    ExceptionalParameters: (3, ""),
+    CapExceeded: (4, "error: "),
+    NoConvergence: (5, "error: no convergence: "),
+    AbsorbingState: (6, "error: absorbing state: "),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExceptionalParameters as exc:
-        msg = str(exc)
-        if "exceptional parameters" not in msg:
-            msg = f"exceptional parameters: {msg}"
-        print(msg, file=sys.stderr)
-        return 3
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NoConvergence as exc:
-        print(f"error: no convergence: {exc}", file=sys.stderr)
-        return 5
-    except AbsorbingState as exc:
-        print(f"error: absorbing state: {exc}", file=sys.stderr)
-        return 6
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[t] for t in type(exc).__mro__ if t in _EXITS)
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -29,9 +29,9 @@ Two engines:
   its terms are nonnegative and its rows sum to 1 up to rounding.  The
   rate tables live only while the rate bound is taken (uniformization
   from a general start builds them again).  KL to W is d log(d/W) where
-  W is positive; where W underflows to 0 (n=1, N=2000, p=q=1: 396 of the
-  2,001 points) it is taken from log W, the log route's own values, which
-  are finite there.
+  W is a normal double; where W is below the smallest normal double, zero
+  or subnormal (n=1, N=2000, p=q=1: 396 + 34 of the 2,001 points), it is
+  taken from log W, the log route's own values, which are finite there.
 
 Each route imports the layers it computes with when it runs: the exact
 law needs ``sympower``, uniformization on the lattice ``bdcore`` and
@@ -58,6 +58,7 @@ from .model import (
 RNG_FAMILY = "numpy-PCG64"
 _BLOCK = 1 << 14
 _POISSON_TAIL = 1e-18
+_TINY = np.finfo(float).tiny   # below it W is zero or subnormal
 _MAX_SEGMENT = 600.0
 
 
@@ -296,7 +297,7 @@ def evolve_distribution(
             dists[k] = snapshot
 
     tv = np.array([total_variation(d, W) for d in dists])
-    logW = None if W.all() else log_weight_vector(params, space)
+    logW = log_weight_vector(params, space) if W.min() < _TINY else None
     kl = np.array([_kl_to_weight(d, W, logW) for d in dists])
     mass = float(np.abs(dists.sum(axis=1) - 1.0).max())
     return EvolveResult(times, dists, tv, kl, mass, lam, route)
@@ -311,13 +312,14 @@ def _rate_bound(params: ModelParams, space: StateSpace) -> float:
 
 def _kl_to_weight(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None) -> float:
     """KL(d || W) as `kl_divergence` takes it, d log(d/W), but with
-    log d - log W where W underflows to 0: log W from the log route is
-    finite there (`logW`, needed only when W has a zero)."""
+    log d - log W where W is below the smallest normal double, zero or
+    subnormal, and d/W could overflow: log W from the log route is finite
+    there (`logW`, needed only when W has such a point)."""
     mask = d > 0
     d, W = d[mask], W[mask]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         log_ratio = np.log(d / W)
-    gone = W == 0
+    gone = W < _TINY
     if gone.any():
         log_ratio[gone] = np.log(d[gone]) - logW[mask][gone]
     return float(np.sum(d * log_ratio))

@@ -15,6 +15,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
 )
 
+# a CLI child process turns RuntimeWarning into an error, as the
+# `filterwarnings` setting in pyproject.toml does in this process
+CLI_ENV = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
+
 
 def draw_model(rng, n, N, lo=0.1, hi=10.0, q_sep=0.05):
     """Random model with a guaranteed separation between the q's."""

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import draw_model, series_table
+from conftest import CLI_ENV, draw_model, series_table
 
 from mvkraw import (
     ExceptionalParameters,
@@ -319,7 +319,7 @@ def test_criterion_11_exceptional_guard(capsys, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mvkraw", "spectrum",
          "--params", str(params_file), "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CLI_ENV,
     )
     exit_distinct = proc.returncode == 3
 

@@ -8,9 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from conftest import CLI_ENV
 
-from mvkraw import (AbsorbingState, ModelParams, NoConvergence, StateSpace, cli,
-                    solve_spectrum, table_via_generating_function)
+from mvkraw import (AbsorbingState, CapExceeded, ModelParams, NoConvergence,
+                    StateSpace, ValidationError, cli, solve_spectrum,
+                    table_via_generating_function)
 from mvkraw.spectrum import _derived
 
 CLI = [sys.executable, "-m", "mvkraw"]
@@ -18,7 +20,7 @@ CLI = [sys.executable, "-m", "mvkraw"]
 
 def run_cli(*args):
     return subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True
+        CLI + [str(a) for a in args], capture_output=True, text=True, env=CLI_ENV
     )
 
 
@@ -189,8 +191,10 @@ def test_coincident_parameters_exit_code(tmp_path):
     ))
     res = run_cli("spectrum", "--params", path, "--out", tmp_path)
     assert res.returncode == 3
-    assert "exceptional parameters" in res.stderr
-    assert "coincident" in res.stderr
+    assert res.stderr == (
+        "exceptional parameters: coincident death intensities (min gap 0); "
+        "use the numeric eigenbasis\n"
+    )
 
 
 def test_spectrum_fails_on_secular_residual(tmp_path, params_file,
@@ -240,20 +244,23 @@ def test_spectrum_and_verify_pass_near_the_coincidence_band(tmp_path, model):
     assert failed & IDENTITY_CHECKS, res.stdout
 
 
-@pytest.mark.parametrize(
-    "error, code", [(NoConvergence, 5), (AbsorbingState, 6)]
-)
+@pytest.mark.parametrize("error, code", [
+    (ValidationError, 2), (CapExceeded, 4), (NoConvergence, 5), (AbsorbingState, 6),
+])
 def test_runtime_failures_have_own_exit_codes(
     tmp_path, params_file, monkeypatch, capsys, error, code
 ):
+    line = {2: "error: injected", 4: "error: injected",
+            5: "error: no convergence: injected",
+            6: "error: absorbing state: injected"}[code]
+
     def fail(*args, **kwargs):
         raise error("injected")
 
     monkeypatch.setattr("mvkraw.spectrum.solve_spectrum", fail)
     rc = cli.main(["spectrum", "--params", str(params_file), "--out", str(tmp_path)])
     assert rc == code
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "injected" in err
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_invalid_inputs_exit_code(tmp_path, params_file):
@@ -367,7 +374,8 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
         "    assert rc == expected, (args, rc)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=CLI_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
     assert "uniformization: exact route" in out.stdout
@@ -437,7 +445,8 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
         "print(json.dumps([m for m in sys.modules\n"
         "                  if m.split('.')[0] in ('mvkraw', 'numpy', 'scipy')]))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=CLI_ENV)
     assert out.returncode == 0, out.stderr
     loaded = set(json.loads(out.stdout.splitlines()[-1]))
     assert not loaded & unloaded, sorted(loaded & unloaded)
@@ -667,6 +676,7 @@ def test_simulate_config_validation(tmp_path):
         {**base, "mode": "gillespie", "events": 10, "seed": 1, "extra": 0},
         {**base, "mode": "gillespie", "events": 10, "seed": 1,
          "initial": "stationary"},                           # not a point
+        {**base, "mode": "gillespie", "events": 10.5, "seed": 1},
         {**base, "mode": "gillespie", "events": "ten", "seed": 1},
         {**base, "mode": "gillespie", "events": 10, "seed": "one"},
         {**base, "mode": "uniformization", "time": "x", "steps": 2},
@@ -683,9 +693,12 @@ def test_simulate_config_validation(tmp_path):
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(broken))
-        res = run_cli("simulate", "--config", cfg, "--out", tmp_path)
+        # the config is checked and the run made before --out is created
+        out = tmp_path / "run"
+        res = run_cli("simulate", "--config", cfg, "--out", out)
         assert res.returncode == 2, broken
-        assert "Traceback" not in res.stderr, broken
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, broken
+        assert not out.exists(), broken
 
 
 def test_simulate_integer_inputs(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from conftest import CLI_ENV
 
 from mvkraw import (
     AbsorbingState,
@@ -132,7 +133,8 @@ def test_gillespie_leaves_scipy_unloaded(tmp_path):
         "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=CLI_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "occupation.csv").exists()
@@ -306,7 +308,8 @@ def test_evolve_from_origin_leaves_scipy_unloaded(tmp_path):
         "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=CLI_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
     assert "uniformization: exact route" in out.stdout
@@ -396,32 +399,37 @@ def test_kl_refuses_zero_reference_on_the_support():
 
 def test_kl_where_the_weight_underflows(tmp_path):
     # n=1, N=2000, p=q=1: W = C(2000, x) 2^-2000 is 0.0 on 396 of the 2,001
-    # points, where the law from the origin has mass.  KL is taken from
+    # points and subnormal on 34 more, where the law from the origin has
+    # mass (at t = 1/6, d/W overflows at a subnormal W).  KL is taken from
     # log W there, so the run exits 0, and KL is N KL(P1(t)[0] || eta) with
     # P1(t)[0] = ((1 + e^-2t)/2, (1 - e^-2t)/2) and eta = (1/2, 1/2).
     params = ModelParams(1, 2000, (1.0,), (1.0,))
-    assert (weight_vector(params, StateSpace(1, 2000)) == 0.0).sum() == 396
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "schema": 1,
-        "params": {"schema": 1, "n": 1, "N": 2000, "p": [1], "q": [1]},
-        "mode": "uniformization", "time": 2.0, "steps": 4, "initial": "origin",
-    }))
-    out = subprocess.run(
-        [sys.executable, "-m", "mvkraw", "simulate", "--config", str(config),
-         "--out", str(tmp_path)],
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "Warning" not in out.stderr, out.stderr
-    rows = (tmp_path / "evolution.csv").read_text().splitlines()[2:]
-    assert len(rows) == 5
-    for row in rows:
-        t, _, kl = map(float, row.split(","))
-        decay = math.exp(-2.0 * t)
-        one_body = [(1.0 + decay) / 2.0, (1.0 - decay) / 2.0]
-        closed = 2000 * sum(c * math.log(2.0 * c) for c in one_body if c > 0)
-        assert kl == pytest.approx(closed, rel=1e-9), (t, kl, closed)
+    W = weight_vector(params, StateSpace(1, 2000))
+    assert (W == 0.0).sum() == 396
+    assert ((W > 0.0) & (W < np.finfo(float).tiny)).sum() == 34
+    for time, steps in ((2.0, 4), (0.5, 3)):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "schema": 1,
+            "params": {"schema": 1, "n": 1, "N": 2000, "p": [1], "q": [1]},
+            "mode": "uniformization", "time": time, "steps": steps,
+            "initial": "origin",
+        }))
+        out = subprocess.run(
+            [sys.executable, "-m", "mvkraw", "simulate", "--config", str(config),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == "", out.stderr
+        rows = (tmp_path / "evolution.csv").read_text().splitlines()[2:]
+        assert len(rows) == steps + 1
+        for row in rows:
+            t, _, kl = map(float, row.split(","))
+            decay = math.exp(-2.0 * t)
+            one_body = [(1.0 + decay) / 2.0, (1.0 - decay) / 2.0]
+            closed = 2000 * sum(c * math.log(2.0 * c) for c in one_body if c > 0)
+            assert kl == pytest.approx(closed, rel=1e-9), (t, kl, closed)
 
 
 def test_evolution_memory_is_bounded():
