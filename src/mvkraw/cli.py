@@ -101,7 +101,11 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create output directory {args.out}: {exc.strerror}") from exc
     return args.out
 
 
@@ -132,7 +136,7 @@ def _cmd_spectrum(args) -> int:
     from .spectrum import identity_checks, solve_spectrum
 
     params = _load_params(args.params)
-    spec = solve_spectrum(params, band=args.band)
+    spec = solve_spectrum(params)
     out = _outdir(args)
 
     rows = [("lambda", "", j, float(v)) for j, v in enumerate(spec.lam, start=1)]
@@ -151,7 +155,6 @@ def _cmd_spectrum(args) -> int:
     _write_manifest(out, "spectrum.json", {
         "command": "spectrum",
         "params": _params_echo(params),
-        "band": args.band,
         "tol": args.tol,
         "outputs": ["spectrum.csv"],
         "report": report.as_dict(),
@@ -193,7 +196,7 @@ def _cmd_table(args) -> int:
 
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N, cap=args.cap)
-    spec = solve_spectrum(params, band=args.band)
+    spec = solve_spectrum(params)
     T = coefficient_power(spec.R, space)
     # every P is read off before anything is written: a P outside the
     # float64 range exits 4 with no table
@@ -240,7 +243,7 @@ def _cmd_verify(args) -> int:
     B, D = rate_tables(params, space)
     report = verify_structure(B, D, space, tol=args.tol)
 
-    spec = solve_spectrum(params, band=args.band)
+    spec = solve_spectrum(params)
     if args.inject_u_perturbation:
         spec = _perturbed(spec, args.inject_u_perturbation)
     report.extend(identity_checks(spec, tol=args.tol))
@@ -417,20 +420,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, params=True):
+    def common(sp, tol=True, cap=True, params=True):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=1e-10,
-                        help="base tolerance for checks")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="maximum lattice size")
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-10,
+                            help="base tolerance for checks")
+        if cap:
+            sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                            help="maximum lattice size")
         if params:
             sp.add_argument("--params", required=True,
                             help="JSON file with model parameters")
-            sp.add_argument("--band", type=float, default=None,
-                            help="coincidence detection band for q")
 
     sp = sub.add_parser("spectrum", help="solve the secular equation")
-    common(sp)
+    common(sp, cap=False)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("table", help="evaluate the polynomial table")
@@ -449,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("simulate", help="evolve the process")
-    common(sp, params=False)
+    common(sp, tol=False, params=False)
     sp.add_argument("--config", required=True,
                     help="JSON simulation config")
     sp.add_argument("--seed", type=int, default=None,
@@ -471,10 +474,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_options(args) -> None:
     """A tolerance that is not positive, or an injection that is not finite,
     would make every check pass or fail regardless of the model; a cap below
-    one point would fail every lattice as if it were too large."""
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    one point would fail every lattice as if it were too large.  Each is
+    judged only where the command has it."""
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
-    if args.cap < 1:
+    if "cap" in args and args.cap < 1:
         raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     inject = getattr(args, "inject_u_perturbation", 0.0)
     if not math.isfinite(inject):

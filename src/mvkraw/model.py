@@ -71,19 +71,15 @@ class ModelParams:
         qs = sorted(self.q)
         return min(b - a for a, b in zip(qs, qs[1:]))
 
-    def exceptional(self, band: float | None = None) -> bool:
-        """True when some q_i coincide within the detection band.
+    def exceptional(self) -> bool:
+        """True when two q_i are equal.
 
-        In that regime the closed-form eigenpolynomial construction breaks
-        down and only the numeric eigenbasis is available.  The default
-        band is 1e-9 * max(q); a negative or non-finite band is a
-        ValidationError, since it would switch the guard off.
+        There the closed-form eigenpolynomial construction breaks down and
+        only the numeric eigenbasis is available.  Any two distinct q's,
+        however close, are regular: the secular solver keeps every pole
+        distance lambda_j - q_i to full relative precision.
         """
-        if band is None:
-            band = 1e-9 * max(self.q)
-        elif not (math.isfinite(band) and band >= 0):
-            raise ValidationError(f"coincidence band must be finite and nonnegative, got {band}")
-        return self.coincidence_gap <= band
+        return self.coincidence_gap == 0.0
 
 
 def linear_rate_tables(p, q, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:

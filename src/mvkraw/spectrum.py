@@ -175,19 +175,15 @@ def _perturbed(spec: SpectralData, eps: float) -> SpectralData:
     return replace(spec, u=u, a=a)
 
 
-def solve_spectrum(params: ModelParams, band: float | None = None) -> SpectralData:
+def solve_spectrum(params: ModelParams) -> SpectralData:
     """Solve the secular equation and assemble the spectral data.
 
-    Raises ExceptionalParameters when some q's coincide within the
-    detection band (default 1e-9 * max q): there the formula
+    Raises ExceptionalParameters when two q's are equal: there the formula
     u = lam/(lam - q) degenerates and only numeric_eigenbasis applies.
+    Distinct q's, however close, are solved to full relative precision.
     """
-    if params.exceptional(band):
-        details = {
-            "q": params.q,
-            "min_gap": params.coincidence_gap,
-            "band": band if band is not None else 1e-9 * max(params.q),
-        }
+    if params.exceptional():
+        details = {"q": params.q, "min_gap": params.coincidence_gap}
         if params.n == 2:
             qbar = 0.5 * (params.q[0] + params.q[1])
             details["reference_lambda"] = (qbar, params.p[0] + params.p[1] + qbar)

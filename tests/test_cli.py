@@ -201,7 +201,7 @@ def test_spectrum_fails_on_secular_residual(tmp_path, params_file,
                                            monkeypatch, capsys):
     # a root moved by 1e-6 relative, with the data derived from it, must
     # trip the residual gate
-    def off_root(params, band=None):
+    def off_root(params):
         p, q = np.array(params.p), np.array(params.q)
         lam = solve_spectrum(params).lam * (1.0 + 1e-6)
         return _derived(p, q, lam, lam[None, :] - q[:, None])
@@ -219,11 +219,13 @@ def test_spectrum_fails_on_secular_residual(tmp_path, params_file,
 @pytest.mark.parametrize(
     "model",
     [
-        # just outside the coincidence band: |u| is 1e9 here
+        # |u| is 1e9 here
         {"n": 2, "N": 6, "p": [1.0, 2.0], "q": [2.0, 2.000000003]},
         # a valid model the absolute residual scale used to fail (8.3e-9)
         {"n": 3, "N": 4, "p": [9.333, 7.29412, 3.04224],
          "q": [0.84237716, 0.84238558, 1.0717204]},
+        # adjacent floats: only equal q's are exceptional, |u| is 1e16 here
+        {"n": 2, "N": 6, "p": [1.0, 2.0], "q": [2.0, 2.0000000000000004]},
     ],
 )
 def test_spectrum_and_verify_pass_near_the_coincidence_band(tmp_path, model):
@@ -317,6 +319,9 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
     ("spectrum", "--band", "-1"),
     ("verify", "--band", "nan"),
     ("verify", "--band", "-1"),
+    ("table", "--band", "0"),
+    ("spectrum", "--cap", "10"),
+    ("simulate", "--tol", "1e-10"),
     ("verify", "--tol", "nan"),
     ("verify", "--tol", "-1"),
     ("rational", "--tol", "nan"),
@@ -326,18 +331,37 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
     ("table", "--cap", "-1"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, command, option, value):
-    # q = (3, 3) is coincident, so a band that switched the guard off would
-    # reach the secular solve; a bad tolerance or injection would make the
-    # checks pass or fail whatever the model, and a cap below one point
-    # would be reported as a lattice over its size cap
-    q = [3.0, 3.0] if option == "--band" else [1.0, 3.0]
+    # a bad tolerance or injection would make the checks pass or fail
+    # whatever the model, and a cap below one point would be reported as a
+    # lattice over its size cap; `--band` is gone (only equal q's are
+    # exceptional), as are the options `spectrum` and `simulate` ignored,
+    # and the parser rejects each
     path = tmp_path / "params.json"
-    path.write_text(json.dumps({"schema": 1, "n": 2, "N": 3, "p": [1.0, 2.0], "q": q}))
-    source = ["--rates", "1", "2", "3", "4"] if command == "rational" else ["--params", str(path)]
-    rc = cli.main([command, *source, option, value, "--out", str(tmp_path)])
+    path.write_text(json.dumps({"schema": 1, "n": 2, "N": 3, "p": [1.0, 2.0], "q": [1.0, 3.0]}))
+    source = {"rational": ["--rates", "1", "2", "3", "4"],
+              "simulate": ["--config", str(path)]}.get(command, ["--params", str(path)])
+    try:
+        rc = cli.main([command, *source, option, value, "--out", str(tmp_path)])
+    except SystemExit as exc:
+        rc = exc.code
     err = capsys.readouterr().err
     assert rc == 2, err
-    assert (option[2:] if option == "--band" else option) in err, err
+    assert option in err, err
+
+
+@pytest.mark.parametrize("below, reason", [
+    (None, "File exists"), ("sub", "Not a directory"),
+])
+def test_out_that_cannot_be_created_exits_2(tmp_path, params_file, below, reason):
+    # an existing file, or a path below one, cannot be made a directory:
+    # invalid input, not a failed check
+    out = tmp_path / "file"
+    out.write_text("")
+    if below:
+        out = out / below
+    res = run_cli("spectrum", "--params", params_file, "--out", out)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"error: cannot create output directory {out}: {reason}\n"
 
 
 def test_cli_leaves_scipy_unloaded(tmp_path):

@@ -81,15 +81,16 @@ IDENTITY_NAMES = (
 def test_identity_checks_on_orthonormal_scale_near_coincidence():
     # |u| grows like 1/gap; the identities, read off R^T R - I and
     # R R^T - I, and the secular residual relative to its terms stay at
-    # rounding on exact data down to the coincidence band (1e-9 of max q)
+    # rounding on exact data down to adjacent floats (gap None)
     rng = np.random.default_rng(20261018)
     for n in (1, 2, 3, 4):
-        for gap in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        for gap in [10.0 ** -k for k in range(1, 16)] + [None]:
             for _ in range(3):
                 params = draw_model(rng, n, 1)
                 if n > 1:
                     q = list(params.q)
-                    q[1] = q[0] + gap * max(q)
+                    q[1] = (np.nextafter(q[0], math.inf) if gap is None
+                            else q[0] + gap * max(q))
                     params = ModelParams(n=n, N=1, p=params.p, q=tuple(q))
                 spec = solve_spectrum(params)
                 report = identity_checks(spec)
@@ -114,6 +115,25 @@ def test_identity_checks_on_orthonormal_scale_near_coincidence():
                 assert worst >= delta / math.sqrt(n + 1), (n, gap, delta, worst)
                 assert not all(checks[name].passed for name in IDENTITY_NAMES), (
                     n, gap, checks.lines())
+
+
+def test_identity_checks_on_clusters_within_ulps():
+    # 2-4 q's a few ulps apart, at scales 1e-6..1e6: only equal q's are
+    # exceptional, and the pole distances keep full relative precision
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        cluster = int(rng.integers(2, min(n, 4) + 1))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        p = scale * rng.uniform(0.1, 10.0, n)
+        q = scale * rng.uniform(0.1, 10.0, n)
+        for i in range(1, cluster):
+            q[i] = q[i - 1]
+            for _ in range(int(rng.integers(1, 10))):
+                q[i] = np.nextafter(q[i], math.inf)
+        params = ModelParams(n=n, N=1, p=tuple(p), q=tuple(q))
+        report = identity_checks(solve_spectrum(params))
+        assert len(report.checks) == 6 and report.passed, (p, q, report.lines())
 
 
 def test_one_body_matrix_follows_a():
@@ -203,11 +223,8 @@ def test_exceptional_raise_and_details():
     assert details["min_gap"] == 0.0
     qbar = 4.0
     assert details["reference_lambda"] == (qbar, 3.0 + qbar)
-    # a wider band flags nearby q as well
     near = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(4.0, 4.05))
-    with pytest.raises(ExceptionalParameters):
-        solve_spectrum(near, band=0.1)
-    solve_spectrum(near)    # default band accepts the separation
+    solve_spectrum(near)
 
 
 def test_numeric_eigenbasis_regular():
