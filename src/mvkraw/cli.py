@@ -262,9 +262,9 @@ def _cmd_verify(args) -> int:
         report.add("dual-norms-closed-form", o.dual_diagonal, max(args.tol, 1e-8))
         report.add("orthonormal-map", o.identity, max(args.tol, 1e-9))
 
+    out = _outdir(args)
     for line in report.lines():
         print(line)
-    out = _outdir(args)
     _write_manifest(out, "verify.json", {
         "command": "verify",
         "params": _params_echo(params),
@@ -383,13 +383,13 @@ def _cmd_rational(args) -> int:
     report = pair.cross_checks
     recurrence = verify_recurrence(pair, args.N, tol=args.tol)
 
+    out = _outdir(args)
     for line in report.lines():
         print(line)
     for line in recurrence.lines():
         print(line)
     print(f"note: {pair.note}")
 
-    out = _outdir(args)
     _write_manifest(out, "rational.json", {
         "command": "rational",
         "rates": list(args.rates),

@@ -8,13 +8,18 @@ multinomial with probabilities eta derived from the ratios p_j/q_j.
 Up to N = EXACT_N_MAX the multinomial coefficients are exact integers.
 Above, the pmf is taken in log space, log C(N; x) + sum_i x_i log c_i,
 one column of counts at a time: each cell contributes a table of
-k log c - log k!, k = 0..N, whose high parts lie on the grid 2^-32, so the
-column sums of high parts are exact in extended precision, and whose low
-parts carry the rest in float64.  The pmf is exp(hi) + exp(hi) expm1(lo)
-in float64, and a positive count in a zero cell gives exactly 0.  Against
-the exact pmf of the float cells at 50 digits it is within 2 ulp in the
-normal range (worst 1.3 ulp over 20,000 entries at (2,40), (3,80),
-(2,150), (1,700) and (1,2000)) and within two subnormal spacings below.
+k log c - log k!, k = 0..N, built in extended precision and split into a
+float64 high part on a grid and a float64 low part.  The grid is 2^-32, or
+coarser where the bound 2 log N! + N max|log c| on every partial sum
+passes 2^21, so the column sums of high parts are exact in float64; the
+low parts carry the rest.  Only the (N+1)-entry tables are in extended
+precision, and the counts are read as columns of the lattice, so a
+lattice-wide pmf makes one float64 pass per cell and part.  The pmf is
+exp(hi) + exp(hi) expm1(lo) in float64, and a positive count in a zero
+cell gives exactly 0.  Against the exact pmf of the float cells at 50
+digits it is within 2 ulp in the normal range (worst 1.27 ulp over 20,000
+entries, 4,000 each at (2,40), (3,80), (2,150), (1,700) and (1,2000)) and
+within two subnormal spacings below.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .lattice import StateSpace, _point_key
 
 # multinomial coefficients are exact integers up to this N, log-space above
 EXACT_N_MAX = 20
-# high parts of the log route: multiples of this add exactly in extended
-# precision up to 2^31 in magnitude
-_GRID = 2.0**-32
+# the log route's grid is 2^_GRID_EXP, or coarser where its partial sums
+# could pass 2^(53 + _GRID_EXP) (n = 1 from about N = 10^5)
+_GRID_EXP = -32
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,15 @@ class ModelParams:
 def linear_rate_tables(p, q, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     """Rate tables B = (N - |x|) p and D = x q of shape (size, n), in rank
     order; births vanish on |x| = N and deaths at x_j = 0."""
-    rem = (space.N - space.degrees).astype(float)
+    return _linear_rates(p, q, space.N, space.degrees, space.coords)
+
+
+def _linear_rates(p, q, N: int, degrees, coords) -> tuple[np.ndarray, np.ndarray]:
+    """B and D on the points `coords` of total degree `degrees`: the one
+    float expression of every rate table row."""
+    rem = (N - degrees).astype(float)
     B = rem[:, None] * np.asarray(p, dtype=float)[None, :]
-    D = space.coords.astype(float) * np.asarray(q, dtype=float)[None, :]
+    D = coords.astype(float) * np.asarray(q, dtype=float)[None, :]
     return B, D
 
 
@@ -151,17 +162,24 @@ def multinomial_weight(params: ModelParams, x) -> float:
         raise ValidationError(f"{x} is not in the lattice for n={params.n}, N={N}")
     prob = probabilities(params)
     cells = np.concatenate(([prob.eta0], prob.eta))
-    return float(_multinomial_rows(N, np.array([[N - sum(x), *x]]), cells)[0])
+    return float(_multinomial_rows(N, np.array([N - sum(x), *x])[:, None], cells)[0])
 
 
-def _on_grid(v):
-    """Nearest multiple of _GRID."""
-    return np.rint(v / _GRID) * _GRID
+def _count_columns(N: int, space: StateSpace, rows=slice(None)) -> list:
+    """The counts (x0, x_1..x_n), x0 = N - |x|, of the lattice points of
+    ranks `rows` (all by default) as n + 1 columns; for a slice of ranks
+    all but x0 are views of `space.coords`."""
+    return [N - space.degrees[rows], *space.coords[rows].T]
 
 
-def _log_factorials(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """log k! for k = 0..N as hi + lo: hi on the grid _GRID, in extended
-    precision, and lo = the rest in float64.
+def _split(v, grid: float):
+    """v as hi + lo: hi the nearest multiple of `grid`, lo the rest."""
+    hi = np.rint(v / grid) * grid
+    return hi, v - hi
+
+
+def _log_factorials(N: int, grid: float) -> tuple[np.ndarray, np.ndarray]:
+    """log k! for k = 0..N as float64 hi + lo: hi on `grid`, lo the rest.
 
     They are running sums of log k in extended precision; the rounding of
     each running sum is recovered exactly (two-sum) and summed on the side,
@@ -171,39 +189,42 @@ def _log_factorials(N: int) -> tuple[np.ndarray, np.ndarray]:
     total = np.concatenate(([np.longdouble(0.0)], np.cumsum(logk)))
     step = total[1:] - total[:-1]
     lost = (total[:-1] - (total[1:] - step)) + (logk - step)
-    hi = _on_grid(total)
-    lo = ((total - hi) + np.concatenate(([0.0], np.cumsum(lost)))).astype(float)
-    return hi, lo
+    hi, lo = _split(total, grid)
+    return hi.astype(float), (lo + np.concatenate(([0.0], np.cumsum(lost)))).astype(float)
 
 
-def _log_route_pmf(N: int, counts: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log multinomial pmf of each row of `counts` (x0, x_1..x_n) with
-    cells `cells` (any nonnegative cells: log C(N, x) prod_i cells_i^{x_i}),
-    as float64 hi + lo.
+def _log_route_pmf(N: int, columns, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log multinomial pmf of the points whose counts (x0, x_1..x_n) are
+    `columns`, one integer array per cell, with cells `cells` (any
+    nonnegative cells: log C(N, x) prod_i cells_i^{x_i}), as float64 hi + lo.
 
     Each cell contributes f_i(x_i) = x_i log c_i - log x_i!, tabulated for
-    x_i = 0..N and gathered one column at a time.  The tables' hi parts
-    lie on the grid _GRID (log c_i is split likewise, so x_i times its grid
-    part is exact), so their column sums are exact in extended precision;
-    the small lo parts are summed in float64.  hi is exact in float64
-    wherever exp(hi) is neither 0 nor inf.  A zero count contributes
-    nothing, also in a zero cell (0 log 0 = 0); a positive count there
-    gives lo = -inf."""
-    fhi, flo = _log_factorials(N)
+    x_i = 0..N in extended precision, split into float64 hi + lo and
+    gathered one column at a time into one buffer.  Every partial sum is
+    below bound = 2 log N! + N max|log c_i| in magnitude, so on a grid no
+    finer than bound 2^-52 the tables' hi parts (log c_i is split likewise,
+    so x_i times its grid part is exact) add exactly in float64; the small
+    lo parts are summed in float64.  A zero count contributes nothing, also
+    in a zero cell (0 log 0 = 0); a positive count there gives lo = -inf."""
+    positive = [abs(math.log(c)) for c in cells if c > 0]
+    bound = 2.0 * math.lgamma(N + 1.0) + N * max(positive, default=0.0)
+    grid = 2.0 ** max(_GRID_EXP, math.frexp(bound)[1] - 52)
+    fhi, flo = _log_factorials(N, grid)
     k = np.arange(N + 1)
-    hi = np.full(len(counts), fhi[N])
-    lo = np.full(len(counts), flo[N])
-    for column, cell in zip(counts.T, cells):
+    size = len(columns[0])
+    hi = np.full(size, fhi[N])
+    lo = np.full(size, flo[N])
+    buf = np.empty(size)
+    for column, cell in zip(columns, cells):
         if cell > 0:
-            logc = np.log(np.longdouble(cell))
-            grid = _on_grid(logc)
-            thi = k * grid - fhi
-            tlo = (k * (logc - grid)).astype(float) - flo
+            ghi, glo = _split(np.log(np.longdouble(cell)), grid)
+            thi = k * float(ghi) - fhi
+            tlo = (k * glo).astype(float) - flo
         else:
             thi, tlo = -fhi, np.where(k > 0, -np.inf, -flo)
-        hi += thi[column]
-        lo += tlo[column]
-    return hi.astype(float), lo
+        hi += np.take(thi, column, out=buf, mode="clip")
+        lo += np.take(tlo, column, out=buf, mode="clip")
+    return hi, lo
 
 
 def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
@@ -215,28 +236,30 @@ def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
     if len(eta) != space.n:
         raise ValidationError(f"need {space.n} cell probabilities, got {len(eta)}")
     N = space.N
-    counts = np.column_stack((N - space.degrees, space.coords))
     cells = np.concatenate(([float(eta0)], eta))
-    return _multinomial_rows(N, counts, cells)
+    return _multinomial_rows(N, _count_columns(N, space), cells)
 
 
-def _multinomial_rows(N: int, counts: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Multinomial pmf of each row of `counts` (x0, x_1..x_n) with cell
-    probabilities `cells`: exact integer coefficients up to EXACT_N_MAX,
-    summed in log space above."""
+def _multinomial_rows(N: int, columns, cells: np.ndarray) -> np.ndarray:
+    """Multinomial pmf of the points whose counts (x0, x_1..x_n) are
+    `columns` with cell probabilities `cells`: exact integer coefficients
+    up to EXACT_N_MAX, summed in log space above."""
     if N <= EXACT_N_MAX:
         # N!/(x0! x!) as a product of binomials C(N - x_1 - .. - x_{j-1}, x_j),
         # each partial product a multinomial itself, so no int64 overflow
         binom = np.array([[math.comb(a, b) for b in range(N + 1)]
                           for a in range(N + 1)], dtype=np.int64)
-        left = N - np.cumsum(counts[:, 1:], axis=1) + counts[:, 1:]
-        coeff = np.prod(binom[left, counts[:, 1:]], axis=1)
+        coeff = np.ones(len(columns[0]), dtype=np.int64)
+        left = N
+        for column in columns[1:]:
+            coeff *= binom[left, column]
+            left = left - column
         # powers tabulated per cell, multiplied in cell order
         value = coeff.astype(float)
-        for c, v in enumerate(cells):
-            value *= np.array([float(v)**k for k in range(N + 1)])[counts[:, c]]
+        for column, v in zip(columns, cells):
+            value *= np.array([float(v)**k for k in range(N + 1)])[column]
         return value
-    hi, lo = _log_route_pmf(N, counts, cells)
+    hi, lo = _log_route_pmf(N, columns, cells)
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(hi)   # inf past the float64 range, and kept so
         np.add(value, value * np.expm1(lo), out=value, where=value < np.inf)
@@ -258,7 +281,7 @@ def log_weight_vector(params: ModelParams, space: StateSpace) -> np.ndarray:
     if space.n != params.n or space.N != params.N:
         raise ValidationError("state space does not match params")
     prob = probabilities(params)
-    counts = np.column_stack((space.N - space.degrees, space.coords))
-    hi, lo = _log_route_pmf(space.N, counts, np.array([prob.eta0, *prob.eta]))
+    columns = _count_columns(space.N, space)
+    hi, lo = _log_route_pmf(space.N, columns, np.array([prob.eta0, *prob.eta]))
     hi += lo
     return hi

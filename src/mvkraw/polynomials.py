@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key
-from .model import ModelParams, _log_route_pmf, rate_tables
+from .model import ModelParams, _count_columns, _log_route_pmf, rate_tables
 from .spectrum import SpectralData
 from .sympower import _dense, coefficient_power, coefficient_row
 
@@ -121,9 +121,9 @@ def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float,
     The rows of `tab` are the x ranks `rows`, all by default.  With `unit`
     the largest exponent is subtracted first: the result is then off by one
     positive constant, and no factor exceeds 1."""
-    counts = np.column_stack((space.N - space.degrees, space.coords))
-    logW = power * np.add(*_log_route_pmf(space.N, counts[rows], R[:, 0] ** 2))
-    lognu = power * np.add(*_log_route_pmf(space.N, counts, (R[0] / R[0, 0]) ** 2))
+    N = space.N
+    logW = power * np.add(*_log_route_pmf(N, _count_columns(N, space, rows), R[:, 0] ** 2))
+    lognu = power * np.add(*_log_route_pmf(N, _count_columns(N, space), (R[0] / R[0, 0]) ** 2))
     if unit:
         logW -= logW.max()
         lognu -= lognu.max()
@@ -168,8 +168,8 @@ def _oracle_map(spec, space: StateSpace, rows=None) -> np.ndarray:
     if rows is None:
         rows = np.arange(_dense(space))
     R = spec.R
-    counts = np.column_stack((space.N - space.degrees, space.coords))
-    half_logC = 0.5 * np.add(*_log_route_pmf(space.N, counts, np.ones(space.n + 1)))
+    columns = _count_columns(space.N, space)
+    half_logC = 0.5 * np.add(*_log_route_pmf(space.N, columns, np.ones(space.n + 1)))
     T = np.array([coefficient_row(R, x, space) for x in space.coords[rows]])
     return T * np.exp(np.subtract.outer(half_logC[rows], half_logC))
 

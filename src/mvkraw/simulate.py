@@ -27,11 +27,16 @@ Two engines:
   sum_k pois(k; Lam dt) K^k converges with explicitly controlled tail.
   P1(t) is the same series on the one-body kernel I + Q1/Lam1, so all of
   its terms are nonnegative and its rows sum to 1 up to rounding.  The
-  rate tables live only while the rate bound is taken (uniformization
-  from a general start builds them again).  KL to W is d log(d/W) where
-  W is a normal double; where W is below the smallest normal double, zero
-  or subnormal (n=1, N=2000, p=q=1: 396 + 34 of the 2,001 points), it is
-  taken from log W, the log route's own values, which are finite there.
+  reported rate bound is read off the vertices of the simplex, so the
+  exact law builds no rate table; uniformization from a general start
+  builds them and runs at the generator's own largest exit rate.
+  Rounding drifts the mass of the law from 1 (3.3e-13 at n=1, N=2000,
+  p=q=1): the drift is reported as `mass_defect`, and each snapshot is
+  then divided by its sum.  TV to W is 1 - sum min(d, W), and KL to W a
+  sum of the nonnegative terms W phi(d/W), so neither leaves its range by
+  rounding.  Where W is below the smallest normal double, zero or
+  subnormal (n=1, N=2000, p=q=1: 396 + 34 of the 2,001 points), KL reads
+  log W off the log route, whose values are finite there.
 
 Each route imports the layers it computes with when it runs: the exact
 law needs ``sympower``, uniformization on the lattice ``bdcore`` and
@@ -52,7 +57,8 @@ import numpy as np
 from .errors import AbsorbingState, NoConvergence, ValidationError
 from .lattice import StateSpace
 from .model import (
-    ModelParams, check_rate_tables, log_weight_vector, rate_tables, weight_vector,
+    ModelParams, _linear_rates, check_rate_tables, log_weight_vector, rate_tables,
+    weight_vector,
 )
 
 RNG_FAMILY = "numpy-PCG64"
@@ -264,12 +270,13 @@ def evolve_distribution(
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
             raise ValidationError("initial must be a probability vector")
 
-    lam = _rate_bound(params, space)
+    lam = _rate_bound(params)
     times = np.linspace(0.0, T, steps + 1)
     dists = np.empty((steps + 1, space.size))
     dists[0] = v
     support = np.flatnonzero(v)
-    if isinstance(initial, str) and initial == "stationary":
+    stationary = isinstance(initial, str) and initial == "stationary"
+    if stationary:
         route = "exact"
         dists[1:] = W
     elif len(support) == 1:
@@ -292,37 +299,70 @@ def evolve_distribution(
 
         route = "uniformization"
         L = generator_from_tables(*rate_tables(params, space), space)
+        # on a face of the simplex where the total rate is flat, rounding can
+        # lift a table row an ulp above the vertices: K = I + L/lam keeps a
+        # nonnegative diagonal only at the generator's own largest exit rate
+        lam = float(-L.diagonal().min())
         K = ((L / lam) + scipy.sparse.identity(space.size, format="csr")).tocsr()
         for k, snapshot in enumerate(_snapshots(K, v, lam, times), 1):
             dists[k] = snapshot
 
-    tv = np.array([total_variation(d, W) for d in dists])
-    logW = log_weight_vector(params, space) if W.min() < _TINY else None
-    kl = np.array([_kl_to_weight(d, W, logW) for d in dists])
-    mass = float(np.abs(dists.sum(axis=1) - 1.0).max())
+    sums = dists.sum(axis=1)
+    mass = float(np.abs(sums - 1.0).max())
+    if stationary:
+        # the law is W itself, at distance 0
+        tv = kl = np.zeros(steps + 1)
+    else:
+        # rounding drifts the mass of the law from 1 (`mass_defect`), and
+        # each snapshot is brought back to it
+        dists /= sums[:, None]
+        tv = np.array([_tv_to_weight(d, W) for d in dists])
+        logW = log_weight_vector(params, space) if W.min() < _TINY else None
+        kl = np.array([_kl_to_weight(d, W, logW) for d in dists])
     return EvolveResult(times, dists, tv, kl, mass, lam, route)
 
 
-def _rate_bound(params: ModelParams, space: StateSpace) -> float:
-    """Largest total jump rate over the lattice, the uniformization rate;
-    the rate tables live only for this call."""
-    B, D = rate_tables(params, space)
+def _rate_bound(params: ModelParams) -> float:
+    """Largest total jump rate over the lattice, the uniformization rate.
+
+    The total rate sum_j (N - |x|) p_j + q_j x_j is linear in x, so its
+    largest value sits at a vertex of the simplex: the origin, N sum_j p_j,
+    or N e_j, N q_j.  Those n + 1 rows are taken with the rate tables' own
+    float expressions, so no table is built."""
+    n, N = params.n, params.N
+    vertices = N * np.eye(n + 1, n, -1, dtype=np.int64)
+    B, D = _linear_rates(params.p, params.q, N, vertices.sum(axis=1), vertices)
     return float((B.sum(axis=1) + D.sum(axis=1)).max())
 
 
+def _tv_to_weight(d: np.ndarray, W: np.ndarray) -> float:
+    """TV(d, W) as 1 - sum min(d, W), one minus the overlap: never above 1,
+    and cut at 0, which an overlap can pass only by rounding."""
+    return max(0.0, 1.0 - float(np.minimum(d, W).sum()))
+
+
 def _kl_to_weight(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None) -> float:
-    """KL(d || W) as `kl_divergence` takes it, d log(d/W), but with
-    log d - log W where W is below the smallest normal double, zero or
-    subnormal, and d/W could overflow: log W from the log route is finite
-    there (`logW`, needed only when W has such a point)."""
+    """KL(d || W) summed term by term as W phi(d/W) = d log(d/W) - d + W,
+    phi(r) = r log r - r + 1 >= 0: the sum of d log(d/W) for two laws of
+    mass 1, made of terms that cannot be negative (one that rounds below 0
+    is cut at 0).  log(d/W) is log1p((d - W)/W) where d/W is within 1/2 of
+    1, so the small terms of a KL near 0 keep their digits, and log d -
+    log W where W is below the smallest normal double, zero or subnormal,
+    and d/W could overflow: log W from the log route is finite there
+    (`logW`, needed only when W has such a point)."""
+    terms = W.copy()   # phi(0) = 1: a point without mass adds W
     mask = d > 0
     d, W = d[mask], W[mask]
     with np.errstate(divide="ignore", over="ignore"):
-        log_ratio = np.log(d / W)
+        ratio = d / W
+        log_ratio = np.log(ratio)
+    near = np.abs(ratio - 1.0) < 0.5
+    log_ratio[near] = np.log1p((d[near] - W[near]) / W[near])
     gone = W < _TINY
     if gone.any():
         log_ratio[gone] = np.log(d[gone]) - logW[mask][gone]
-    return float(np.sum(d * log_ratio))
+    terms[mask] = np.maximum(d * log_ratio - (d - W), 0.0)
+    return float(terms.sum())
 
 
 def _snapshots(K, v: np.ndarray, lam: float, times: np.ndarray):

@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, simplex_size
-from .model import _multinomial_rows
+from .model import _count_columns, _multinomial_rows
 
 DENSE_CAP = 5000
 
@@ -227,8 +227,7 @@ def coefficient_row(M, x: np.ndarray, space: StateSpace) -> np.ndarray:
     n = space.n
     d = space.N - int(x.sum())
     size = simplex_size(n, d)
-    counts = np.column_stack((d - space.degrees[:size], space.coords[:size]))
-    row = _multinomial_rows(d, counts, M[0])
+    row = _multinomial_rows(d, _count_columns(d, space, slice(size)), M[0])
     for i, power in enumerate(x.tolist(), start=1):
         for _ in range(power):
             d += 1

@@ -364,6 +364,24 @@ def test_out_that_cannot_be_created_exits_2(tmp_path, params_file, below, reason
     assert res.stderr == f"error: cannot create output directory {out}: {reason}\n"
 
 
+@pytest.mark.parametrize("command, source", [
+    ("verify", ["--level", "full"]), ("rational", ["--rates", "1", "2", "3", "4"]),
+])
+def test_out_is_created_before_the_report_is_printed(tmp_path, params_file, capsys,
+                                                     command, source):
+    # the report is printed only once --out exists: a bad --out exits 2
+    # before any [PASS] line
+    out = tmp_path / "file"
+    out.write_text("")
+    if command == "verify":
+        source = [*source, "--params", str(params_file)]
+    rc = cli.main([command, *source, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.out == ""
+    assert captured.err == f"error: cannot create output directory {out}: File exists\n"
+
+
 def test_cli_leaves_scipy_unloaded(tmp_path):
     # every command runs on numpy alone but uniformization from a general
     # start: operators are applied as neighbour stencils, tables are

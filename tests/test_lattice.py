@@ -106,6 +106,14 @@ def test_up_down_inverse():
                     assert space.down[up, j] == r
 
 
+@pytest.mark.parametrize("n, N", [(1, 9), (2, 30), (3, 80), (4, 25), (1, 200000)])
+def test_binomial_table_is_exact(n, N):
+    # C(r + m, m) by running sums down the columns, against math.comb
+    space = StateSpace(n, N)
+    exact = [[math.comb(r + m, m) for m in range(n + 1)] for r in range(N + 1)]
+    assert space._binom.tolist() == exact
+
+
 def test_cap_enforced_before_building():
     with pytest.raises(CapExceeded):
         StateSpace(3, 6, cap=50)
