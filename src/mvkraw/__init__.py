@@ -35,7 +35,6 @@ _EXPORTS = {
     "model": (
         "ModelParams",
         "check_rate_tables",
-        "multinomial_weight",
         "probabilities",
         "rate_tables",
         "weight_vector",
@@ -44,7 +43,6 @@ _EXPORTS = {
         "eigen_residuals",
         "eval_P",
         "eval_P_via_generating_function",
-        "eval_Q",
         "kr_P",
         "orthonormal_map",
         "orthonormality",
@@ -56,7 +54,6 @@ _EXPORTS = {
         "RationalParams",
         "derive_dual_pair",
         "eval_rational",
-        "rational_table",
         "verify_recurrence",
     ),
     "report": ("Check", "Report"),
@@ -68,7 +65,6 @@ _EXPORTS = {
         "gillespie_run",
         "kl_divergence",
         "relaxation_rate",
-        "run_replicas",
         "total_variation",
     ),
     "spectrum": (

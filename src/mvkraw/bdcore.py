@@ -177,7 +177,10 @@ def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) 
 def stationary_weight_generic(
     B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
 ) -> np.ndarray:
-    """Stationary weight from the two-term relation, normalized to sum 1."""
+    """Oracle of `weight_vector`: test_stationary_weight_generic_matches_closed_form.
+
+    The stationary weight of any rate field from the two-term relation
+    W(x) B_j(x) = W(x + e_j) D_j(x + e_j), normalized to sum 1."""
     W = np.exp(_log_weight(B, D, space, tol))
     return W / W.sum()
 

@@ -50,7 +50,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .lattice import DEFAULT_CAP, StateSpace
+from .lattice import DEFAULT_CAP, StateSpace, _is_number
 from .model import ModelParams, rate_tables, weight_vector
 from .report import Report
 
@@ -62,13 +62,24 @@ from .report import Report
 # 0.15 MB.
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; ValueError for a key given
+    twice, where `json` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError, _unique_keys
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path} must contain a JSON object")
@@ -83,7 +94,8 @@ def _require_keys(obj: dict, what: str, required: set, optional: set = frozenset
         raise ValidationError(f"{what}: missing keys {sorted(missing)}")
     if unknown:
         raise ValidationError(f"{what}: unknown keys {sorted(unknown)}")
-    if obj.get("schema") != 1:
+    schema = obj.get("schema")
+    if not (_is_number(schema) and schema == 1):
         raise ValidationError(f"{what}: schema must be 1")
 
 
@@ -293,13 +305,13 @@ def _config_number(cfg: dict, key: str, kind):
     if key not in cfg:
         raise ValidationError(f"simulate config: {cfg['mode']} mode needs '{key}'")
     value = cfg[key]
-    if isinstance(value, (bool, str)):
+    if not _is_number(value):
         raise ValidationError(f"simulate config: {key!r} is not a number")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"simulate config: {key!r} is not an integer")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ValidationError(f"simulate config: {key!r} is not a number") from None
 
 

@@ -39,11 +39,16 @@ def simplex_size(n: int, N: int) -> int:
     return math.comb(N + n, n)
 
 
+def _is_number(v) -> bool:
+    """True for a real number that is not a bool: what a JSON number reads
+    as, where JSON true would pass for 1 and a string for its value."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _point_key(x) -> tuple[int, ...]:
     try:
         values = list(x)
-        if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and float(v).is_integer() for v in values):
+        if all(_is_number(v) and float(v).is_integer() for v in values):
             return tuple(int(v) for v in values)
     except (TypeError, OverflowError):
         pass

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import StateSpace, _point_key
+from .lattice import StateSpace, _is_number
 
 # multinomial coefficients are exact integers up to this N, log-space above
 EXACT_N_MAX = 20
@@ -53,11 +53,7 @@ class ModelParams:
             raise ValidationError("n and N must be integers")
         if self.n < 1 or self.N < 1:
             raise ValidationError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
-        try:
-            p = tuple(float(v) for v in self.p)
-            q = tuple(float(v) for v in self.q)
-        except (TypeError, ValueError):
-            raise ValidationError("p and q must be lists of numbers") from None
+        p, q = _floats(self.p), _floats(self.q)
         if len(p) != self.n or len(q) != self.n:
             raise ValidationError(
                 f"p and q must have length n={self.n}, got {len(p)} and {len(q)}"
@@ -85,6 +81,17 @@ class ModelParams:
         distance lambda_j - q_i to full relative precision.
         """
         return self.coincidence_gap == 0.0
+
+
+def _floats(vec) -> tuple:
+    """`vec` as floats; ValidationError unless it is a list of numbers."""
+    try:
+        values = list(vec)
+        if all(_is_number(v) for v in values):
+            return tuple(float(v) for v in values)
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError("p and q must be lists of numbers")
 
 
 def linear_rate_tables(p, q, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -154,17 +161,6 @@ def probabilities(params: ModelParams) -> Probabilities:
     return Probabilities(1.0 / denom, eta)
 
 
-def multinomial_weight(params: ModelParams, x) -> float:
-    """Stationary weight of one point: multinomial pmf with cells
-    (eta0, eta) and counts (N - |x|, x)."""
-    x, N = _point_key(x), params.N
-    if len(x) != params.n or min(x) < 0 or sum(x) > N:
-        raise ValidationError(f"{x} is not in the lattice for n={params.n}, N={N}")
-    prob = probabilities(params)
-    cells = np.concatenate(([prob.eta0], prob.eta))
-    return float(_multinomial_rows(N, np.array([N - sum(x), *x])[:, None], cells)[0])
-
-
 def _count_columns(N: int, space: StateSpace, rows=slice(None)) -> list:
     """The counts (x0, x_1..x_n), x0 = N - |x|, of the lattice points of
     ranks `rows` (all by default) as n + 1 columns; for a slice of ranks
@@ -228,9 +224,8 @@ def _log_route_pmf(N: int, columns, cells: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
-    """Multinomial pmf over the whole lattice, in rank order, by the route
-    `multinomial_weight` takes for one point, so the two agree bit for bit.
-    With eta0 = 1 the values are C(N, x) eta^x.
+    """Multinomial pmf over the whole lattice, in rank order.  With
+    eta0 = 1 the values are C(N, x) eta^x.
     """
     eta = np.array(eta, dtype=float)
     if len(eta) != space.n:

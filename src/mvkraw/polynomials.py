@@ -26,8 +26,8 @@ factor at a time (`sympower.coefficient_row`), times sqrt(m!/x!).  The CLI
 compares it with the kernel's T; `eval_P_via_generating_function` (one x)
 and `table_via_generating_function` (every x) read P off it.
 
-The dual polynomials Q_x(m) are the same expression read as functions of m,
-so eval_Q delegates to eval_P.  The module also provides the orthonormal
+The dual polynomials Q_x(m) are the same expression read as functions of m:
+Q_x(m) = eval_P(spec, m, x, N).  The module also provides the orthonormal
 map T of a table, the one check of orthogonality in both directions
 (`orthonormality`, from T^T T and T T^T), and the classical single-variable
 evaluator used as the n=1 oracle.
@@ -106,11 +106,6 @@ def eval_P(spec, m, x, N: int) -> float:
 
     rec(0, 0, x[0], N, 1.0)
     return total
-
-
-def eval_Q(spec, x, m, N: int) -> float:
-    """Dual polynomial Q_x(m): identical expression with roles swapped."""
-    return eval_P(spec, m, x, N)
 
 
 def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float,

@@ -36,7 +36,7 @@ from .bdcore import _difference
 from .errors import SingularParameters, ValidationError
 from .lattice import StateSpace
 from .model import linear_rate_tables
-from .polynomials import _rescale, orthonormality, table
+from .polynomials import _rescale, orthonormality
 from .report import Report
 from .spectrum import _derived, _gram_defects
 from .sympower import coefficient_power
@@ -278,22 +278,6 @@ def eval_rational(pair: DualPair, m, x, N: int) -> float:
     return total
 
 
-def rational_table(pair: DualPair, space: StateSpace) -> np.ndarray:
-    """Full table of the rational family; rows x ranks, columns m ranks.
-
-    `polynomials.table` of the pair, read off the symmetric power of
-    `DualPair.R`; `eval_rational` is its entry-by-entry oracle.
-    """
-    if space.n != 2:
-        raise ValidationError("the rational family is two-dimensional")
-    return table(pair, space)
-
-
-def dual_rate_tables(pair: DualPair, space: StateSpace):
-    """Signed dual birth/death tables over the m lattice."""
-    return linear_rate_tables(pair.dual_p, pair.dual_q, space)
-
-
 def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     """Check the dual difference equation on the whole lattice.
 
@@ -309,7 +293,7 @@ def verify_recurrence(pair: DualPair, N: int, tol: float = 1e-10) -> Report:
     # e = -log sqrt(W(x) C(N,m) eta_bar^m): P up to one positive constant c,
     # |P c| <= 1 where P itself may pass the float64 range
     P = _rescale(T, pair.R, space, -0.5, unit=True)
-    B, D = dual_rate_tables(pair, space)
+    B, D = linear_rate_tables(pair.dual_p, pair.dual_q, space)
     # the signed dual rates grow like S/Delta near p1*p4 = p2*p3, so the
     # relations are judged per unit of max |P c| (P_0 = 1 puts max |P| at
     # 1 or above) and of the largest exit rate

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsorbingState, NoConvergence, ValidationError
-from .lattice import StateSpace
+from .lattice import StateSpace, _is_number
 from .model import (
     ModelParams, _linear_rates, check_rate_tables, log_weight_vector, rate_tables,
     weight_vector,
@@ -200,22 +200,6 @@ def gillespie_run(
     )
 
 
-def run_replicas(
-    params: ModelParams,
-    space: StateSpace,
-    n_events: int,
-    seed: int,
-    replicas: int,
-    initial=None,
-) -> list[GillespieResult]:
-    """Independent runs with child seeds spawned from one root seed."""
-    return [
-        gillespie_run(params, space, n_events,
-                      int(child.generate_state(1, dtype=np.uint64)[0]), initial)
-        for child in np.random.SeedSequence(seed).spawn(replicas)
-    ]
-
-
 @dataclass(frozen=True)
 class EvolveResult:
     times: np.ndarray
@@ -259,10 +243,13 @@ def evolve_distribution(
         else:
             raise ValidationError(f"unknown initial distribution {initial!r}")
     else:
-        try:
-            v = np.asarray(initial, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(f"initial {initial!r} is not a distribution") from None
+        # numpy reads JSON true as 1 and "0.5" as 0.5, also in a list of numbers
+        if isinstance(initial, (list, tuple)) and not all(map(_is_number, initial)):
+            raise ValidationError("initial must be a vector of numbers")
+        v = np.asarray(initial)
+        if v.dtype.kind not in "iuf":
+            raise ValidationError("initial must be a vector of numbers")
+        v = v.astype(float)
         if v.shape != (space.size,):
             raise ValidationError("initial distribution does not match the lattice")
         if not np.isfinite(v).all():

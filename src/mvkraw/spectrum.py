@@ -46,7 +46,11 @@ MAX_BISECTIONS = 1024 + 1074 + 53
 
 
 def characteristic_matrix(p, q) -> np.ndarray:
-    """F[i, j] = p_j + q_i delta_ij; det(lam I - F) = 0 is the secular equation."""
+    """Determinant oracle of `secular_function`: test_secular_vs_characteristic_determinant.
+
+    F[i, j] = p_j + q_i delta_ij, and det(lam I - F) =
+    -prod_i (lam - q_i) secular_function(lam), so its roots are the
+    eigenvalues `solve_spectrum` finds."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return np.tile(p, (len(p), 1)) + np.diag(q)
@@ -214,13 +218,13 @@ def _assert_interlacing(sorted_gaps: np.ndarray, psum: float) -> None:
 
 
 def rational_case_n2(p1: float, p2: float, q: float) -> SpectralData:
-    """Bivariate family with rational system parameters.
+    """Exact-gap oracle of `solve_spectrum`: test_rational_case_matches_solver.
 
-    With q1 = q and q2 = q + 2(p1 - p2) the eigenvalues are lam1 = q+p1-p2
-    and lam2 = q+2*p1, and the pole distances are differences of the
-    inputs, lam_j - q_i = [[p1-p2, 2 p1], [p2-p1, 2 p2]], so
-    u11 = lam1/(p1-p2), u12 = lam2/(2 p1), u21 = -lam1/(p1-p2),
-    u22 = lam2/(2 p2).
+    A bivariate family with rational system parameters: with q1 = q and
+    q2 = q + 2(p1 - p2) the eigenvalues are lam1 = q+p1-p2 and
+    lam2 = q+2*p1, and the pole distances are differences of the inputs,
+    lam_j - q_i = [[p1-p2, 2 p1], [p2-p1, 2 p2]], so u11 = lam1/(p1-p2),
+    u12 = lam2/(2 p1), u21 = -lam1/(p1-p2), u22 = lam2/(2 p2).
     """
     for name, v in (("p1", p1), ("p2", p2), ("q", q)):
         if not (math.isfinite(v) and v > 0):

@@ -314,6 +314,33 @@ def test_invalid_inputs_exit_code(tmp_path, params_file):
             assert "Traceback" not in res.stderr
 
 
+_UNIFORM = (b'{"schema": 1, "mode": "uniformization", "time": 1.0, "steps": 2, '
+            b'"params": {"schema": 1, "n": 1, "N": 2, "p": [1], "q": [2]}, ')
+
+
+@pytest.mark.parametrize("command, text", [
+    # a string or JSON true is not a number, though float() reads both
+    ("spectrum", b'{"schema": 1, "n": 2, "N": 3, "p": ["1", true], "q": [1, "3e0"]}'),
+    ("spectrum", b'{"schema": true, "n": 2, "N": 3, "p": [1, 2], "q": [1, 3]}'),
+    ("simulate", _UNIFORM + b'"initial": ["1", 0, 0]}'),
+    ("simulate", _UNIFORM + b'"initial": [true, false, false]}'),
+    # not UTF-8, and a key given twice, which `json` reads as its last value
+    ("spectrum", b'{"schema": 1, "n": 1, "N": 2, "p": [1], "q": [2], "x": "\xff"}'),
+    ("spectrum", b'{"schema": 1, "n": 2, "N": 3, "p": [1, 2], "q": [1, 3], "p": [5, 6]}'),
+], ids=["string-or-bool-rate", "bool-schema", "string-initial", "bool-initial",
+        "not-utf8", "duplicate-key"])
+def test_malformed_json_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    source = "--config" if command == "simulate" else "--params"
+    out = tmp_path / "run"
+    rc = cli.main([command, source, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("spectrum", "--band", "nan"),
     ("spectrum", "--band", "-1"),
@@ -427,18 +454,16 @@ PUBLIC_NAMES = [
     "AbsorbingState", "CapExceeded", "Check", "DualPair", "EigenBasis",
     "EvolveResult", "ExceptionalParameters", "GillespieResult", "ModelParams",
     "NoConvergence", "RationalParams", "RelaxationFit", "Report",
-    "SingularParameters", "SpectralData", "StateSpace", "ValidationError",
-    "bdcore", "check_compatibility", "check_rate_tables", "derive_dual_pair",
+    "SingularParameters", "SpectralData", "StateSpace", "ValidationError", "bdcore",
+    "check_compatibility", "check_rate_tables", "derive_dual_pair",
     "difference_operator_from_tables", "eigen_residuals", "errors", "eval_P",
-    "eval_P_via_generating_function", "eval_Q", "eval_rational",
-    "evolve_distribution", "generator_from_tables", "gillespie_run",
-    "identity_checks", "kl_divergence", "kr_P", "ladder_from_tables", "lattice",
-    "model", "multinomial_weight", "numeric_eigenbasis", "orthonormal_map",
-    "orthonormality", "polynomials", "probabilities", "rate_tables", "rational",
-    "rational_case_n2", "rational_table", "relaxation_rate", "report",
-    "run_replicas", "secular_function", "simplex_size", "simulate",
-    "solve_spectrum", "spectrum", "stationary_weight_generic",
-    "symmetrized_from_tables", "sympower", "table",
+    "eval_P_via_generating_function", "eval_rational", "evolve_distribution",
+    "generator_from_tables", "gillespie_run", "identity_checks", "kl_divergence",
+    "kr_P", "ladder_from_tables", "lattice", "model", "numeric_eigenbasis",
+    "orthonormal_map", "orthonormality", "polynomials", "probabilities",
+    "rate_tables", "rational", "rational_case_n2", "relaxation_rate", "report",
+    "secular_function", "simplex_size", "simulate", "solve_spectrum", "spectrum",
+    "stationary_weight_generic", "symmetrized_from_tables", "sympower", "table",
     "table_via_generating_function", "total_variation", "verify_recurrence",
     "verify_structure", "weight_vector",
 ]

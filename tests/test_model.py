@@ -10,7 +10,6 @@ from mvkraw import (
     ModelParams,
     StateSpace,
     ValidationError,
-    multinomial_weight,
     probabilities,
     weight_vector,
 )
@@ -28,8 +27,9 @@ def test_params_validation():
         ModelParams(n=0, N=3, p=(), q=())
     with pytest.raises(ValidationError):
         ModelParams(n=1, N=0, p=(1.0,), q=(1.0,))
-    for bad in (1, ["x"], [None]):
-        with pytest.raises(ValidationError):
+    # a string or JSON true is not a number, nor an integer past float64
+    for bad in (1, ["x"], [None], ["1", 1.0], [True, 1.0], [10**400, 1.0]):
+        with pytest.raises(ValidationError, match="lists of numbers"):
             ModelParams(n=2, N=3, p=bad, q=(1.0, 2.0))
     # JSON true is a bool, not the integer 1
     with pytest.raises(ValidationError, match="must be integers"):
@@ -69,6 +69,11 @@ def test_weight_vector_anchor():
     W = weight_vector(params, space)
     # points (0,0), (0,1), (1,0) -> eta0, eta2, eta1
     assert np.allclose(W, [3 / 7, 1 / 7, 3 / 7], atol=1e-15)
+    # eta0 = eta = 1/3 at N = 3: W((1,1)) = 3!/(1!1!1!) / 27 = 6/27
+    params = ModelParams(n=2, N=3, p=(1.0, 1.0), q=(1.0, 1.0))
+    space = StateSpace(2, 3)
+    W = weight_vector(params, space)
+    assert W[space.rank((1, 1))] == pytest.approx(6 / 27, abs=1e-15)
 
 
 def test_weight_is_multinomial():
@@ -86,25 +91,6 @@ def test_weight_is_multinomial():
         )
         exact = coeff * e0 ** (4 - sum(x)) * e[0] ** x[0] * e[1] ** x[1]
         assert W[r] == pytest.approx(float(exact), rel=1e-13)
-
-
-def test_multinomial_weight_single_point():
-    params = ModelParams(n=2, N=3, p=(1.0, 1.0), q=(1.0, 1.0))
-    # eta0 = 1/3, eta = (1/3, 1/3); W((1,1)) = 3!/(1!1!1!) /27 = 6/27
-    assert multinomial_weight(params, (1, 1)) == pytest.approx(6 / 27, abs=1e-15)
-    with pytest.raises(ValidationError):
-        multinomial_weight(params, (2, 2))
-    with pytest.raises(ValidationError):
-        multinomial_weight(params, (-1, 0))
-    for bad in ((1,), (1, 1, 0), (1.5, 0), (True, 0)):
-        with pytest.raises(ValidationError):
-            multinomial_weight(params, bad)
-    # above EXACT_N_MAX too, the single point is the lattice-wide value
-    params = ModelParams(n=3, N=80, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
-    space = StateSpace(3, 80)
-    W = weight_vector(params, space)
-    ranks = np.random.default_rng(80).choice(space.size, 300, replace=False)
-    assert np.array_equal(W[ranks], [multinomial_weight(params, space.points[r]) for r in ranks])
 
 
 def test_multinomial_vector_matches_per_point_values():

@@ -1,8 +1,10 @@
 """Smoke test of the benchmark harness on its quickest setting: one round
-of a workload, checked against its own oracles.  `gillespie` runs the jump
-chain at (2,5) and (3,20); `large-lattice` runs `simulate` in
-uniformization mode from the origin at (3,80) and `verify --level fast` at
-(3,20)."""
+of a workload, checked against its own oracles.  `eigenbasis` runs `table`
+and `verify --level full` at (2,10), (3,8) and (4,4), `numeric_eigenbasis`
+at (3,20) and `rational` at N = 6, each against 60-digit oracles;
+`gillespie` runs the jump chain at (2,5) and (3,20); `large-lattice` runs
+`simulate` in uniformization mode from the origin at (3,80) and `verify
+--level fast` at (3,20)."""
 
 import json
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["gillespie", "large-lattice"])
+@pytest.mark.parametrize("workload", ["eigenbasis", "gillespie", "large-lattice"])
 def test_workload_runs_and_passes(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -13,7 +13,6 @@ from mvkraw import (
     eigen_residuals,
     eval_P,
     eval_P_via_generating_function,
-    eval_Q,
     kr_P,
     orthonormal_map,
     orthonormality,
@@ -142,7 +141,6 @@ def test_transpose_symmetry():
         direct = eval_P(spec.u, m, x, 5)
         swapped = eval_P(spec.u.T, x, m, 5)
         assert direct == pytest.approx(swapped, rel=1e-13, abs=1e-13)
-        assert eval_Q(spec, x, m, 5) == direct
 
 
 def test_eval_P_validation():

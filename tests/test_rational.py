@@ -13,12 +13,11 @@ from mvkraw import (
     derive_dual_pair,
     eval_P,
     eval_rational,
-    rational_table,
+    table,
     verify_recurrence,
 )
-from mvkraw.model import multinomial_vector
+from mvkraw.model import linear_rate_tables, multinomial_vector
 from mvkraw.polynomials import _rescale
-from mvkraw.rational import dual_rate_tables
 from mvkraw.simulate import gillespie_from_tables
 
 
@@ -110,7 +109,7 @@ def test_recurrence_whole_lattice(pair):
 def test_evaluator_agreement(pair):
     # the kernel table and both independent series must agree
     space = StateSpace(2, 5)
-    R = rational_table(pair, space)
+    R = table(pair, space)
     for mr, m in enumerate(space.points):
         for xr, x in enumerate(space.points):
             generic = eval_P(pair.U, m, x, 5)
@@ -123,7 +122,7 @@ def test_level_one_values(pair):
     # at N = 1 the table rows are (1, 1, 1), (1, 1-v, 1-t)... wait: check
     # against direct evaluation instead of hand expansion
     space = StateSpace(2, 1)
-    R = rational_table(pair, space)
+    R = table(pair, space)
     assert np.allclose(R[0], 1.0)
     assert np.allclose(R[:, 0], 1.0)
     r_x = space.rank((1, 0))
@@ -143,7 +142,7 @@ def test_generating_function_route(pair):
 
     space = StateSpace(2, 4)
     oracle = table_via_generating_function(pair, space)
-    R = rational_table(pair, space)
+    R = table(pair, space)
     assert np.abs(R - oracle).max() < 1e-12
 
 
@@ -156,7 +155,7 @@ def test_eval_rational_validation(pair):
 
 def test_simulator_refuses_signed_dual_rates(pair):
     space = StateSpace(2, 3)
-    B, D = dual_rate_tables(pair, space)
+    B, D = linear_rate_tables(pair.dual_p, pair.dual_q, space)
     assert B.min() < 0 or D.min() < 0
     with pytest.raises(ValidationError, match="negative rates"):
         gillespie_from_tables(B, D, space, 100, seed=1)
@@ -176,7 +175,7 @@ def test_orthogonality_checks_match_gram_reference(pair, corrupt, monkeypatch):
     # corrupted table reaches it as its T
     N = 6
     space = StateSpace(2, N)
-    R = rational_table(pair, space)
+    R = table(pair, space)
     if corrupt:
         R[:, 2] *= 1.0 + 1e-6
         R[3, 4] += 1e-6

@@ -22,7 +22,6 @@ from mvkraw import (
     kl_divergence,
     rate_tables,
     relaxation_rate,
-    run_replicas,
     total_variation,
     weight_vector,
 )
@@ -167,17 +166,6 @@ def test_rate_table_validation(setup):
         with pytest.raises(ValidationError, match="outside the lattice"):
             gillespie_from_tables(*rate_tables(params, space), space, 10, seed=0,
                                   initial_rank=rank)
-
-
-def test_replicas_use_distinct_streams(setup):
-    params, space = setup
-    runs = run_replicas(params, space, 3_000, seed=42, replicas=4)
-    assert len(runs) == 4
-    seeds = {r.seed for r in runs}
-    assert len(seeds) == 4
-    finals = {r.final_state for r in runs}
-    occs = [tuple(r.occupation) for r in runs]
-    assert len(set(occs)) == 4, (finals, seeds)
 
 
 def test_uniformization_matches_matrix_exponential():
@@ -460,6 +448,12 @@ def test_initial_vector_validation(setup):
         v[:3] = (bad, 0.5, 0.5)
         with pytest.raises(ValidationError, match="non-finite"):
             evolve_distribution(params, space, v, T=1.0, steps=2)
+    # a bool or a string is not a number, also next to numbers or in an array
+    point = [0] * space.size
+    for bad in ([True] + point[1:], ["1"] + point[1:], point[:1] + [True] + point[2:],
+                np.arange(space.size) == 0):
+        with pytest.raises(ValidationError, match="vector of numbers"):
+            evolve_distribution(params, space, bad, T=1.0, steps=2)
 
 
 def test_relaxation_rate_recovers_spectral_gap(setup):
