@@ -335,7 +335,8 @@ def verify_structure(
 
     report.add("symmetrized-annihilates-sqrt-weight", np.abs(H @ sqw).max() / scale, tol)
 
-    bound = math.sqrt(gap.column_sums().max() * gap.vals.sum(axis=1).max())
+    # as Python floats: the product is inf, not a RuntimeWarning, past float64
+    bound = math.sqrt(float(gap.column_sums().max()) * float(gap.vals.sum(axis=1).max()))
     hmax = max(float(H.vals[:, space.n].max()), 1e-300)
     report.add("symmetrized-positive-semidefinite", bound / hmax, tol)
 

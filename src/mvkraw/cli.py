@@ -25,10 +25,13 @@ table is written: ``table.csv``, and ``gen_oracle.csv`` when the oracle
 agrees with the kernel; every P is read off before either is written.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
-3 exceptional (coincident) parameters, 4 size cap exceeded (``--cap``; 5,000
-points for ``table``, ``verify --level full``, ``rational -N 99`` and up)
-or, for ``table`` only, polynomial values outside the float64 range, 5 a
-solver did not converge, 6 an absorbing state was reached.
+3 exceptional (equal) death intensities, 4 a size cap exceeded (a lattice
+above ``lattice.LATTICE_CAP`` points; a dense table above
+``sympower.DENSE_CAP``, so ``table``, ``verify --level full`` and
+``rational -N 99`` and up) or values outside the float64 range (a rate
+sum, a secular term, spectral data or a cell probability; polynomial
+values, for ``table`` only), 5 a solver did not converge, 6 an absorbing
+state was reached.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .lattice import DEFAULT_CAP, StateSpace, _is_number
+from .lattice import StateSpace, _is_number
 from .model import ModelParams, rate_tables, weight_vector
 from .report import Report
 
@@ -207,7 +210,7 @@ def _cmd_table(args) -> int:
     from .sympower import coefficient_power
 
     params = _load_params(args.params)
-    space = StateSpace(params.n, params.N, cap=args.cap)
+    space = StateSpace(params.n, params.N)
     spec = solve_spectrum(params)
     T = coefficient_power(spec.R, space)
     # every P is read off before anything is written: a P outside the
@@ -251,9 +254,10 @@ def _cmd_verify(args) -> int:
         from .sympower import coefficient_power
 
     params = _load_params(args.params)
-    space = StateSpace(params.n, params.N, cap=args.cap)
+    space = StateSpace(params.n, params.N)
     B, D = rate_tables(params, space)
-    report = verify_structure(B, D, space, tol=args.tol)
+    # the annihilation checks read the model's multinomial law
+    report = verify_structure(B, D, space, weight_vector(params, space), tol=args.tol)
 
     spec = solve_spectrum(params)
     if args.inject_u_perturbation:
@@ -319,14 +323,14 @@ def _cmd_simulate(args) -> int:
     from .simulate import evolve_distribution, gillespie_run, relaxation_rate
 
     cfg, params = _load_sim_config(args.config)
-    space = StateSpace(params.n, params.N, cap=args.cap)
+    space = StateSpace(params.n, params.N)
     mode = cfg["mode"]
 
     # each mode computes its table, inputs, summary and console line; the
     # files are written only once the run has succeeded
     if mode == "gillespie":
         events = _config_number(cfg, "events", int)
-        seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
+        seed = _config_number(cfg, "seed", int)
         initial = cfg.get("initial")
         if initial == "origin":
             initial = None
@@ -390,7 +394,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_rational(args) -> int:
     from .rational import RationalParams, derive_dual_pair, verify_recurrence
 
-    StateSpace(2, args.N, cap=args.cap)   # the recurrence lattice, held to --cap
     pair = derive_dual_pair(RationalParams(*args.rates))
     report = pair.cross_checks
     recurrence = verify_recurrence(pair, args.N, tol=args.tol)
@@ -432,20 +435,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol=True, cap=True, params=True):
+    def common(sp, tol=True, params=True):
         sp.add_argument("--out", default=".", help="output directory")
         if tol:
             sp.add_argument("--tol", type=float, default=1e-10,
                             help="base tolerance for checks")
-        if cap:
-            sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                            help="maximum lattice size")
         if params:
             sp.add_argument("--params", required=True,
                             help="JSON file with model parameters")
 
     sp = sub.add_parser("spectrum", help="solve the secular equation")
-    common(sp, cap=False)
+    common(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("table", help="evaluate the polynomial table")
@@ -467,8 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, tol=False, params=False)
     sp.add_argument("--config", required=True,
                     help="JSON simulation config")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="override the config seed")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("rational",
@@ -485,13 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_options(args) -> None:
     """A tolerance that is not positive, or an injection that is not finite,
-    would make every check pass or fail regardless of the model; a cap below
-    one point would fail every lattice as if it were too large.  Each is
+    would make every check pass or fail regardless of the model.  Each is
     judged only where the command has it."""
     if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValidationError(f"--tol must be positive and finite, got {args.tol}")
-    if "cap" in args and args.cap < 1:
-        raise ValidationError(f"--cap must be at least 1, got {args.cap}")
     inject = getattr(args, "inject_u_perturbation", 0.0)
     if not math.isfinite(inject):
         raise ValidationError(f"--inject-u-perturbation must be finite, got {inject}")

@@ -6,22 +6,13 @@ class ValidationError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A requested instance exceeds a configured size cap, or its values
-    exceed the float64 range."""
+    """A requested instance exceeds a size cap, or its values exceed the
+    float64 range."""
 
 
 class ExceptionalParameters(RuntimeError):
-    """Coincident death intensities: the closed-form eigenpolynomial
-    construction is ill-defined and only the numeric eigenbasis applies.
-
-    The ``details`` dict carries diagnostics (the offending q pair, the
-    coincidence gap, and for n=2 the reference eigenvalues of the
-    degree-one block).
-    """
-
-    def __init__(self, message: str, details: dict | None = None):
-        super().__init__(message)
-        self.details = dict(details or {})
+    """Equal death intensities: the closed-form eigenpolynomial
+    construction is ill-defined and only the numeric eigenbasis applies."""
 
 
 class NoConvergence(RuntimeError):

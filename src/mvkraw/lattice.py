@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 
-DEFAULT_CAP = 2_000_000
+# the most points a lattice may have; StateSpace checks it before allocating
+LATTICE_CAP = 2_000_000
 
 
 def simplex_size(n: int, N: int) -> int:
@@ -74,14 +75,15 @@ class StateSpace:
         they hold 4.4 MB beside the 2.9 MB of the rest.
     """
 
-    def __init__(self, n: int, N: int, cap: int = DEFAULT_CAP):
+    def __init__(self, n: int, N: int):
         if not (type(n) is int and type(N) is int):
             raise ValidationError("n and N must be integers")
         if n < 1 or N < 1:
             raise ValidationError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
         size = simplex_size(n, N)
-        if size > cap:
-            raise CapExceeded(f"size cap exceeded: lattice has {size} points > {cap}")
+        if size > LATTICE_CAP:
+            raise CapExceeded(
+                f"size cap exceeded: lattice has {size} points > {LATTICE_CAP}")
 
         self.n = n
         self.N = N

@@ -25,11 +25,12 @@ within two subnormal spacings below.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _is_number
 
 # multinomial coefficients are exact integers up to this N, log-space above
@@ -64,14 +65,6 @@ class ModelParams:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def coincidence_gap(self) -> float:
-        """Smallest pairwise |q_i - q_j| (inf when n = 1)."""
-        if self.n == 1:
-            return math.inf
-        qs = sorted(self.q)
-        return min(b - a for a, b in zip(qs, qs[1:]))
-
     def exceptional(self) -> bool:
         """True when two q_i are equal.
 
@@ -80,7 +73,7 @@ class ModelParams:
         however close, are regular: the secular solver keeps every pole
         distance lambda_j - q_i to full relative precision.
         """
-        return self.coincidence_gap == 0.0
+        return len(set(self.q)) < self.n
 
 
 def _floats(vec) -> tuple:
@@ -102,11 +95,24 @@ def linear_rate_tables(p, q, space: StateSpace) -> tuple[np.ndarray, np.ndarray]
 
 def _linear_rates(p, q, N: int, degrees, coords) -> tuple[np.ndarray, np.ndarray]:
     """B and D on the points `coords` of total degree `degrees`: the one
-    float expression of every rate table row."""
+    float expression of every rate table row.  CapExceeded where the
+    largest total exit rate, N sum |p| at the origin or N max |q| at a
+    corner, leaves float64."""
+    top = max(_finite_sum(map(abs, p), "rate sum"), *map(abs, q))
+    if not math.isfinite(N * top):
+        raise CapExceeded("total exit rate outside the float64 range")
     rem = (N - degrees).astype(float)
     B = rem[:, None] * np.asarray(p, dtype=float)[None, :]
     D = coords.astype(float) * np.asarray(q, dtype=float)[None, :]
     return B, D
+
+
+def _finite_sum(values, what: str) -> float:
+    """math.fsum(values); CapExceeded where a value or the sum is not finite."""
+    with suppress(OverflowError, ValueError):   # a sum past float64, or inf - inf
+        if math.isfinite(total := math.fsum(values)):
+            return total
+    raise CapExceeded(f"{what} outside the float64 range")
 
 
 def check_rate_tables(B, D, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +160,13 @@ class Probabilities:
 
 
 def probabilities(params: ModelParams) -> Probabilities:
-    """eta_i = (p_i/q_i) / (1 + sum_j p_j/q_j) and eta0 = the remainder."""
+    """eta_i = (p_i/q_i) / (1 + sum_j p_j/q_j) and eta0 = the remainder;
+    CapExceeded where a ratio overflows or an eta_i underflows to 0."""
     ratio = [pi / qi for pi, qi in zip(params.p, params.q)]
-    denom = 1.0 + math.fsum(ratio)
+    denom = 1.0 + _finite_sum(ratio, "rate ratio p_i/q_i")
     eta = tuple(r / denom for r in ratio)
+    if min(eta) == 0.0:
+        raise CapExceeded("cell probability outside the float64 range")
     return Probabilities(1.0 / denom, eta)
 
 

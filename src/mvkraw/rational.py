@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bdcore import _difference
-from .errors import SingularParameters, ValidationError
+from .errors import CapExceeded, SingularParameters, ValidationError
 from .lattice import StateSpace
-from .model import linear_rate_tables
+from .model import _finite_sum, linear_rate_tables
 from .polynomials import _rescale, orthonormality
 from .report import Report
 from .spectrum import _derived, _gram_defects
@@ -59,6 +59,14 @@ class RationalParams:
         for name, v in zip(("p1", "p2", "p3", "p4"), vals):
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be positive and finite, got {v}")
+        # the surface test below needs a finite Delta, and the closed forms,
+        # taken on the rates scaled to a sum S in [1, 2) (derive_dual_pair),
+        # divide by products of two rates and by Delta^2, which is above
+        # (SINGULAR_REL_TOL min(p)/(4 S))^2 off the surface: none is 0 where
+        # (SINGULAR_REL_TOL min(p)/S)^2 is normal
+        small = SINGULAR_REL_TOL * min(vals) / self.total
+        if not (math.isfinite(self.discriminant) and small * small >= np.finfo(float).tiny):
+            raise CapExceeded("rates outside the float64 range of the closed forms")
         if abs(self.discriminant) <= SINGULAR_REL_TOL * (
             self.p1 * self.p4 + self.p2 * self.p3
         ):
@@ -68,7 +76,7 @@ class RationalParams:
 
     @property
     def total(self) -> float:
-        return math.fsum((self.p1, self.p2, self.p3, self.p4))
+        return _finite_sum((self.p1, self.p2, self.p3, self.p4), "rate sum p1 + ... + p4")
 
     @property
     def discriminant(self) -> float:
@@ -129,9 +137,14 @@ def _relative_gap(got, ref) -> float:
 
 
 def derive_dual_pair(params: RationalParams) -> DualPair:
-    p1, p2, p3, p4 = params.p1, params.p2, params.p3, params.p4
-    S = params.total
-    Delta = params.discriminant
+    # the closed forms are homogeneous in the rates, so they are taken on the
+    # rates times the power of 2 that puts S in [1, 2), and the dual rates
+    # are scaled back: no product of rates can overflow, and every product
+    # and quotient keeps the bits it has unscaled wherever that is normal
+    scale = math.ldexp(1.0, 1 - math.frexp(params.total)[1])
+    p1, p2, p3, p4 = (scale * v for v in (params.p1, params.p2, params.p3, params.p4))
+    S = scale * params.total
+    Delta = p1 * p4 - p2 * p3
 
     q1d = Delta / (p1 + p3)
     q2d = -Delta / (p2 + p4)
@@ -203,9 +216,9 @@ def derive_dual_pair(params: RationalParams) -> DualPair:
 
     pair = DualPair(
         params=params,
-        dual_p=(p1d, p2d),
-        dual_q=(q1d, q2d),
-        dual_lam=(lam1d, lam2d),
+        dual_p=(p1d / scale, p2d / scale),
+        dual_q=(q1d / scale, q2d / scale),
+        dual_lam=(lam1d / scale, lam2d / scale),
         U=U,
         eta=eta,
         eta_dual=eta_dual,

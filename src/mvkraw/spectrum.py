@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExceptionalParameters, NoConvergence, ValidationError
+from .errors import CapExceeded, ExceptionalParameters, NoConvergence, ValidationError
 from .lattice import StateSpace
-from .model import ModelParams
+from .model import ModelParams, _finite_sum
 from .report import Report
 
 # log2(width/root) + 53 halvings close a bracket to adjacent floats, and
@@ -57,8 +57,9 @@ def characteristic_matrix(p, q) -> np.ndarray:
 
 
 def secular_function(lam: float, p, q) -> float:
-    """sum_i p_i / (lam - q_i) - 1, compensated summation."""
-    return math.fsum(pi / (lam - qi) for pi, qi in zip(p, q)) - 1.0
+    """sum_i p_i / (lam - q_i) - 1, compensated summation; CapExceeded where
+    a term or the sum leaves float64."""
+    return _finite_sum((pi / (lam - qi) for pi, qi in zip(p, q)), "secular term") - 1.0
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,11 @@ def _pole_root(p, q: np.ndarray, qs: list, j: int) -> tuple[float, float]:
         else:
             origin, lo, hi = qs[j], 0.0, half
     else:
-        origin, lo, hi = qs[-1], 0.0, math.fsum(p)
+        origin, lo, hi = qs[-1], 0.0, _finite_sum(p, "rate sum p_1 + ... + p_n")
     shifted = (q - origin).tolist()
     for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+        # halved first: in the last bracket lo + hi may pass float64
+        mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             return origin, mid
         if secular_function(mid, p, shifted) > 0.0:
@@ -145,27 +147,34 @@ def _derived(p: np.ndarray, q: np.ndarray, lam: np.ndarray,
              gaps: np.ndarray) -> SpectralData:
     """Everything else from the pole distances gaps[i, j] = lam_j - q_i,
     by closed forms free of cancellation: 1 - u = -q/gaps, and
-    1/eta_bar_j = sum_i eta_i u_ij^2 - 1 = eta0 lam_j sum_i p_i/gaps_ij^2."""
+    1/eta_bar_j = sum_i eta_i u_ij^2 - 1 = eta0 lam_j sum_i p_i/gaps_ij^2.
+    CapExceeded where one of them leaves float64: a value that is not
+    finite, or a probability or norm ratio that underflows to 0."""
     n = len(p)
-    terms = p[:, None] / gaps
-    ratio = p / q
-    eta0 = 1.0 / (1.0 + ratio.sum())
-    eta_bar = 1.0 / (eta0 * lam * (terms / gaps).sum(axis=0))
-    eta_dual0 = 1.0 / (1.0 + eta_bar.sum())
-    a = np.ones((n + 1, n + 1))
-    a[1:, 1:] = -q[:, None] / gaps
-    return SpectralData(
-        p=p,
-        q=q,
-        lam=lam,
-        u=lam[None, :] / gaps,
-        a=a,
-        eta0=float(eta0),
-        eta=eta0 * ratio,
-        eta_bar=eta_bar,
-        eta_dual=np.concatenate(([eta_dual0], eta_dual0 * eta_bar)),
-        secular_residuals=np.abs(terms.sum(axis=0) - 1.0) / np.abs(terms).sum(axis=0),
-    )
+    with np.errstate(all="ignore"):
+        terms = p[:, None] / gaps
+        ratio = p / q
+        eta0 = 1.0 / (1.0 + ratio.sum())
+        eta_bar = 1.0 / (eta0 * lam * (terms / gaps).sum(axis=0))
+        eta_dual0 = 1.0 / (1.0 + eta_bar.sum())
+        a = np.ones((n + 1, n + 1))
+        a[1:, 1:] = -q[:, None] / gaps
+        spec = SpectralData(
+            p=p,
+            q=q,
+            lam=lam,
+            u=lam[None, :] / gaps,
+            a=a,
+            eta0=float(eta0),
+            eta=eta0 * ratio,
+            eta_bar=eta_bar,
+            eta_dual=np.concatenate(([eta_dual0], eta_dual0 * eta_bar)),
+            secular_residuals=np.abs(terms.sum(axis=0) - 1.0) / np.abs(terms).sum(axis=0),
+        )
+    positive = np.r_[spec.eta0, spec.eta, spec.eta_bar, spec.eta_dual]
+    if not (all(np.isfinite(v).all() for v in vars(spec).values()) and positive.min() > 0):
+        raise CapExceeded("spectral data outside the float64 range")
+    return spec
 
 
 def _perturbed(spec: SpectralData, eps: float) -> SpectralData:
@@ -185,16 +194,15 @@ def solve_spectrum(params: ModelParams) -> SpectralData:
     Raises ExceptionalParameters when two q's are equal: there the formula
     u = lam/(lam - q) degenerates and only numeric_eigenbasis applies.
     Distinct q's, however close, are solved to full relative precision.
+    CapExceeded where sum p, a secular term or a derived quantity leaves
+    float64.
     """
     if params.exceptional():
-        details = {"q": params.q, "min_gap": params.coincidence_gap}
-        if params.n == 2:
-            qbar = 0.5 * (params.q[0] + params.q[1])
-            details["reference_lambda"] = (qbar, params.p[0] + params.p[1] + qbar)
+        q = params.q
+        i, j = next((i, j) for j in range(params.n) for i in range(j) if q[i] == q[j])
         raise ExceptionalParameters(
-            "exceptional parameters: coincident death intensities "
-            f"(min gap {details['min_gap']:.3g}); use the numeric eigenbasis",
-            details,
+            "exceptional parameters: equal death intensities "
+            f"q_{i + 1} = q_{j + 1} = {q[i]!r}; use the numeric eigenbasis"
         )
 
     p = np.asarray(params.p, dtype=float)
@@ -231,9 +239,7 @@ def rational_case_n2(p1: float, p2: float, q: float) -> SpectralData:
             raise ValidationError(f"{name} must be finite and positive")
     if p1 == p2:
         raise ExceptionalParameters(
-            "p1 == p2 collapses the two death intensities; no rational spectrum",
-            {"q": (q, q)},
-        )
+            "p1 == p2 collapses the two death intensities; no rational spectrum")
     q2 = q + 2.0 * (p1 - p2)
     if q2 <= 0:
         raise ValidationError(f"q + 2(p1 - p2) = {q2} must be positive")

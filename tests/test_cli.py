@@ -192,7 +192,7 @@ def test_coincident_parameters_exit_code(tmp_path):
     res = run_cli("spectrum", "--params", path, "--out", tmp_path)
     assert res.returncode == 3
     assert res.stderr == (
-        "exceptional parameters: coincident death intensities (min gap 0); "
+        "exceptional parameters: equal death intensities q_1 = q_2 = 2.0; "
         "use the numeric eigenbasis\n"
     )
 
@@ -356,13 +356,14 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, text):
     ("verify", "--inject-u-perturbation", "nan"),
     ("table", "--cap", "0"),
     ("table", "--cap", "-1"),
+    ("simulate", "--seed", "6"),
 ])
 def test_bad_option_values_exit_2(tmp_path, capsys, command, option, value):
     # a bad tolerance or injection would make the checks pass or fail
-    # whatever the model, and a cap below one point would be reported as a
-    # lattice over its size cap; `--band` is gone (only equal q's are
+    # whatever the model; `--band` is gone (only equal q's are
     # exceptional), as are the options `spectrum` and `simulate` ignored,
-    # and the parser rejects each
+    # `--cap` (the lattice cap is `lattice.LATTICE_CAP`) and `simulate
+    # --seed` (the seed is the config's), and the parser rejects each
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"schema": 1, "n": 2, "N": 3, "p": [1.0, 2.0], "q": [1.0, 3.0]}))
     source = {"rational": ["--rates", "1", "2", "3", "4"],
@@ -537,10 +538,17 @@ def test_public_names_resolve():
     assert out.stdout.strip() == f"{PUBLIC_NAMES} []"
 
 
-def test_cap_exit_code(tmp_path, params_file):
-    res = run_cli("table", "--params", params_file, "--out", tmp_path, "--cap", 3)
+def test_cap_exit_code(tmp_path):
+    # (3,300) has 4,590,551 points, above LATTICE_CAP; refused before any
+    # array is built
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "n": 3, "N": 300, "p": [1, 2, 1.5], "q": [1, 3, 6]}
+    ))
+    res = run_cli("table", "--params", path, "--out", tmp_path / "run")
     assert res.returncode == 4
-    assert res.stderr.startswith("error: size cap exceeded: lattice has"), res.stderr
+    assert res.stderr == (
+        "error: size cap exceeded: lattice has 4590551 points > 2000000\n"), res.stderr
 
 
 def test_dense_cap_is_the_kernel_cap(tmp_path):
@@ -661,6 +669,63 @@ def test_table_beyond_float64_exits_4(tmp_path, capsys):
         assert not out.exists()
 
 
+MODEL_COMMANDS = ("spectrum", "table", "verify", "simulate")
+
+
+@pytest.mark.parametrize("model, commands", [
+    ({"n": 2, "N": 3, "p": [1e308, 1e308], "q": [1.0, 2.0]}, MODEL_COMMANDS),
+    ({"n": 1, "N": 1, "p": [1e308], "q": [1e-300]}, MODEL_COMMANDS),
+    ({"n": 2, "N": 1, "p": [1e300, 1e300], "q": [1.0, 1.0 + 2**-52]}, MODEL_COMMANDS[:3]),
+    ({"n": 2, "N": 2, "p": [1e-300, 1e-300], "q": [1e300, 2e300]}, MODEL_COMMANDS),
+    ({"n": 2, "N": 1000, "p": [1e306, 1e306], "q": [1.0, 2.0]}, ("verify", "simulate")),
+    (None, ("rational",)),
+], ids=["sum-p-overflows", "ratio-overflows", "secular-terms-overflow",
+        "eta-underflows", "N-sum-p-overflows", "rational-sum-overflows"])
+def test_float64_range_exits_4(tmp_path, capsys, model, commands):
+    # valid inputs whose rate sums, secular terms, spectral data or cell
+    # probabilities leave float64: one `error:` line and exit 4, where they
+    # died with a traceback, exited 5 or 2, or exited 0 with a RuntimeWarning
+    # (an error here); `simulate` solves no secular equation and runs the
+    # third model
+    sources = {"rational": ["--rates", *["1e308"] * 4, "-N", "2"]}
+    if model is not None:
+        params, config = tmp_path / "params.json", tmp_path / "sim.json"
+        params.write_text(json.dumps({"schema": 1, **model}))
+        config.write_text(json.dumps({"schema": 1, "params": {"schema": 1, **model},
+                                      "mode": "gillespie", "events": 10, "seed": 1}))
+        sources = {"simulate": ["--config", str(config)],
+                   **{c: ["--params", str(params)] for c in MODEL_COMMANDS[:3]}}
+    for command in commands:
+        out = tmp_path / command
+        rc = cli.main([command, *sources[command], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, (command, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "outside the float64 range" in err, err
+        assert not out.exists()
+
+
+def test_verify_reads_the_multinomial_law(tmp_path, params_file, monkeypatch, capsys):
+    # the three annihilation checks read the model's stationary law,
+    # `weight_vector`: a weight off by 1e-6 at one point fails exactly them
+    exact = cli.weight_vector
+
+    def off(params, space):
+        W = exact(params, space).copy()
+        W[1] *= 1.0 + 1e-6
+        return W / W.sum()
+
+    monkeypatch.setattr(cli, "weight_vector", off)
+    rc = cli.main(["verify", "--level", "fast", "--params", str(params_file),
+                   "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1, out
+    failed = {line.split()[1].rstrip(":") for line in out.splitlines()
+              if line.startswith("[FAIL]")}
+    assert failed == {"generator-annihilates-weight", "ladder-annihilates-sqrt-weight",
+                      "symmetrized-annihilates-sqrt-weight"}, out
+
+
 def test_simulate_gillespie(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
@@ -681,7 +746,9 @@ def test_simulate_gillespie(tmp_path):
     assert manifest["rng_family"] == "numpy-PCG64"
     assert manifest["summary"]["tv_to_stationary"] < 0.25
 
-    res = run_cli("simulate", "--config", cfg, "--out", out, "--seed", 6)
+    # the seed is read from the config alone
+    cfg.write_text(cfg.read_text().replace('"seed": 5', '"seed": 6'))
+    res = run_cli("simulate", "--config", cfg, "--out", out)
     assert res.returncode == 0
     assert json.loads((out / "simulate.json").read_text())["seed"] == 6
 
@@ -785,9 +852,6 @@ def test_simulate_integer_inputs(tmp_path):
         res = run_cli("simulate", "--config", cfg, "--out", tmp_path)
         assert res.returncode == 2, (broken, res.stderr)
         assert key in res.stderr and "Traceback" not in res.stderr, res.stderr
-    cfg.write_text(json.dumps(base))
-    res = run_cli("simulate", "--config", cfg, "--out", tmp_path, "--seed", -1)
-    assert res.returncode == 2 and "seed" in res.stderr, res.stderr
     # an integral float, and a seed float64 cannot hold exactly, both run
     for ok in ({**base, "events": 10.0}, {**base, "seed": 2**53 + 1}):
         cfg.write_text(json.dumps(ok))
@@ -825,11 +889,11 @@ def test_rational_command_at_larger_N(tmp_path):
 
 
 def test_rational_command_respects_cap(tmp_path):
-    # its recurrence lattice at N = 10 has 66 points
-    res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 10, "--cap", 10,
-                  "--out", tmp_path)
+    # its recurrence lattice at N = 2000 has 2,003,001 points, above
+    # LATTICE_CAP
+    res = run_cli("rational", "--rates", 1, 2, 3, 4, "-N", 2000, "--out", tmp_path)
     assert res.returncode == 4
-    assert res.stderr.startswith("error: size cap exceeded: lattice has 66"), res.stderr
+    assert res.stderr.startswith("error: size cap exceeded: lattice has 2003001"), res.stderr
 
 
 @pytest.mark.parametrize("N", [54, 60])

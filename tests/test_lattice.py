@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvkraw import CapExceeded, StateSpace, ValidationError, simplex_size
+from mvkraw.lattice import LATTICE_CAP
 
 
 def _degree_block(n, total):
@@ -115,10 +116,13 @@ def test_binomial_table_is_exact(n, N):
 
 
 def test_cap_enforced_before_building():
-    with pytest.raises(CapExceeded):
-        StateSpace(3, 6, cap=50)
-    # generous cap still works
-    assert StateSpace(3, 6, cap=84).size == 84
+    # LATTICE_CAP points build, one more is refused before any array is
+    # made; (3,300) would need 4,590,551 points
+    assert LATTICE_CAP == 2_000_000
+    assert StateSpace(1, 1_999_999).size == 2_000_000
+    for n, N in ((1, 2_000_000), (3, 300)):
+        with pytest.raises(CapExceeded, match=f"lattice has {simplex_size(n, N)} points"):
+            StateSpace(n, N)
 
 
 def test_validation():

@@ -128,8 +128,8 @@ def test_large_N_log_path_consistent():
 
 def test_coincidence_gap_and_exceptional():
     params = ModelParams(n=2, N=3, p=(1.0, 1.0), q=(2.0, 2.0))
-    assert params.coincidence_gap == 0.0
     assert params.exceptional()
+    assert ModelParams(n=3, N=3, p=(1.0, 1.0, 1.0), q=(5.0, 4.0, 5.0)).exceptional()
     # only equal q's are exceptional, however close distinct ones lie
     near = ModelParams(n=2, N=3, p=(1.0, 1.0), q=(2.0, 2.0 + 1e-12))
     assert not near.exceptional()

@@ -17,7 +17,9 @@ def test_library_sketch_runs(capsys):
 
 def test_readme_options_exist():
     # every `--option` the README names, pip's aside, is one some command
-    # accepts, so a removed option cannot linger in the docs
+    # accepts, so a removed option cannot linger in the docs; and every
+    # option some command accepts, help aside, is named there, so none is
+    # undocumented
     from mvkraw.cli import _build_parser
 
     sub = next(a for a in _build_parser()._actions
@@ -27,3 +29,6 @@ def test_readme_options_exist():
                      if "pip install" not in line)
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
     assert named and named <= accepted, sorted(named - accepted)
+    unnamed = {flag for flag in accepted - {"-h", "--help"}
+               if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)}
+    assert not unnamed, sorted(unnamed)

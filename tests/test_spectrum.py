@@ -219,10 +219,12 @@ def test_exceptional_raise_and_details():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(4.0, 4.0))
     with pytest.raises(ExceptionalParameters) as info:
         solve_spectrum(params)
-    details = info.value.details
-    assert details["min_gap"] == 0.0
-    qbar = 4.0
-    assert details["reference_lambda"] == (qbar, 3.0 + qbar)
+    # the message names the equal q's
+    assert str(info.value) == ("exceptional parameters: equal death intensities "
+                               "q_1 = q_2 = 4.0; use the numeric eigenbasis")
+    middle = ModelParams(n=3, N=3, p=(1.0, 2.0, 3.0), q=(5.0, 4.0, 5.0))
+    with pytest.raises(ExceptionalParameters, match="q_1 = q_3 = 5.0;"):
+        solve_spectrum(middle)
     near = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(4.0, 4.05))
     solve_spectrum(near)
 
