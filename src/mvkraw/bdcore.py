@@ -8,7 +8,7 @@ builds from them the operators over the state space:
 
 * the generator L of the continuous-time chain (columns sum to zero),
 * the symmetrized operator H = -W^{-1/2} L W^{1/2}, whose entries only need
-  sqrt(B*D) products and which is symmetric positive semidefinite (PSD),
+  products sqrt(B) sqrt(D) and which is symmetric positive semidefinite (PSD),
 * the polynomial-side difference operator Ht = W^{-1/2} H W^{1/2}, which
   annihilates constants,
 * the ladder factors A_j with H = sum_j A_j^T A_j and A_j sqrt(W) = 0,
@@ -133,8 +133,10 @@ def _generator(B, D, space: StateSpace) -> _Stencil:
 
 
 def _symmetrized(B, D, space: StateSpace) -> _Stencil:
+    # sqrt(B) sqrt(D), not sqrt(B D): the product leaves float64 from ~1e154
     return _stencil(space, B.sum(axis=1) + D.sum(axis=1),
-                    -np.sqrt(B * _across(D, space.up)), -np.sqrt(_across(B, space.down) * D))
+                    -(np.sqrt(B) * np.sqrt(_across(D, space.up))),
+                    -(np.sqrt(_across(B, space.down)) * np.sqrt(D)))
 
 
 def _difference(B, D, space: StateSpace) -> _Stencil:
@@ -157,7 +159,7 @@ def generator_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp
 
 def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
-    off-diagonal -sqrt(B_j(x) D_j(x+e_j)) placed symmetrically."""
+    off-diagonal -sqrt(B_j(x)) sqrt(D_j(x+e_j)) placed symmetrically."""
     return _symmetrized(B, D, space).csr()
 
 
@@ -335,8 +337,9 @@ def verify_structure(
 
     report.add("symmetrized-annihilates-sqrt-weight", np.abs(H @ sqw).max() / scale, tol)
 
-    # as Python floats: the product is inf, not a RuntimeWarning, past float64
-    bound = math.sqrt(float(gap.column_sums().max()) * float(gap.vals.sum(axis=1).max()))
+    # a product of square roots: the product of the norms can leave float64
+    bound = (math.sqrt(float(gap.column_sums().max()))
+             * math.sqrt(float(gap.vals.sum(axis=1).max())))
     hmax = max(float(H.vals[:, space.n].max()), 1e-300)
     report.add("symmetrized-positive-semidefinite", bound / hmax, tol)
 

@@ -16,9 +16,18 @@ r <= N and m <= n, are at most the lattice size, so int64 cannot overflow.
 A lattice holds its coordinates, degrees and binomial table, the table
 built by running sums down its columns (C(r + m, m) = sum_{s <= r}
 C(s + m - 1, m - 1)), 14 ms at (1, 200000) against 0.35 s for one
-`math.comb` per entry.  The neighbour tables `up` and `down` are built on
-first read, since the multinomial laws and the symmetric-power tables never
-read them.
+`math.comb` per entry.  The coordinates are built in rank order, with no
+pass of the closed form: the degree d first, then x_1..x_{n-1} each from 0
+up to what is left, and x_n the rest.  The points below one choice are
+contiguous, so each column is one `np.repeat` of its level's values by the
+subtree sizes C(s + m, m), s left over and m + 1 coordinates still to
+place, and the degrees are d repeated C(d + n - 1, n - 1) times.  They are
+stored column by column (Fortran order), the layout the multinomial passes
+read them in.  At (3,80) the build peaks at 4.5 MB of arrays for 2.9 MB
+kept, and at (3,226), 1,975,354 points, at 95 MB for 63 MB.  The closed
+form serves `rank` and the neighbour tables `up` and `down`, which are
+built on first read, since the multinomial laws and the symmetric-power
+tables never read them.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ class StateSpace:
     points : list[tuple[int, ...]]
         Lattice points in rank order, built from `coords` on first use.
     coords : (size, n) int array
-        Same points as an array.
+        Same points as an array, in Fortran order.
     degrees : (size,) int array
         Total degree |x| per rank.
     up, down : (size, n) int arrays
@@ -91,18 +100,22 @@ class StateSpace:
         self._binom = np.ones((N + 1, n + 1), dtype=np.int64)
         for m in range(1, n + 1):
             np.cumsum(self._binom[:, m - 1], out=self._binom[:, m])
-        # every point, one coordinate at a time: a prefix with b to spare
-        # continues with 0..b; then each point goes to its rank
-        pts = np.zeros((1, 0), dtype=np.int64)
-        spare = np.array([N])
-        for _ in range(n):
-            parent = np.repeat(np.arange(len(spare)), spare + 1)
-            value = np.arange(len(parent)) - (np.cumsum(spare + 1) - spare - 1)[parent]
-            pts = np.column_stack((pts[parent], value))
-            spare = spare[parent] - value
-        self.coords = np.empty_like(pts)
-        self.coords[self._ranks(pts)] = pts
-        self.degrees = self.coords.sum(axis=1)
+        # in rank order, one level of choices per column (see the module
+        # docstring); x_n is the degree less the others
+        self.degrees = np.repeat(np.arange(N + 1), self._binom[:, n - 1])
+        self.coords = np.empty((len(self.degrees), n), dtype=np.int64, order="F")
+        self.coords[:, n - 1] = self.degrees
+        left = np.arange(N + 1)
+        for k in range(n - 1):
+            # the choices 0..s below each node, s what it has left
+            width = left + 1
+            value = np.arange(width.sum())
+            value -= np.repeat(np.cumsum(width) - width, width)
+            if k < n - 2:   # at the last level each subtree is one point
+                left = np.repeat(left, width) - value
+                value = np.repeat(value, self._binom[left, n - 2 - k])
+            self.coords[:, k] = value
+            self.coords[:, n - 1] -= value
 
     def _ranks(self, pts: np.ndarray) -> np.ndarray:
         """Ranks of lattice points, the rows of `pts`, by the closed form."""

@@ -14,12 +14,14 @@ coarser where the bound 2 log N! + N max|log c| on every partial sum
 passes 2^21, so the column sums of high parts are exact in float64; the
 low parts carry the rest.  Only the (N+1)-entry tables are in extended
 precision, and the counts are read as columns of the lattice, so a
-lattice-wide pmf makes one float64 pass per cell and part.  The pmf is
-exp(hi) + exp(hi) expm1(lo) in float64, and a positive count in a zero
-cell gives exactly 0.  Against the exact pmf of the float cells at 50
-digits it is within 2 ulp in the normal range (worst 1.27 ulp over 20,000
-entries, 4,000 each at (2,40), (3,80), (2,150), (1,700) and (1,2000)) and
-within two subnormal spacings below.
+lattice-wide pmf makes one float64 pass per cell and part; slot 0's count
+N - |x| is never built, its tables are read reversed at |x|.  The pmf is
+exp(hi) + exp(hi) expm1(lo) in float64, taken in place in the buffers of
+hi and lo, and a positive count in a zero cell gives exactly 0.  Against
+the exact pmf of the float cells at 50 digits it is within 2 ulp in the
+normal range (worst 1.27 ulp over 20,000 entries, 4,000 each at (2,40),
+(3,80), (2,150), (1,700) and (1,2000)) and within two subnormal spacings
+below.
 """
 
 from __future__ import annotations
@@ -170,11 +172,12 @@ def probabilities(params: ModelParams) -> Probabilities:
     return Probabilities(1.0 / denom, eta)
 
 
-def _count_columns(N: int, space: StateSpace, rows=slice(None)) -> list:
-    """The counts (x0, x_1..x_n), x0 = N - |x|, of the lattice points of
-    ranks `rows` (all by default) as n + 1 columns; for a slice of ranks
-    all but x0 are views of `space.coords`."""
-    return [N - space.degrees[rows], *space.coords[rows].T]
+def _count_columns(space: StateSpace, rows=slice(None)) -> list:
+    """The columns (|x|, x_1..x_n) of the lattice points of ranks `rows`
+    (all by default), for a slice of ranks views of `space`.  Slot 0's
+    count x0 = N - |x| is never built: a table t over k = 0..N is read at
+    x0 as t[::-1] at |x|."""
+    return [space.degrees[rows], *space.coords[rows].T]
 
 
 def _split(v, grid: float):
@@ -199,8 +202,8 @@ def _log_factorials(N: int, grid: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_route_pmf(N: int, columns, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log multinomial pmf of the points whose counts (x0, x_1..x_n) are
-    `columns`, one integer array per cell, with cells `cells` (any
+    """Log multinomial pmf of the points whose columns (|x|, x_1..x_n) are
+    `columns` (`_count_columns`), x0 = N - |x|, with cells `cells` (any
     nonnegative cells: log C(N, x) prod_i cells_i^{x_i}), as float64 hi + lo.
 
     Each cell contributes f_i(x_i) = x_i log c_i - log x_i!, tabulated for
@@ -220,13 +223,15 @@ def _log_route_pmf(N: int, columns, cells: np.ndarray) -> tuple[np.ndarray, np.n
     hi = np.full(size, fhi[N])
     lo = np.full(size, flo[N])
     buf = np.empty(size)
-    for column, cell in zip(columns, cells):
+    for slot, (column, cell) in enumerate(zip(columns, cells)):
         if cell > 0:
             ghi, glo = _split(np.log(np.longdouble(cell)), grid)
             thi = k * float(ghi) - fhi
             tlo = (k * glo).astype(float) - flo
         else:
             thi, tlo = -fhi, np.where(k > 0, -np.inf, -flo)
+        if slot == 0:
+            thi, tlo = thi[::-1], tlo[::-1]
         hi += np.take(thi, column, out=buf, mode="clip")
         lo += np.take(tlo, column, out=buf, mode="clip")
     return hi, lo
@@ -241,13 +246,17 @@ def multinomial_vector(space: StateSpace, eta0: float, eta) -> np.ndarray:
         raise ValidationError(f"need {space.n} cell probabilities, got {len(eta)}")
     N = space.N
     cells = np.concatenate(([float(eta0)], eta))
-    return _multinomial_rows(N, _count_columns(N, space), cells)
+    return _multinomial_rows(N, _count_columns(space), cells)
 
 
 def _multinomial_rows(N: int, columns, cells: np.ndarray) -> np.ndarray:
-    """Multinomial pmf of the points whose counts (x0, x_1..x_n) are
-    `columns` with cell probabilities `cells`: exact integer coefficients
-    up to EXACT_N_MAX, summed in log space above."""
+    """Multinomial pmf of the points whose columns (|x|, x_1..x_n) are
+    `columns` (`_count_columns`), x0 = N - |x|, with cell probabilities
+    `cells`: exact integer coefficients up to EXACT_N_MAX, summed in log
+    space above.  The log route's pmf exp(hi) + exp(hi) expm1(lo) is taken
+    in place, in the buffers of hi and lo: exp into hi, expm1 into lo,
+    lo *= hi, then hi += lo where hi is finite, the float operations of the
+    expression itself, so the bits are the same."""
     if N <= EXACT_N_MAX:
         # N!/(x0! x!) as a product of binomials C(N - x_1 - .. - x_{j-1}, x_j),
         # each partial product a multinomial itself, so no int64 overflow
@@ -260,14 +269,17 @@ def _multinomial_rows(N: int, columns, cells: np.ndarray) -> np.ndarray:
             left = left - column
         # powers tabulated per cell, multiplied in cell order
         value = coeff.astype(float)
-        for column, v in zip(columns, cells):
-            value *= np.array([float(v)**k for k in range(N + 1)])[column]
+        for slot, (column, v) in enumerate(zip(columns, cells)):
+            powers = np.array([float(v)**k for k in range(N + 1)])
+            value *= (powers[::-1] if slot == 0 else powers)[column]
         return value
     hi, lo = _log_route_pmf(N, columns, cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.exp(hi)   # inf past the float64 range, and kept so
-        np.add(value, value * np.expm1(lo), out=value, where=value < np.inf)
-    return value
+        np.exp(hi, out=hi)   # inf past the float64 range, and kept so
+        np.expm1(lo, out=lo)
+        lo *= hi
+        np.add(hi, lo, out=hi, where=hi < np.inf)
+    return hi
 
 
 def weight_vector(params: ModelParams, space: StateSpace) -> np.ndarray:
@@ -285,7 +297,7 @@ def log_weight_vector(params: ModelParams, space: StateSpace) -> np.ndarray:
     if space.n != params.n or space.N != params.N:
         raise ValidationError("state space does not match params")
     prob = probabilities(params)
-    columns = _count_columns(space.N, space)
+    columns = _count_columns(space)
     hi, lo = _log_route_pmf(space.N, columns, np.array([prob.eta0, *prob.eta]))
     hi += lo
     return hi

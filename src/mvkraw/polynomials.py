@@ -117,8 +117,8 @@ def _rescale(tab: np.ndarray, R: np.ndarray, space: StateSpace, power: float,
     the largest exponent is subtracted first: the result is then off by one
     positive constant, and no factor exceeds 1."""
     N = space.N
-    logW = power * np.add(*_log_route_pmf(N, _count_columns(N, space, rows), R[:, 0] ** 2))
-    lognu = power * np.add(*_log_route_pmf(N, _count_columns(N, space), (R[0] / R[0, 0]) ** 2))
+    logW = power * np.add(*_log_route_pmf(N, _count_columns(space, rows), R[:, 0] ** 2))
+    lognu = power * np.add(*_log_route_pmf(N, _count_columns(space), (R[0] / R[0, 0]) ** 2))
     if unit:
         logW -= logW.max()
         lognu -= lognu.max()
@@ -163,7 +163,7 @@ def _oracle_map(spec, space: StateSpace, rows=None) -> np.ndarray:
     if rows is None:
         rows = np.arange(_dense(space))
     R = spec.R
-    columns = _count_columns(space.N, space)
+    columns = _count_columns(space)
     half_logC = 0.5 * np.add(*_log_route_pmf(space.N, columns, np.ones(space.n + 1)))
     T = np.array([coefficient_row(R, x, space) for x in space.coords[rows]])
     return T * np.exp(np.subtract.outer(half_logC[rows], half_logC))

@@ -155,10 +155,12 @@ def derive_dual_pair(params: RationalParams) -> DualPair:
 
     # Defining relations: the dual system is a birth-death system of its
     # own, so the generic spectral route derives it from its pole gaps.
-    dual_lam = np.array([lam1d, lam2d])
-    dual_q = np.array([q1d, q2d])
-    dual = _derived(np.array([p1d, p2d]), dual_q, dual_lam,
-                    dual_lam[None, :] - dual_q[:, None])
+    # The gaps lam_j - q_i are taken in closed form: the differences cancel
+    # when one rate is small against the others.
+    gaps = np.array([[-p1 * S / (p1 + p3), p3 * S / (p1 + p3)],
+                     [-p2 * S / (p2 + p4), p4 * S / (p2 + p4)]])
+    dual = _derived(np.array([p1d, p2d]), np.array([q1d, q2d]),
+                    np.array([lam1d, lam2d]), gaps)
     U = dual.u.T
 
     checks = Report()

@@ -26,17 +26,20 @@ Two engines:
   K = I + L/Lam is column-stochastic and the Poisson-weighted series
   sum_k pois(k; Lam dt) K^k converges with explicitly controlled tail.
   P1(t) is the same series on the one-body kernel I + Q1/Lam1, so all of
-  its terms are nonnegative and its rows sum to 1 up to rounding.  The
-  reported rate bound is read off the vertices of the simplex, so the
-  exact law builds no rate table; uniformization from a general start
-  builds them and runs at the generator's own largest exit rate.
+  its terms are nonnegative and its rows sum to 1 up to rounding; above
+  Lam1 dt = 600 it is squared up from dt/2^k, so its cost grows with
+  log2(Lam1 dt), where uniformization's grows with Lam dt.  The reported
+  rate bound is read off the vertices of the simplex, so the exact law
+  builds no rate table; uniformization from a general start builds them
+  and runs at the generator's own largest exit rate.
   Rounding drifts the mass of the law from 1 (3.3e-13 at n=1, N=2000,
   p=q=1): the drift is reported as `mass_defect`, and each snapshot is
   then divided by its sum.  TV to W is 1 - sum min(d, W), and KL to W a
   sum of the nonnegative terms W phi(d/W), so neither leaves its range by
   rounding.  Where W is below the smallest normal double, zero or
   subnormal (n=1, N=2000, p=q=1: 396 + 34 of the 2,001 points), KL reads
-  log W off the log route, whose values are finite there.
+  log W off the log route, whose values are finite there.  The start is
+  snapshot 0 and each snapshot is written into its row.
 
 Each route imports the layers it computes with when it runs: the exact
 law needs ``sympower``, uniformization on the lattice ``bdcore`` and
@@ -233,25 +236,28 @@ def evolve_distribution(
     if steps < 1:
         raise ValidationError("steps must be at least 1")
     W = weight_vector(params, space)
+    # the start is written into row 0 of the snapshots and read from there
+    dists = np.empty((steps + 1, space.size))
+    v = dists[0]
 
     if isinstance(initial, str):
         if initial == "origin":
-            v = np.zeros(space.size)
+            v[:] = 0.0
             v[0] = 1.0
         elif initial == "stationary":
-            v = W.copy()
+            v[:] = W
         else:
             raise ValidationError(f"unknown initial distribution {initial!r}")
     else:
         # numpy reads JSON true as 1 and "0.5" as 0.5, also in a list of numbers
         if isinstance(initial, (list, tuple)) and not all(map(_is_number, initial)):
             raise ValidationError("initial must be a vector of numbers")
-        v = np.asarray(initial)
-        if v.dtype.kind not in "iuf":
+        start = np.asarray(initial)
+        if start.dtype.kind not in "iuf":
             raise ValidationError("initial must be a vector of numbers")
-        v = v.astype(float)
-        if v.shape != (space.size,):
+        if start.shape != (space.size,):
             raise ValidationError("initial distribution does not match the lattice")
+        v[:] = start
         if not np.isfinite(v).all():
             raise ValidationError("initial distribution has a non-finite entry")
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
@@ -259,8 +265,6 @@ def evolve_distribution(
 
     lam = _rate_bound(params)
     times = np.linspace(0.0, T, steps + 1)
-    dists = np.empty((steps + 1, space.size))
-    dists[0] = v
     support = np.flatnonzero(v)
     stationary = isinstance(initial, str) and initial == "stationary"
     if stationary:
@@ -277,8 +281,8 @@ def evolve_distribution(
         lam1 = float(exits.max())
         K1 = np.eye(space.n + 1) + (Q1 - np.diag(exits)) / lam1
         x = space.coords[support[0]]
-        for k, P1 in enumerate(_snapshots(K1, np.eye(space.n + 1), lam1, times), 1):
-            dists[k] = v[support[0]] * coefficient_row(P1, x, space)
+        for k, P1 in enumerate(_one_body_kernels(K1, lam1, times), 1):
+            np.multiply(v[support[0]], coefficient_row(P1, x, space), out=dists[k])
     else:
         import scipy.sparse
 
@@ -336,25 +340,52 @@ def _kl_to_weight(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None) -> floa
     1, so the small terms of a KL near 0 keep their digits, and log d -
     log W where W is below the smallest normal double, zero or subnormal,
     and d/W could overflow: log W from the log route is finite there
-    (`logW`, needed only when W has such a point)."""
-    terms = W.copy()   # phi(0) = 1: a point without mass adds W
-    mask = d > 0
-    d, W = d[mask], W[mask]
+    (`logW`, needed only when W has such a point).  Two lattice-size float
+    buffers hold the terms; a point without mass adds W (phi(0) = 1)."""
+    mass = d > 0
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = d / W
-        log_ratio = np.log(ratio)
-    near = np.abs(ratio - 1.0) < 0.5
-    log_ratio[near] = np.log1p((d[near] - W[near]) / W[near])
-    gone = W < _TINY
+        term = np.divide(d, W, out=np.zeros_like(d), where=mass)
+        diff = np.subtract(term, 1.0)
+        near = mass & (np.abs(diff, out=diff) < 0.5)
+        np.log(term, out=term, where=mass & ~near)
+    np.subtract(d, W, out=diff, where=mass)
+    np.divide(diff, W, out=term, where=near)
+    np.log1p(term, out=term, where=near)
+    gone = mass & (W < _TINY)
     if gone.any():
-        log_ratio[gone] = np.log(d[gone]) - logW[mask][gone]
-    terms[mask] = np.maximum(d * log_ratio - (d - W), 0.0)
-    return float(terms.sum())
+        np.log(d, out=term, where=gone)
+        np.subtract(term, logW, out=term, where=gone)
+    term *= d
+    term -= diff
+    np.maximum(term, 0.0, out=term)
+    np.copyto(term, W, where=~mass)
+    return float(term.sum())
+
+
+def _one_body_kernels(K1: np.ndarray, lam1: float, times: np.ndarray):
+    """Yield P1(t) = exp(t Q1) at times[1:].  A step applies the Poisson
+    series of K1 = I + Q1/lam1 at lam1 dt <= _MAX_SEGMENT to P1; a longer
+    one takes P1(dt) as the series at dt/2^k squared k times, each square's
+    rows divided by their sums (else they grow like (1 + eps)^(2^k)).  The
+    cost grows with log2(lam1 dt)."""
+    P1 = np.eye(len(K1))
+    for dt in np.diff(times).tolist():
+        if lam1 * dt <= _MAX_SEGMENT:
+            P1 = _uniformized_step(K1, P1, lam1 * dt)
+        else:
+            k = math.ceil(math.log2(lam1) + math.log2(dt) - math.log2(_MAX_SEGMENT))
+            step = _uniformized_step(K1, np.eye(len(K1)), math.ldexp(lam1, -k) * dt)
+            for _ in range(k):
+                step = step @ step
+                step /= step.sum(axis=1)[:, None]
+            P1 = step @ P1
+        yield P1
 
 
 def _snapshots(K, v: np.ndarray, lam: float, times: np.ndarray):
     """Yield the image of v at times[1:] under uniformization of K at rate
-    bound lam, each step cut into pieces of at most _MAX_SEGMENT jumps."""
+    bound lam, each step cut into pieces of at most _MAX_SEGMENT jumps: the
+    cost grows linearly with lam times the horizon."""
     for k in range(len(times) - 1):
         dt = times[k + 1] - times[k]
         pieces = max(1, int(math.ceil(lam * dt / _MAX_SEGMENT)))

@@ -227,7 +227,7 @@ def coefficient_row(M, x: np.ndarray, space: StateSpace) -> np.ndarray:
     n = space.n
     d = space.N - int(x.sum())
     size = simplex_size(n, d)
-    row = _multinomial_rows(d, _count_columns(d, space, slice(size)), M[0])
+    row = _multinomial_rows(d, _count_columns(space, slice(size)), M[0])
     for i, power in enumerate(x.tolist(), start=1):
         for _ in range(power):
             d += 1

@@ -259,12 +259,12 @@ def dense_operators(B, D, space):
             up, down = space.up[x, j], space.down[x, j]
             if up >= 0:
                 L[x, up] = D[up, j]
-                H[x, up] = -math.sqrt(B[x, j] * D[up, j])
+                H[x, up] = -(math.sqrt(B[x, j]) * math.sqrt(D[up, j]))
                 Ht[x, up] = -B[x, j]
                 ladders[j][x, up] = -math.sqrt(D[up, j])
             if down >= 0:
                 L[x, down] = B[down, j]
-                H[x, down] = -math.sqrt(B[down, j] * D[x, j])
+                H[x, down] = -(math.sqrt(B[down, j]) * math.sqrt(D[x, j]))
                 Ht[x, down] = -D[x, j]
     return L, H, Ht, ladders
 

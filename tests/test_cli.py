@@ -915,3 +915,42 @@ def test_rational_command_near_singular_surface(tmp_path, rates):
     res = run_cli("rational", "--rates", *rates, "-N", 6, "--out", tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[FAIL]" not in res.stdout
+
+
+@pytest.mark.parametrize("rates", [
+    (1e-10, 1, 1, 1), (1, 1e-10, 1, 1), (1, 1, 1e-10, 1), (1, 1, 1, 1e-10), (1e-70, 1, 1, 1),
+])
+def test_rational_command_with_one_small_rate(tmp_path, capsys, rates):
+    # the dual pole gaps lam_j - q_i cancel as differences when one rate is
+    # small against the others; their closed forms, such as
+    # lam1d - q1d = -p1 S/(p1 + p3), keep every digit
+    rc = cli.main(["rational", "--rates", *map(str, rates), "-N", "3",
+                   "--out", str(tmp_path)])
+    out = capsys.readouterr()
+    assert rc == 0, out.out + out.err
+    assert "[FAIL]" not in out.out
+
+
+@pytest.mark.parametrize("model", [
+    {"n": 1, "N": 2, "p": [1e300], "q": [1e300]},
+    {"n": 2, "N": 3, "p": [1e300, 2e300], "q": [1e300, 3e300]},
+])
+def test_verify_where_rate_products_leave_float64(tmp_path, capsys, model):
+    # sqrt(B D) and the product of the norms in the PSD bound pass float64
+    # from about 1e154; they are taken as products of square roots, so no
+    # RuntimeWarning (an error in this suite) and no nan residual
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    for level in ("fast", "full"):
+        rc = cli.main(["verify", "--level", level, "--params", str(path),
+                       "--out", str(tmp_path / level)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "nan" not in out
+    rc = cli.main(["verify", "--level", "fast", "--params", str(path),
+                   "--out", str(tmp_path / "inject"), "--inject-u-perturbation", "1e-6"])
+    out = capsys.readouterr().out
+    assert rc == 1, out
+    failed = {line[len("[FAIL] "):].split(":")[0]
+              for line in out.splitlines() if line.startswith("[FAIL] ")}
+    assert failed & IDENTITY_CHECKS, out

@@ -231,12 +231,22 @@ def test_neighbour_tables_built_on_first_read(monkeypatch):
 def test_lattice_memory_is_bounded():
     # tracemalloc counts numpy's buffers exactly, unlike RSS: at (3,80),
     # 91,881 points, the lattice holds coords, degrees and the binomial
-    # table, 2.9 MB; the neighbour tables would add 4.4 MB
+    # table, 2.9 MB; the neighbour tables would add 4.4 MB.  Built in rank
+    # order, column by column, it peaks at two more columns, 4.5 MB
     tracemalloc.start()
     try:
         space = StateSpace(3, 80)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert space.size == 91_881
     assert held <= 3.5e6, held
+    assert peak <= 5e6, peak
+
+
+@pytest.mark.parametrize("n, N", [(1, 40), (2, 30), (3, 20), (4, 12), (5, 8)])
+def test_closed_form_rank_is_the_index(n, N):
+    # the lattice is built in rank order, with no pass of the closed form;
+    # the closed form still gives `rank` and the neighbour tables
+    space = StateSpace(n, N)
+    assert np.array_equal(space._ranks(space.coords), np.arange(space.size))

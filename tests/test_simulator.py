@@ -541,8 +541,10 @@ def test_kl_where_the_weight_underflows(tmp_path):
 
 def test_evolution_memory_is_bounded():
     # tracemalloc counts numpy's buffers exactly, unlike RSS: the exact law
-    # from the origin at (3,80) holds the snapshots, W and one multinomial
-    # pass at a time, no rate or neighbour tables
+    # from the origin at (3,80) holds the lattice (2.9 MB), the snapshots
+    # (3.7 MB), W and one multinomial pass at a time (hi, lo and a gather
+    # buffer), no rate or neighbour tables; the start is snapshot 0 and each
+    # snapshot is written into its row
     params = ModelParams(3, 80, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
     tracemalloc.start()
     try:
@@ -551,4 +553,75 @@ def test_evolution_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.route == "exact"
-    assert peak <= 17e6, peak
+    assert peak <= 10.5e6, peak
+
+
+def _counted_series(monkeypatch, limit):
+    """Record the Poisson series `evolve_distribution` sums, by their
+    uniformization parameter; one more than `limit` fails at once, so a
+    run whose cost grows with rate times horizon stops at its first step."""
+    import mvkraw.simulate as sim
+
+    calls = []
+    series = sim._uniformized_step
+
+    def counted(K, v, a):
+        calls.append(a)
+        assert len(calls) <= limit, "more Poisson series than steps"
+        return series(K, v, a)
+
+    monkeypatch.setattr(sim, "_uniformized_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, q", [(1e5, 1e5), (1e5, 3e5)])
+def test_squared_one_body_kernel_matches_the_binomial_law(monkeypatch, p, q):
+    # from the origin at n = 1 the law is Binomial(N, pi(t)) with
+    # pi(t) = p (1 - exp(-(p + q) t)) / (p + q); lam1 dt is 5e5 and 1.5e6,
+    # so each step is one series at dt/2^k, squared k = 10 and 12 times
+    calls = _counted_series(monkeypatch, limit=2)
+    N = 30
+    res = evolve_distribution(ModelParams(1, N, (p,), (q,)), StateSpace(1, N),
+                              "origin", T=10.0, steps=2)
+    assert len(calls) == 2 and max(calls) <= 600.0
+    for t, d in zip(res.times[1:], res.distributions[1:]):
+        pi = -p * math.expm1(-(p + q) * t) / (p + q)
+        law = [math.comb(N, k) * pi**k * (1.0 - pi)**(N - k) for k in range(N + 1)]
+        assert np.abs(d - law).max() <= 1e-12, t
+
+
+def test_squared_one_body_kernel_matches_matrix_exponential(monkeypatch):
+    # two time scales at n = 2: lam1 dt = 1e4, and the slow direction has
+    # not relaxed at t = 5
+    calls = _counted_series(monkeypatch, limit=2)
+    params = ModelParams(2, 3, (2e3, 0.5), (1e3, 1.0))
+    space = StateSpace(2, 3)
+    L = generator_from_tables(*rate_tables(params, space), space).toarray()
+    res = evolve_distribution(params, space, "origin", T=10.0, steps=2)
+    assert len(calls) == 2
+    for t, d in zip(res.times, res.distributions):
+        assert np.abs(d - scipy.linalg.expm(t * L)[:, 0]).max() < 1e-12, t
+
+
+@pytest.mark.parametrize("rate", [1e5, 1e300])
+def test_simulate_cost_does_not_grow_with_rate_times_horizon(tmp_path, monkeypatch, rate):
+    # the exact route sums one Poisson series per step however large
+    # lam1 dt is; one per segment of 600 jumps would be 834 per step at
+    # p = q = 1e5 and beyond counting at 1e300
+    from mvkraw.cli import main
+
+    calls = _counted_series(monkeypatch, limit=2)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "schema": 1,
+        "params": {"schema": 1, "n": 1, "N": 2, "p": [rate], "q": [rate]},
+        "mode": "uniformization", "time": 10, "steps": 2, "initial": "origin",
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    rows = [tuple(map(float, row.split(",")))
+            for row in (tmp_path / "evolution.csv").read_text().splitlines()[2:]]
+    # the origin against W = Binomial(2, 1/2), then W itself
+    assert rows[0] == (0.0, 0.75, pytest.approx(math.log(4.0), rel=1e-15))
+    assert [t for t, _, _ in rows] == [0.0, 5.0, 10.0]
+    assert all(tv <= 1e-12 and kl <= 1e-12 for _, tv, kl in rows[1:]), rows
