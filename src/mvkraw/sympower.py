@@ -60,16 +60,16 @@ cores), against 57 ms, 0.17 s, 0.25 s and 1.78 s with every shear
 multiplied in and the table starting from the identity.
 
 `coefficient_row` is one row of C by the single-parent product.  It gives
-the transient law, from the one-body kernel (nonnegative, so nothing
-cancels), and the oracle rows of T, from the spectral R
-(`polynomials._oracle_map`: row x of T is row x of C times sqrt(m!/x!)).
-R has signed entries, so there the product amplifies rounding as N grows:
-at n = 1, p = 1, q = 2 the rows of T are off by 4e-12 at N = 40, 2e-9 at
-N = 60 and 0.8 at N = 120.
+only the transient law, from the one-body kernel, which is nonnegative, so
+nothing cancels.  For a signed matrix the product amplifies rounding as N
+grows: from the spectral R at n = 1, p = 1, q = 2 its rows of T are off by
+3.7e-12 at N = 40, 2.1e-9 at N = 60 and 0.76 at N = 120.  The oracle rows
+of T come instead from the Euler-averaged recursion over all n+1 slots
+(`polynomials._oracle_rows`), off by at most 2.8e-16 at those N.
 
-Every size x size table of the package is built here or row by row from
-`coefficient_row`, so DENSE_CAP, the one dense-size cap, is enforced here
-(`_dense`).
+Every size x size table of the package is this kernel's or the oracle's
+over every row, and each is refused by `_dense` before it is built, so
+DENSE_CAP, the one dense-size cap, is enforced here.
 """
 
 from __future__ import annotations

@@ -29,6 +29,21 @@ def draw_model(rng, n, N, lo=0.1, hi=10.0, q_sep=0.05):
             return ModelParams(n=n, N=N, p=tuple(p), q=tuple(q))
 
 
+def sweep_models(seed, draws, max_points=500):
+    """Seeded valid models: n uniform over 1..4, N uniform over the
+    ceilings whose lattice has at most `max_points` points, and p and q
+    log-uniform over 1e-3..1e3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        n = int(rng.integers(1, 5))
+        top = 1
+        while math.comb(top + 1 + n, n) <= max_points:
+            top += 1
+        N = int(rng.integers(1, top + 1))
+        p, q = 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+        yield ModelParams(n=n, N=N, p=tuple(p.tolist()), q=tuple(q.tolist()))
+
+
 def series_table(spec, space):
     """Polynomial table from the hypergeometric series, one entry at a time."""
     from mvkraw import eval_P

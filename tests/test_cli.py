@@ -144,6 +144,68 @@ def test_eigen_equation_on_the_orthonormal_scale(tmp_path, model):
     assert "eigen-equation" in failed, res.stdout
 
 
+@pytest.mark.parametrize("model", [
+    {"n": 1, "N": 60, "p": [1.0], "q": [2.0]},
+    {"n": 1, "N": 120, "p": [1.0], "q": [2.0]},
+    {"n": 2, "N": 60, "p": [1.0, 2.0], "q": [1.0, 4.0]},
+], ids=["1-60", "1-120", "2-60"])
+def test_verify_full_passes_where_the_product_drifted(tmp_path, capsys, model):
+    # the single-parent product drifted from the kernel here by 2e-9, 0.8 and
+    # 1.4e-9; the degree recursion agrees to rounding, and the injected
+    # fault still fails
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    args = ["verify", "--level", "full", "--params", str(path), "--out", str(tmp_path)]
+    assert cli.main(args) == 0, capsys.readouterr().out
+    report = json.loads((tmp_path / "verify.json").read_text())["report"]
+    oracle = {c["name"]: c for c in report["checks"]}["generating-function-agreement"]
+    assert oracle["residual"] <= 1e-14
+    assert oracle["tol"] == 1e-10
+
+    capsys.readouterr()
+    assert cli.main(args + ["--inject-u-perturbation", "1e-6"]) == 1
+    stdout = capsys.readouterr().out
+    failed = {line[len("[FAIL] "):].split(":")[0]
+              for line in stdout.splitlines() if line.startswith("[FAIL] ")}
+    assert failed & IDENTITY_CHECKS, stdout
+
+
+@pytest.mark.parametrize("model", [
+    {"n": 3, "N": 8, "p": [1.0, 2.0, 1.5], "q": [1.0, 3.0, 6.0]},
+    {"n": 1, "N": 120, "p": [1.0], "q": [2.0]},
+], ids=["3-8", "1-120"])
+def test_verify_full_expands_only_the_fixed_sample(tmp_path, monkeypatch, capsys, model):
+    # the origin, the corners N e_j, the centroid and three fixed ranks: the
+    # check cannot quietly grow back to the whole table
+    from mvkraw import polynomials
+
+    asked = []
+    expand = polynomials._oracle_rows
+
+    def spy(R, space, rows):
+        asked.append(list(rows))
+        return expand(R, space, rows)
+
+    monkeypatch.setattr("mvkraw.polynomials._oracle_rows", spy)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    rc = cli.main(["verify", "--level", "full", "--params", str(path),
+                   "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().out
+
+    n, N = model["n"], model["N"]
+    space = StateSpace(n, N)
+    points = [(0,) * n, *(tuple(N * (i == j) for i in range(n)) for j in range(n)),
+              (N // (n + 1),) * n]
+    size = space.size
+    sample = sorted({*map(space.rank, points), size // 3, 2 * size // 3, size - 1})
+    assert asked == [sample]
+    report = json.loads((tmp_path / "verify.json").read_text())["report"]
+    oracle = {c["name"]: c for c in report["checks"]}["generating-function-agreement"]
+    labels = " ".join("(" + ";".join(map(str, space.points[r])) + ")" for r in sample)
+    assert oracle["detail"] == f"orthonormal scale, rows {labels}"
+
+
 VERIFY_FULL_CHECKS = [
     "generator-column-sums", "generator-annihilates-weight",
     "symmetrized-is-symmetric", "symmetrized-similarity", "ladder-factorization",
@@ -477,8 +539,9 @@ PUBLIC_NAMES = [
     ("simulate", {"mvkraw.spectrum", "mvkraw.polynomials", "mvkraw.rational"}),
     ("uniformization", {"mvkraw.bdcore", "mvkraw.spectrum", "mvkraw.polynomials", "scipy"}),
     ("gillespie", {"mvkraw.bdcore", "mvkraw.sympower", "scipy"}),
-    ("verify-full", {"mvkraw.simulate", "mvkraw.rational", "scipy"}),
-    ("table-full", {"mvkraw.bdcore", "mvkraw.simulate", "mvkraw.rational", "scipy"}),
+    ("verify-full", {"mvkraw.simulate", "mvkraw.rational", "scipy", "numpy.ma"}),
+    ("table-full", {"mvkraw.bdcore", "mvkraw.simulate", "mvkraw.rational", "scipy",
+                    "numpy.ma"}),
 ])
 def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
     # `import mvkraw` resolves its names on first use, and each command
@@ -619,17 +682,20 @@ def test_table_full_writes_both_tables(tmp_path, n, N, capsys):
     assert text == "# manifest: table.json\n" + body.getvalue()
 
 
-def test_table_full_writes_no_failing_oracle(tmp_path, capsys):
-    # the oracle's single-parent product drifts from the kernel at (1,80):
-    # only the kernel's table is written, and the check fails
+def test_table_full_writes_the_oracle_at_1_80(tmp_path, capsys):
+    # the single-parent product drifted from the kernel here by 1.5e-6; the
+    # degree recursion agrees to rounding, so both tables are written
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"schema": 1, "n": 1, "N": 80, "p": [1.0], "q": [2.0]}))
     out = tmp_path / "run"
     rc = cli.main(["table", "--level", "full", "--params", str(path), "--out", str(out)])
-    assert rc == 1
-    assert "[FAIL] generating-function-agreement" in capsys.readouterr().out
-    assert sorted(f.name for f in out.iterdir()) == ["table.csv", "table.json"]
-    assert json.loads((out / "table.json").read_text())["outputs"] == ["table.csv"]
+    assert rc == 0
+    assert "[PASS] generating-function-agreement" in capsys.readouterr().out
+    assert sorted(f.name for f in out.iterdir()) == [
+        "gen_oracle.csv", "table.csv", "table.json"]
+    manifest = json.loads((out / "table.json").read_text())
+    assert manifest["outputs"] == ["table.csv", "gen_oracle.csv"]
+    assert manifest["summary"]["generating_function_max_abs_diff"] <= 1e-14
 
 
 def test_gen_oracle_command_is_gone(capsys):
@@ -641,8 +707,8 @@ def test_gen_oracle_command_is_gone(capsys):
 
 def test_table_full_fails_on_nan_oracle(tmp_path, params_file, monkeypatch, capsys):
     # a NaN residual is no pass: the check's rule is residual <= tol
-    monkeypatch.setattr("mvkraw.polynomials._oracle_map",
-                        lambda spec, space: np.full((space.size, space.size), np.nan))
+    monkeypatch.setattr("mvkraw.polynomials._oracle_rows",
+                        lambda R, space, rows: np.full((len(rows), space.size), np.nan))
     for command in ("table", "verify"):
         rc = cli.main([command, "--level", "full", "--params", str(params_file),
                        "--out", str(tmp_path)])

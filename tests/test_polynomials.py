@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +24,7 @@ from mvkraw import (
 )
 from mvkraw.model import multinomial_vector, weight_vector
 from mvkraw.polynomials import degree_eigenvalues
-from mvkraw.sympower import coefficient_power
+from mvkraw.sympower import coefficient_power, coefficient_row
 
 
 def degree_structure_residuals(space: StateSpace, tab: np.ndarray) -> np.ndarray:
@@ -155,11 +157,16 @@ def test_eval_P_validation():
     # a table needs spectral data of the lattice's dimension
     with pytest.raises(ValidationError):
         table(spec, StateSpace(3, 5))
-    # the one-row expansion takes slot 0 as a multinomial: row 0 of R >= 0
+    # the one-row product takes slot 0 as a multinomial: row 0 of R >= 0;
+    # the oracle's degree recursion powers any R and agrees with the kernel
     R = spec.R.copy()
     R[0, 1] = -1.0
+    space = StateSpace(2, 5)
     with pytest.raises(ValidationError):
-        eval_P_via_generating_function(SimpleNamespace(R=R), (1, 0), StateSpace(2, 5))
+        coefficient_row(R, np.array([1, 0]), space)
+    row = eval_P_via_generating_function(SimpleNamespace(R=R), (1, 0), space)
+    kernel = table(SimpleNamespace(R=R), space)[space.rank((1, 0))]
+    assert np.abs(row - kernel).max() <= 1e-12 * np.abs(kernel).max()
     # the oracle expands R, which must be (n+1) x (n+1) for the lattice
     with pytest.raises(ValidationError, match="coefficient matrix"):
         table_via_generating_function(spec, StateSpace(3, 2))
@@ -316,10 +323,39 @@ def test_generating_function_table_refuses_dense_cap_first(monkeypatch):
     # expanded before the refusal
     params = ModelParams(n=3, N=30, p=(1.0, 2.0, 1.5), q=(1.0, 3.0, 6.0))
     space = StateSpace(3, 30)
-    monkeypatch.setattr("mvkraw.polynomials.coefficient_row",
+    monkeypatch.setattr("mvkraw.polynomials._oracle_rows",
                         lambda *_: pytest.fail("a row was expanded"))
     with pytest.raises(CapExceeded):
         table_via_generating_function(solve_spectrum(params), space)
+
+
+def _perfbench_oracles():
+    """perfbench/oracles.py, the 60-digit references, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p, q, N", [
+    ((1.0,), (2.0,), 120),
+    ((1.0, 2.0, 1.5), (1.0, 3.0, 6.0), 8),
+])
+def test_sampled_oracle_rows_against_60_digits(p, q, N):
+    # the rows `verify --level full` checks, against the generating function
+    # expanded at 60 digits with its own secular roots
+    from mvkraw.polynomials import _oracle_rows, _oracle_sample
+
+    n = len(p)
+    space = StateSpace(n, N)
+    rows = _oracle_sample(space)
+    T = _oracle_rows(solve_spectrum(ModelParams(n=n, N=N, p=p, q=q)).R, space, rows)
+    points = tuple(space.points[r] for r in rows)
+    reference = _perfbench_oracles().orthonormal_rows(p, q, N, points)
+    worst = max(abs(T[i, space.rank(m)] - float(scale * P))
+                for i, x in enumerate(points) for m, (P, scale) in reference[x].items())
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("q, N", [(2.0, 700), (10.0, 300)])
