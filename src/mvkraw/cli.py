@@ -310,7 +310,7 @@ def _config_number(cfg: dict, key: str, kind):
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import evolve_distribution, gillespie_run, relaxation_rate
+    from .simulate import evolve_distribution, gillespie_from_tables, relaxation_rate
 
     cfg, params = _load_sim_config(args.config)
     space = StateSpace(params.n, params.N)
@@ -322,10 +322,11 @@ def _cmd_simulate(args) -> int:
         events = _config_number(cfg, "events", int)
         seed = _config_number(cfg, "seed", int)
         initial = cfg.get("initial")
-        if initial == "origin":
-            initial = None
-        result = gillespie_run(params, space, events, seed, initial=initial)
+        B, D = rate_tables(params, space)
         W = weight_vector(params, space)
+        rank = 0 if initial in (None, "origin") else space.rank(initial)
+        result = gillespie_from_tables(B, D, space, events, seed,
+                                       initial_rank=rank, reference=W)
         name, header = "occupation.csv", ("rank", "state", "occupation", "stationary")
         rows = [
             (r, _label(x), float(result.occupation[r]), float(W[r]))

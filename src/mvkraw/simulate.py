@@ -4,12 +4,12 @@ Two engines:
 
 * ``gillespie_run`` draws the embedded jump chain with exponential
   holding times and accumulates the time-weighted occupation measure.
-  Each state's positive-rate moves, their cumulative jump probabilities
-  (last bound +inf) and targets are tabulated once with array operations;
-  per event the loop only walks the chain, one ``bisect_left`` of a
-  uniform into the current state's bounds.  Per block of events it draws
-  the exponentials, then the uniforms, and adds the holding times to the
-  occupation with ``np.add.at`` in event order, so the sums are those of
+  Each state's positive-rate moves, their targets and cumulative jump
+  probabilities (2n - 1 bounds a row) are tabulated once with array
+  operations.  Per block of events it draws the exponentials, then the
+  uniforms, walks the chain in one list comprehension (a ``bisect_left``
+  of each uniform into the current state's bounds), and adds the holding
+  times to the occupation with ``np.add.at`` in event order: the sums of
   an event-by-event loop, bit for bit.  Randomness comes from numpy's
   PCG64 generator; a run is fully determined by its seed, and
   ``tests/test_simulator.py`` pins the output of two seeds by digest.
@@ -52,8 +52,10 @@ systems by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -72,6 +74,7 @@ _MAX_SEGMENT = 600.0
 
 
 def total_variation(d: np.ndarray, ref: np.ndarray) -> float:
+    """Oracle of `_tv_to_weight`: test_convergence_toward_stationary."""
     return 0.5 * float(np.abs(np.asarray(d) - np.asarray(ref)).sum())
 
 
@@ -101,11 +104,11 @@ class GillespieResult:
 
 def _jump_tables(B: np.ndarray, D: np.ndarray, space: StateSpace):
     """Per-state jump tables of the embedded chain, as lists for the event
-    loop: row r holds the cumulative probabilities of the positive-rate
-    moves of state r (births, then deaths, each in direction order) and
-    their targets.  The last move's bound and the padding after it are
-    +inf, so `bisect_left` stays inside the row; a state with zero total
-    rate gets a self-loop and is flagged absorbing."""
+    loop: row r holds the targets of the positive-rate moves of state r
+    (births, then deaths, each in direction order) and 2n - 1 cumulative
+    probabilities.  The last move's bound and the padding after it are
+    +inf, and 2n moves need no last bound, so `bisect_left` stays inside
+    the targets; a state with zero total rate is absorbing (a self-loop)."""
     n = B.shape[1]
     rates = np.hstack((B, D))
     dest = np.hstack((space.up, space.down))
@@ -120,7 +123,14 @@ def _jump_tables(B: np.ndarray, D: np.ndarray, space: StateSpace):
     targets = np.take_along_axis(dest, order, axis=1)
     cums[np.arange(2 * n) >= keep.sum(axis=1)[:, None] - 1] = np.inf
     targets[absorbing, 0] = np.nonzero(absorbing)[0]
-    return totals, absorbing, cums.tolist(), targets.tolist()
+    return totals, absorbing, cums[:, :-1].tolist(), targets.tolist()
+
+
+def _integer(name: str, value) -> int:
+    """A Python or numpy integer, not a bool, as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def gillespie_from_tables(
@@ -138,11 +148,13 @@ def gillespie_from_tables(
         )
     # a nonzero rate off the lattice would jump to rank -1, the last point
     B, D = check_rate_tables(B, D, space)
+    n_events = _integer("n_events", n_events)
+    seed = _integer("seed", seed)
+    state = _integer("initial rank", initial_rank)
     if n_events < 1:
         raise ValidationError("n_events must be at least 1")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    state = int(initial_rank)
     if not 0 <= state < space.size:
         raise ValidationError(
             f"initial rank {state} is outside the lattice of {space.size} points"
@@ -158,12 +170,11 @@ def gillespie_from_tables(
         block = min(_BLOCK, n_events - done)
         exps = rng.standard_exponential(block)
         unis = rng.random(block).tolist()
-        path = []
-        append = path.append
-        for u in unis:
-            append(state)
-            state = targets[state][bisect_left(cums[state], u)]
-        held = np.array(path)
+        start = state
+        after = [state := targets[state][bisect_left(cums[state], u)] for u in unis]
+        held = np.fromiter(chain((start,), after), np.intp, block)
+        # neither list outlives the walk, nor meets the next block's draws
+        del after, unis
         stuck = absorbing[held]
         if stuck.any():
             first = tuple(space.coords[held[stuck.argmax()]].tolist())
@@ -175,7 +186,7 @@ def gillespie_from_tables(
 
     total_time = float(occupation.sum())
     occ = occupation / total_time
-    tv = total_variation(occ, reference) if reference is not None else None
+    tv = _tv_to_weight(occ, reference) if reference is not None else None
     return GillespieResult(
         occupation=occ,
         visits=visits,
@@ -340,11 +351,23 @@ def _kl_to_weight(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None) -> floa
     1, so the small terms of a KL near 0 keep their digits, and log d -
     log W where W is below the smallest normal double, zero or subnormal,
     and d/W could overflow: log W from the log route is finite there
-    (`logW`, needed only when W has such a point).  Two lattice-size float
-    buffers hold the terms; a point without mass adds W (phi(0) = 1)."""
+    (`logW`, needed only when W has such a point).  One lattice-size float
+    buffer holds the terms, formed _BLOCK points at a time and summed once;
+    a point without mass adds W (phi(0) = 1)."""
+    out = np.empty_like(d)
+    for lo in range(0, len(d), _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        _kl_terms(d[b], W[b], None if logW is None else logW[b], out[b])
+    return float(out.sum())
+
+
+def _kl_terms(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None,
+              term: np.ndarray) -> None:
+    """The terms of `_kl_to_weight` for one block of points, into `term`."""
     mass = d > 0
     with np.errstate(divide="ignore", over="ignore"):
-        term = np.divide(d, W, out=np.zeros_like(d), where=mass)
+        term.fill(0.0)
+        np.divide(d, W, out=term, where=mass)
         diff = np.subtract(term, 1.0)
         near = mass & (np.abs(diff, out=diff) < 0.5)
         np.log(term, out=term, where=mass & ~near)
@@ -359,7 +382,6 @@ def _kl_to_weight(d: np.ndarray, W: np.ndarray, logW: np.ndarray | None) -> floa
     term -= diff
     np.maximum(term, 0.0, out=term)
     np.copyto(term, W, where=~mass)
-    return float(term.sum())
 
 
 def _one_body_kernels(K1: np.ndarray, lam1: float, times: np.ndarray):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from mvkraw import (
 )
 from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.simulate import (
-    RNG_FAMILY, _rate_bound, _uniformized_step, gillespie_from_tables,
+    _BLOCK, RNG_FAMILY, _jump_tables, _kl_terms, _kl_to_weight, _rate_bound,
+    _uniformized_step, gillespie_from_tables,
 )
 
 
@@ -95,6 +97,109 @@ def test_streams_are_pinned(setup):
         "8b963f5f9799da0626aef979798fe2ffe134f34896c49d7850a65c5e4d35c7b5",
         (2, 0, 0),
     )
+
+
+def _event_loop(B, D, space, n_events, seed, initial_rank=0):
+    """The walk one event at a time, as an oracle: one `append` and one
+    `bisect_left` per event, over rows padded with a last bound of +inf."""
+    totals, absorbing, cums, targets = _jump_tables(B, D, space)
+    cums = [row + [math.inf] for row in cums]
+    occupation = np.zeros(space.size)
+    visits = np.zeros(space.size, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = initial_rank
+    done = 0
+    while done < n_events:
+        block = min(_BLOCK, n_events - done)
+        exps = rng.standard_exponential(block)
+        unis = rng.random(block).tolist()
+        path = []
+        for u in unis:
+            path.append(state)
+            state = targets[state][bisect_left(cums[state], u)]
+        held = np.array(path)
+        assert not absorbing[held].any()
+        np.add.at(occupation, held, exps / totals[held])
+        visits += np.bincount(held, minlength=space.size)
+        done += block
+    return occupation / occupation.sum(), visits, tuple(space.coords[state].tolist())
+
+
+def _assert_walks_as_the_event_loop(B, D, space, n_events, seed, initial_rank):
+    res = gillespie_from_tables(B, D, space, n_events, seed, initial_rank=initial_rank)
+    occupation, visits, final_state = _event_loop(B, D, space, n_events, seed,
+                                                  initial_rank)
+    assert res.occupation.tobytes() == occupation.tobytes()
+    assert np.array_equal(res.visits, visits)
+    assert res.final_state == final_state
+
+
+@pytest.mark.parametrize("n_events", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("n, N, p, q", [
+    (2, 4, (1.0, 1.0), (1.0, 3.0)),
+    (3, 6, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0)),
+])
+def test_walk_matches_the_event_loop(n, N, p, q, n_events):
+    space = StateSpace(n, N)
+    B, D = rate_tables(ModelParams(n, N, p, q), space)
+    _assert_walks_as_the_event_loop(B, D, space, n_events, 5, space.size // 2)
+
+
+def test_walk_matches_the_event_loop_with_zero_rate_moves():
+    # interior states lose a birth or a death in the middle of their rows;
+    # every state keeps a move (a birth of type 0 below the ceiling, a death
+    # of type 1 or 0 on it)
+    space = StateSpace(2, 4)
+    x = space.coords
+    B = (space.N - space.degrees)[:, None] * np.array([1.0, 2.5])
+    D = x * np.array([3.0, 0.7])
+    B[(x[:, 0] > 0) & (space.degrees < space.N), 1] = 0.0
+    D[x[:, 1] > 0, 0] = 0.0
+    interior = (x > 0).all(axis=1) & (space.degrees < space.N)
+    assert ((B == 0) | (D == 0)).any(axis=1)[interior].all()
+    _assert_walks_as_the_event_loop(B, D, space, 2 * _BLOCK + 1, 3,
+                                    space.rank((1, 2)))
+
+
+def test_gillespie_memory_is_bounded():
+    # tracemalloc counts numpy's buffers and Python's lists exactly: the jump
+    # tables (about 0.9 MB at 1,771 points) and one block of draws, walk and
+    # held states; neither list of a block outlives its walk
+    params = ModelParams(3, 20, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
+    space = StateSpace(3, 20)
+    tracemalloc.start()
+    try:
+        res = gillespie_run(params, space, 200_000, seed=1, initial=(6, 2, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.events == 200_000
+    assert peak <= 2.2e6, peak
+
+
+def test_integer_arguments_are_checked_before_any_event(setup, monkeypatch):
+    import mvkraw.simulate as sim
+
+    params, space = setup
+    # no event is drawn: a generator that is never built cannot draw one
+    monkeypatch.setattr(sim.np.random, "PCG64", None)
+    for kwargs in ({"n_events": 20000.0}, {"n_events": True}, {"seed": 5.0},
+                   {"seed": False}, {"seed": "5"}, {"initial_rank": 2.7},
+                   {"initial_rank": np.float64(2.0)}, {"initial_rank": True}):
+        args = {"n_events": 100, "seed": 5, "initial_rank": 0, **kwargs}
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gillespie_from_tables(*rate_tables(params, space), space, **args)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        gillespie_run(params, space, 20000.0, seed=5)
+    monkeypatch.undo()
+    # numpy integers are integers
+    res = gillespie_from_tables(*rate_tables(params, space), space, np.int64(100),
+                                np.uint32(5), initial_rank=np.int16(3))
+    ref = gillespie_from_tables(*rate_tables(params, space), space, 100, 5,
+                                initial_rank=3)
+    assert res.occupation.tobytes() == ref.occupation.tobytes()
+    assert (res.events, res.seed) == (100, 5)
+    assert type(res.events) is int and type(res.seed) is int
 
 
 def test_absorbing_state_detected():
@@ -502,6 +607,23 @@ def test_kl_refuses_zero_reference_on_the_support():
     r = np.array([0.5, 0.5, 0.0])
     with pytest.raises(ValidationError):
         kl_divergence(d, r)
+
+
+def test_kl_blocks_match_the_whole_lattice():
+    # the terms are formed a block at a time and summed once: the same bits
+    # as the terms of the whole lattice at once
+    rng = np.random.default_rng(3)
+    size = 2 * _BLOCK + 5
+    W = rng.dirichlet(np.ones(size))
+    W[rng.random(size) < 0.1] = 0.0
+    W[rng.random(size) < 0.05] = 1e-310
+    d = np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.3, 1.7, size) * W)
+    d[W == 0.0] = 0.0
+    d /= d.sum()
+    logW = np.log(np.where(W > 0, W, 1e-320))
+    whole = np.empty(size)
+    _kl_terms(d, W, logW, whole)
+    assert _kl_to_weight(d, W, logW) == float(whole.sum())
 
 
 def test_kl_where_the_weight_underflows(tmp_path):
