@@ -34,7 +34,6 @@ one report.  Tables entering those three are validated by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -158,7 +157,9 @@ def generator_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp
 
 
 def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
-    """Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
+    """Oracle of the `_symmetrized` stencil: test_symmetrized_operator.
+
+    Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
     off-diagonal -sqrt(B_j(x)) sqrt(D_j(x+e_j)) placed symmetrically."""
     return _symmetrized(B, D, space).csr()
 
@@ -166,13 +167,17 @@ def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> 
 def difference_operator_from_tables(
     B: np.ndarray, D: np.ndarray, space: StateSpace
 ) -> sp.csr_matrix:
-    """Difference operator Ht acting on functions f of the lattice point:
+    """Oracle of the `_difference` stencil: test_difference_operator.
+
+    Difference operator Ht acting on functions f of the lattice point:
     (Ht f)(x) = sum_j B_j(x)(f(x) - f(x+e_j)) + D_j(x)(f(x) - f(x-e_j))."""
     return _difference(B, D, space).csr()
 
 
 def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) -> sp.csr_matrix:
-    """Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
+    """Oracle of the `_ladder` stencil: test_ladder_factorization.
+
+    Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
     return _ladder(B, D, space, j).csr()
 
 
@@ -238,8 +243,7 @@ def _log_weight(B: np.ndarray, D: np.ndarray, space: StateSpace,
     return logw - logw.max()
 
 
-@dataclass(frozen=True)
-class CompatibilityResult:
+class CompatibilityResult(NamedTuple):
     passed: bool
     worst_residual: float
     witness: tuple | None
@@ -250,7 +254,9 @@ class CompatibilityResult:
 def check_compatibility(
     B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
 ) -> CompatibilityResult:
-    """Check the pairwise ratio condition that makes the two-term weight
+    """Oracle of `_log_weight`'s path check: test_check_compatibility_matches_plaquette_loop.
+
+    Check the pairwise ratio condition that makes the two-term weight
     consistent: around every elementary plaquette (x, x+e_j, x+e_k,
     x+e_j+e_k) the products of birth/death ratios along the two paths must
     agree.  Ratios with a vanishing death denominator are skipped; a

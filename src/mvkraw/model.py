@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,30 +42,37 @@ EXACT_N_MAX = 20
 _GRID_EXP = -32
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Model parameters: dimension n, ceiling N, intensities p and q > 0."""
-
+class _ModelFields(NamedTuple):
     n: int
     N: int
     p: tuple
     q: tuple
 
-    def __post_init__(self):
-        if not (type(self.n) is int and type(self.N) is int):
+
+class ModelParams(_ModelFields):
+    """Model parameters: dimension n, ceiling N, intensities p and q > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, N: int, p, q):
+        if not (type(n) is int and type(N) is int):
             raise ValidationError("n and N must be integers")
-        if self.n < 1 or self.N < 1:
-            raise ValidationError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
-        p, q = _floats(self.p), _floats(self.q)
-        if len(p) != self.n or len(q) != self.n:
+        if n < 1 or N < 1:
+            raise ValidationError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
+        p, q = _floats(p), _floats(q)
+        if len(p) != n or len(q) != n:
             raise ValidationError(
-                f"p and q must have length n={self.n}, got {len(p)} and {len(q)}"
+                f"p and q must have length n={n}, got {len(p)} and {len(q)}"
             )
         for name, vec in (("p", p), ("q", q)):
             if not all(math.isfinite(v) and v > 0 for v in vec):
                 raise ValidationError(f"all {name} entries must be finite and positive")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, n, N, p, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: validate there too
+        return cls(*iterable)
 
     def exceptional(self) -> bool:
         """True when two q_i are equal.
@@ -153,8 +160,7 @@ def rate_tables(params: ModelParams, space: StateSpace) -> tuple[np.ndarray, np.
     return linear_rate_tables(params.p, params.q, space)
 
 
-@dataclass(frozen=True)
-class Probabilities:
+class Probabilities(NamedTuple):
     """Multinomial cell probabilities (eta0, eta_1..eta_n), summing to 1."""
 
     eta0: float

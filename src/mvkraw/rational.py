@@ -28,7 +28,7 @@ orthogonality checks read T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,18 +45,21 @@ SINGULAR_REL_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RationalParams:
-    """The four positive rates of the rational family."""
-
+class _RationalFields(NamedTuple):
     p1: float
     p2: float
     p3: float
     p4: float
 
-    def __post_init__(self):
-        vals = (self.p1, self.p2, self.p3, self.p4)
-        for name, v in zip(("p1", "p2", "p3", "p4"), vals):
+
+class RationalParams(_RationalFields):
+    """The four positive rates of the rational family."""
+
+    __slots__ = ()
+
+    def __new__(cls, p1: float, p2: float, p3: float, p4: float):
+        self = super().__new__(cls, p1, p2, p3, p4)
+        for name, v in zip(self._fields, self):
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be positive and finite, got {v}")
         # the surface test below needs a finite Delta, and the closed forms,
@@ -64,15 +67,19 @@ class RationalParams:
         # divide by products of two rates and by Delta^2, which is above
         # (SINGULAR_REL_TOL min(p)/(4 S))^2 off the surface: none is 0 where
         # (SINGULAR_REL_TOL min(p)/S)^2 is normal
-        small = SINGULAR_REL_TOL * min(vals) / self.total
+        small = SINGULAR_REL_TOL * min(self) / self.total
         if not (math.isfinite(self.discriminant) and small * small >= np.finfo(float).tiny):
             raise CapExceeded("rates outside the float64 range of the closed forms")
-        if abs(self.discriminant) <= SINGULAR_REL_TOL * (
-            self.p1 * self.p4 + self.p2 * self.p3
-        ):
+        if abs(self.discriminant) <= SINGULAR_REL_TOL * (p1 * p4 + p2 * p3):
             raise SingularParameters(
                 "p1*p4 == p2*p3: the dual system is undefined on this surface"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: validate there too
+        return cls(*iterable)
 
     @property
     def total(self) -> float:
@@ -83,8 +90,7 @@ class RationalParams:
         return self.p1 * self.p4 - self.p2 * self.p3
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(NamedTuple):
     """A rational instance together with its explicit dual system.
 
     ``U`` holds the coupling coefficients with rows indexed by the x

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named residual check against a tolerance."""
 
     name: str
@@ -26,11 +25,14 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    """An ordered collection of checks."""
+    """An ordered collection of checks; `checks` is the list given, kept."""
 
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"Report(checks={self.checks!r})"
 
     def add(self, name: str, residual: float, tol: float, detail: str = "") -> Check:
         check = Check(name, float(residual), float(tol), detail)

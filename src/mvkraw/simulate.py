@@ -36,10 +36,12 @@ Two engines:
   p=q=1): the drift is reported as `mass_defect`, and each snapshot is
   then divided by its sum.  TV to W is 1 - sum min(d, W), and KL to W a
   sum of the nonnegative terms W phi(d/W), so neither leaves its range by
-  rounding.  Where W is below the smallest normal double, zero or
-  subnormal (n=1, N=2000, p=q=1: 396 + 34 of the 2,001 points), KL reads
-  log W off the log route, whose values are finite there.  The start is
-  snapshot 0 and each snapshot is written into its row.
+  rounding.  1 - sum min(d, W) cancels to about 50 ulps of 1, so a TV
+  below about 1e-14 is rounding noise.  Where W is below the smallest
+  normal double, zero or subnormal (n=1, N=2000, p=q=1: 396 + 34 of the
+  2,001 points), KL reads log W off the log route, whose values are
+  finite there.  The start is snapshot 0 and each snapshot is written
+  into its row.
 
 Each route imports the layers it computes with when it runs: the exact
 law needs ``sympower``, uniformization on the lattice ``bdcore`` and
@@ -54,8 +56,8 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +81,9 @@ def total_variation(d: np.ndarray, ref: np.ndarray) -> float:
 
 
 def kl_divergence(d: np.ndarray, ref: np.ndarray) -> float:
-    """KL(d || ref) with the 0 log 0 = 0 convention; ref must be positive
+    """Oracle of `_kl_to_weight`: test_general_vector_takes_uniformization.
+
+    KL(d || ref) with the 0 log 0 = 0 convention; ref must be positive
     wherever d is (a weight that underflows to 0 off the support of d is
     fine)."""
     d = np.asarray(d, dtype=float)
@@ -90,8 +94,7 @@ def kl_divergence(d: np.ndarray, ref: np.ndarray) -> float:
     return float(np.sum(d[mask] * np.log(d[mask] / ref[mask])))
 
 
-@dataclass(frozen=True)
-class GillespieResult:
+class GillespieResult(NamedTuple):
     occupation: np.ndarray
     visits: np.ndarray
     events: int
@@ -214,8 +217,7 @@ def gillespie_run(
     )
 
 
-@dataclass(frozen=True)
-class EvolveResult:
+class EvolveResult(NamedTuple):
     times: np.ndarray
     distributions: np.ndarray     # row k is the distribution at times[k]
     tv_to_stationary: np.ndarray
@@ -437,8 +439,7 @@ def _uniformized_step(K, v: np.ndarray, a: float) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class RelaxationFit:
+class RelaxationFit(NamedTuple):
     slope: float
     intercept: float
     points_used: int

@@ -30,7 +30,6 @@ compare it with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +61,7 @@ def secular_function(lam: float, p, q) -> float:
     return _finite_sum((pi / (lam - qi) for pi, qi in zip(p, q)), "secular term") - 1.0
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalues and system parameters derived from (p, q).
 
     lam is ascending; u[i, j] = lam_j/(lam_j - q_i) keeps q in caller order.
@@ -172,7 +170,7 @@ def _derived(p: np.ndarray, q: np.ndarray, lam: np.ndarray,
             secular_residuals=np.abs(terms.sum(axis=0) - 1.0) / np.abs(terms).sum(axis=0),
         )
     positive = np.r_[spec.eta0, spec.eta, spec.eta_bar, spec.eta_dual]
-    if not (all(np.isfinite(v).all() for v in vars(spec).values()) and positive.min() > 0):
+    if not (all(np.isfinite(v).all() for v in spec) and positive.min() > 0):
         raise CapExceeded("spectral data outside the float64 range")
     return spec
 
@@ -185,7 +183,7 @@ def _perturbed(spec: SpectralData, eps: float) -> SpectralData:
     u[0, 0] *= 1.0 + eps
     a = spec.a.copy()
     a[1, 1] = 1.0 - u[0, 0]
-    return replace(spec, u=u, a=a)
+    return spec._replace(u=u, a=a)
 
 
 def solve_spectrum(params: ModelParams) -> SpectralData:
@@ -307,8 +305,7 @@ def identity_checks(spec: SpectralData, tol: float = 1e-10) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class EigenBasis:
+class EigenBasis(NamedTuple):
     """Dense orthonormal eigenbasis of the symmetrized operator."""
 
     eigenvalues: np.ndarray

@@ -56,6 +56,47 @@ def test_reruns_are_byte_identical(tmp_path, params_file):
     assert (out1 / "spectrum.json").read_bytes() == (out2 / "spectrum.json").read_bytes()
 
 
+def test_every_csv_is_what_csv_writer_writes(tmp_path):
+    # the CLI joins fields with commas itself: each file it writes reads back
+    # through `csv.reader` as rows of one length, which `csv.writer` writes
+    # again byte for byte
+    model = {"schema": 1, "n": 2, "N": 10, "p": [1.0, 2.0], "q": [1.0, 4.0]}
+    params, gillespie, uniformization = (tmp_path / f"{name}.json"
+                                         for name in ("params", "g", "u"))
+    params.write_text(json.dumps(model))
+    gillespie.write_text(json.dumps({"schema": 1, "params": model, "mode": "gillespie",
+                                     "events": 2000, "seed": 3}))
+    uniformization.write_text(json.dumps({"schema": 1, "params": model,
+                                          "mode": "uniformization", "time": 8.0,
+                                          "steps": 8}))
+    for args in (["table", "--level", "full", "--params", params],
+                 ["spectrum", "--params", params],
+                 ["simulate", "--config", gillespie],
+                 ["simulate", "--config", uniformization]):
+        assert cli.main([str(a) for a in args] + ["--out", str(tmp_path)]) == 0, args
+    for name in ("table.csv", "gen_oracle.csv", "spectrum.csv", "occupation.csv",
+                 "evolution.csv"):
+        comment, body = (tmp_path / name).read_bytes().decode().split("\n", 1)
+        assert comment.startswith("# manifest: "), name
+        rows = list(csv.reader(io.StringIO(body)))
+        assert len(rows) > 2 and len({len(row) for row in rows}) == 1, name
+        again = io.StringIO()
+        csv.writer(again, lineterminator="\n").writerows(rows)
+        assert again.getvalue() == body, name
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    header = ("x\\m", "(0;0)", "value")
+    rows = [["(1;2;3)", -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+             0.30000000000000004, -1.2345678901234567e-200, 7, "", 1.7976931348623157e308]]
+    path = cli._write_csv(str(tmp_path), "t.csv", "t.json", header, rows)
+    expected = io.StringIO()
+    expected.write("# manifest: t.json\n")
+    csv.writer(expected, lineterminator="\n").writerows([header, *rows])
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.getvalue().encode()
+
+
 def test_verify_full_passes(tmp_path, params_file):
     out = tmp_path / "run"
     res = run_cli("verify", "--params", params_file, "--out", out)
@@ -542,12 +583,17 @@ PUBLIC_NAMES = [
     ("verify-full", {"mvkraw.simulate", "mvkraw.rational", "scipy", "numpy.ma"}),
     ("table-full", {"mvkraw.bdcore", "mvkraw.simulate", "mvkraw.rational", "scipy",
                     "numpy.ma"}),
+    ("spectrum", {"mvkraw.bdcore", "mvkraw.polynomials", "mvkraw.sympower",
+                  "mvkraw.simulate", "mvkraw.rational", "scipy"}),
+    ("rational", {"mvkraw.simulate", "scipy"}),
 ])
 def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
     # `import mvkraw` resolves its names on first use, and each command
     # imports the layers it computes with when it runs: neither the exact
     # law from the origin nor the Gillespie loop needs an operator (bdcore)
-    # or a sparse matrix (scipy)
+    # or a sparse matrix (scipy).  No call loads `dataclasses` or `csv`,
+    # which `import numpy` does not load either: records are NamedTuples
+    # and CSV rows are joined strings, so neither is paid for at start-up
     params = {"schema": 1, "n": 2, "N": 4, "p": [1, 1], "q": [1, 3]}
     (tmp_path / "params.json").write_text(json.dumps(params))
     runs = {
@@ -561,6 +607,8 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
                      for mode in ("gillespie.json", "uniformization.json")],
         "uniformization": [["simulate", "--config", str(tmp_path / "uniformization.json")]],
         "gillespie": [["simulate", "--config", str(tmp_path / "gillespie.json")]],
+        "spectrum": [["spectrum", "--params", str(tmp_path / "params.json")]],
+        "rational": [["rational", "--rates", "1", "2", "3", "4", "-N", "6"]],
     }[command]
     (tmp_path / "gillespie.json").write_text(json.dumps(
         {"schema": 1, "params": params, "mode": "gillespie", "events": 1000, "seed": 1}))
@@ -573,14 +621,15 @@ def test_each_call_loads_only_its_layers(tmp_path, command, unloaded):
         f"for args in {runs!r}:\n"
         "    from mvkraw.cli import main\n"
         f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
-        "print(json.dumps([m for m in sys.modules\n"
-        "                  if m.split('.')[0] in ('mvkraw', 'numpy', 'scipy')]))\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in\n"
+        "                  ('mvkraw', 'numpy', 'scipy', 'dataclasses', 'csv')]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=CLI_ENV)
     assert out.returncode == 0, out.stderr
     loaded = set(json.loads(out.stdout.splitlines()[-1]))
     assert not loaded & unloaded, sorted(loaded & unloaded)
+    assert not loaded & {"dataclasses", "csv"}, sorted(loaded & {"dataclasses", "csv"})
     if command is None:
         assert loaded == {"mvkraw"}
 

@@ -36,6 +36,14 @@ def test_params_validation():
         ModelParams(n=True, N=3, p=(1.0,), q=(2.0,))
     with pytest.raises(ValidationError, match="must be integers"):
         ModelParams(n=1, N=True, p=(1.0,), q=(2.0,))
+    # a record built again from another is judged again; none can be changed
+    params = ModelParams(n=2, N=3, p=[1, 2], q=(1.0, 2.0))
+    assert params.p == (1.0, 2.0) and type(params.p[0]) is float
+    with pytest.raises(ValidationError):
+        params._replace(q=(1.0, 0.0))
+    for name in ("N", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 4)
 
 
 def test_probabilities_anchor():

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +92,8 @@ def test_singular_surface_rejected():
         RationalParams(1.0, 2.0, 2.0, 4.0)
     with pytest.raises(SingularParameters):
         RationalParams(3.0, 3.0, 3.0, 3.0)
+    with pytest.raises(SingularParameters):
+        RationalParams(1.0, 2.0, 3.0, 4.0)._replace(p4=6.0)
     with pytest.raises(ValidationError):
         RationalParams(1.0, -2.0, 3.0, 4.0)
     with pytest.raises(ValidationError):
@@ -236,6 +237,6 @@ def test_recurrence_scale_still_sees_a_perturbed_coupling(p4):
     assert verify_recurrence(pair, 6).passed
     U = pair.U.copy()
     U[0, 0] *= 1.0 + 1e-6
-    report = verify_recurrence(dataclasses.replace(pair, U=U), 6)
+    report = verify_recurrence(pair._replace(U=U), 6)
     for name in ("dual-eigen-equation", "five-term-recurrence"):
         assert report[name].residual > 1e-7, report[name].line()
