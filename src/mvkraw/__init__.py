@@ -63,9 +63,7 @@ _EXPORTS = {
         "RelaxationFit",
         "evolve_distribution",
         "gillespie_run",
-        "kl_divergence",
         "relaxation_rate",
-        "total_variation",
     ),
     "spectrum": (
         "EigenBasis",

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import StateSpace
-from .model import check_rate_tables
+from .model import _check_weight, check_rate_tables
 from .report import Report
 
 if TYPE_CHECKING:
@@ -303,13 +303,16 @@ def verify_structure(
     max_x H_xx <= ||H||_2, so never less than max(0, -lambda_min)/||H||_2.
     The two similarity checks always take log W from the two-term relation
     (`_log_weight`), finite where W underflows; a caller's W enters only the
-    annihilation checks (L W, A_j sqrt W and H sqrt W).
+    annihilation checks (L W, A_j sqrt W and H sqrt W), and ValidationError
+    unless it has one finite, nonnegative entry per lattice point.
     """
     B, D = check_rate_tables(B, D, space)
     logw = _log_weight(B, D, space)
     if W is None:
         W = np.exp(logw)
         W /= W.sum()
+    else:
+        W = _check_weight(W, space)
     L = _generator(B, D, space)
     H = _symmetrized(B, D, space)
     Ht = _difference(B, D, space)

@@ -49,7 +49,9 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key, simplex_size
-from .model import ModelParams, _count_columns, _log_route_pmf, rate_tables
+from .model import (
+    ModelParams, _check_space, _count_columns, _log_route_pmf, rate_tables,
+)
 from .spectrum import SpectralData
 from .sympower import _dense, _one_body, coefficient_power
 
@@ -69,9 +71,10 @@ def _check_point(name: str, v, n: int, N: int) -> list[int]:
 
 
 def eval_P(spec, m, x, N: int) -> float:
-    """One polynomial value P_m(x) by direct summation of the series (oracle).
+    """Series oracle of `table`: test_table_matches_series_entrywise.
 
-    `spec` is a SpectralData or a bare (n, n) u-matrix.  Always finite: the
+    One polynomial value P_m(x) by direct summation of the series.  `spec`
+    is a SpectralData or a bare (n, n) u-matrix.  Always finite: the
     depth-first enumeration only visits c-matrices whose row sums stay
     within x and whose column sums stay within m.
     """
@@ -262,7 +265,9 @@ def _oracle_check(spec, space: StateSpace, T: np.ndarray, report, tol: float,
 
 
 def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
-    """All P_m(x) for one x, via the generating function: row x of
+    """Row oracle of `table`: test_single_point_generating_function.
+
+    All P_m(x) for one x, via the generating function: row x of
     T = Sym^N(R) by `_oracle_rows`, P read off it as in `table`.  `spec`
     is any object with the one-body matrix `.R`."""
     rows = [space.rank(x)]
@@ -270,7 +275,9 @@ def eval_P_via_generating_function(spec, x, space: StateSpace) -> np.ndarray:
 
 
 def table_via_generating_function(spec, space: StateSpace) -> np.ndarray:
-    """Independent full table: every row of T = Sym^N(R) by `_oracle_rows`,
+    """Generating-function oracle of `table`: test_oracle_equivalence_canonical.
+
+    Independent full table: every row of T = Sym^N(R) by `_oracle_rows`,
     P read off it as in `table`.  Raises CapExceeded above DENSE_CAP
     points, before expanding any row."""
     rows = np.arange(_dense(space))
@@ -343,13 +350,14 @@ def orthonormal_map(
     """T[x, m] = sqrt(W(x)) P_m(x) sqrt(C(N,m) eta_bar^m); orthogonal both
     ways.  The inverse of the scaling in `table`, so sqrt(W) never
     underflows on its own."""
-    if space.n != params.n or space.N != params.N:
-        raise ValidationError("state space does not match params")
+    _check_space(params, space)
     return _rescale(tab, spec.R, space, 0.5)
 
 
 def kr_P(m: int, x: int, p: float, N: int) -> float:
-    """Classical single-variable evaluator: terminating Gauss sum
+    """Univariate oracle of `table`: test_n1_matches_classical.
+
+    Classical single-variable evaluator: terminating Gauss sum
     sum_k (-m)_k (-x)_k / ((-N)_k k!) p^{-k}."""
     m, x = int(m), int(x)
     if not (0 <= m <= N and 0 <= x <= N):

@@ -262,10 +262,11 @@ def _falling(a: int, smax: int) -> list[float]:
 
 
 def eval_rational(pair: DualPair, m, x, N: int) -> float:
-    """Literal four-index series for the rational family.
+    """Four-index oracle of `table`: test_evaluator_agreement.
 
-    Independent of the generic evaluator: the sum runs over (i, j, k, l)
-    with i+j <= m1, k+l <= m2, i+k <= x1, j+l <= x2 and terms
+    Literal series for the rational family, independent of the generic
+    evaluator: the sum runs over (i, j, k, l) with i+j <= m1, k+l <= m2,
+    i+k <= x1, j+l <= x2 and terms
 
         (-m1)_{i+j} (-m2)_{k+l} (-x1)_{i+k} (-x2)_{j+l}
         / (i! j! k! l! (-N)_{i+j+k+l}) * t^i u^j v^k w^l

@@ -64,8 +64,8 @@ import numpy as np
 from .errors import AbsorbingState, NoConvergence, ValidationError
 from .lattice import StateSpace, _is_number
 from .model import (
-    ModelParams, _linear_rates, check_rate_tables, log_weight_vector, rate_tables,
-    weight_vector,
+    ModelParams, _check_weight, _linear_rates, check_rate_tables, log_weight_vector,
+    rate_tables, weight_vector,
 )
 
 RNG_FAMILY = "numpy-PCG64"
@@ -73,25 +73,6 @@ _BLOCK = 1 << 14
 _POISSON_TAIL = 1e-18
 _TINY = np.finfo(float).tiny   # below it W is zero or subnormal
 _MAX_SEGMENT = 600.0
-
-
-def total_variation(d: np.ndarray, ref: np.ndarray) -> float:
-    """Oracle of `_tv_to_weight`: test_convergence_toward_stationary."""
-    return 0.5 * float(np.abs(np.asarray(d) - np.asarray(ref)).sum())
-
-
-def kl_divergence(d: np.ndarray, ref: np.ndarray) -> float:
-    """Oracle of `_kl_to_weight`: test_general_vector_takes_uniformization.
-
-    KL(d || ref) with the 0 log 0 = 0 convention; ref must be positive
-    wherever d is (a weight that underflows to 0 off the support of d is
-    fine)."""
-    d = np.asarray(d, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    mask = d > 0
-    if np.any(ref[mask] <= 0):
-        raise ValidationError("reference distribution must be positive where d has mass")
-    return float(np.sum(d[mask] * np.log(d[mask] / ref[mask])))
 
 
 class GillespieResult(NamedTuple):
@@ -162,6 +143,8 @@ def gillespie_from_tables(
         raise ValidationError(
             f"initial rank {state} is outside the lattice of {space.size} points"
         )
+    if reference is not None:
+        reference = _check_weight(reference, space)
 
     totals, absorbing, cums, targets = _jump_tables(B, D, space)
     occupation = np.zeros(space.size)
@@ -242,10 +225,17 @@ def evolve_distribution(
     picks the route: "stationary" stays W, and a point mass ("origin" or
     a vector with one nonzero entry) evolves by its exact law, the
     `sympower.coefficient_row` of the one-body kernel; any other vector is
-    pushed through the many-body kernel by uniformization.
+    pushed through the many-body kernel by uniformization.  ValidationError,
+    before any work, unless T is a finite positive number and steps a
+    positive integer (a bool is neither).
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValidationError(f"horizon T must be positive, got {T}")
+    try:
+        horizon = float(T) if _is_number(T) else math.nan
+    except OverflowError:   # an integer past the float64 range
+        horizon = math.inf
+    if not 0 < horizon < math.inf:
+        raise ValidationError(f"horizon T must be a finite positive number, got {T!r}")
+    steps = _integer("steps", steps)
     if steps < 1:
         raise ValidationError("steps must be at least 1")
     W = weight_vector(params, space)
@@ -277,7 +267,7 @@ def evolve_distribution(
             raise ValidationError("initial must be a probability vector")
 
     lam = _rate_bound(params)
-    times = np.linspace(0.0, T, steps + 1)
+    times = np.linspace(0.0, horizon, steps + 1)
     support = np.flatnonzero(v)
     stationary = isinstance(initial, str) and initial == "stationary"
     if stationary:

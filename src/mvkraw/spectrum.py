@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapExceeded, ExceptionalParameters, NoConvergence, ValidationError
 from .lattice import StateSpace
-from .model import ModelParams, _finite_sum
+from .model import ModelParams, _check_space, _finite_sum
 from .report import Report
 
 # log2(width/root) + 53 halvings close a bracket to adjacent floats, and
@@ -101,10 +101,6 @@ class SpectralData(NamedTuple):
         left = np.sqrt(np.concatenate(([self.eta0], self.eta)))
         right = np.sqrt(np.concatenate(([1.0], self.eta_bar)))
         return left[:, None] * self.a * right[None, :]
-
-    def degree_eigenvalue(self, m) -> float:
-        """E(m) = sum_j m_j lam_j, the eigenvalue attached to degree vector m."""
-        return float(np.dot(np.asarray(m, dtype=float), self.lam))
 
 
 def _pole_root(p, q: np.ndarray, qs: list, j: int) -> tuple[float, float]:
@@ -327,8 +323,7 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     """
     from .sympower import coefficient_power  # kept out of `verify --level fast`
 
-    if space.n != params.n or space.N != params.N:
-        raise ValidationError("state space does not match params")
+    _check_space(params, space)
     p = np.asarray(params.p, dtype=float)
     q = np.asarray(params.q, dtype=float)
     h = np.diag(np.concatenate(([p.sum()], q)))

@@ -20,6 +20,24 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 CLI_ENV = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
+def _with_entry_1(W, value):
+    out = W.copy()
+    out[1] = value
+    return out
+
+
+# vectors that are not a weight of W's lattice, each refused where a
+# caller's weight or reference enters
+BAD_WEIGHTS = {
+    "one-long": lambda W: np.append(W, W[-1]),
+    "one-short": lambda W: W[:-1],
+    "length-1": lambda W: W[:1],
+    "two-columns": lambda W: np.column_stack((W, W)),
+    "negative": lambda W: _with_entry_1(W, -W[1]),
+    "nan": lambda W: _with_entry_1(W, np.nan),
+}
+
+
 def draw_model(rng, n, N, lo=0.1, hi=10.0, q_sep=0.05):
     """Random model with a guaranteed separation between the q's."""
     while True:
@@ -62,6 +80,21 @@ def gram_reference(G, expected):
     np.fill_diagonal(normalized, 0.0)
     return (float(normalized.max()),
             float(np.max(np.abs(np.diag(G) - expected) / expected)))
+
+
+def tv_reference(d, ref) -> float:
+    """The dense TV distance 1/2 sum |d - ref|, the reference of the
+    package's in-range form 1 - sum min(d, W)."""
+    return 0.5 * float(np.abs(np.asarray(d) - np.asarray(ref)).sum())
+
+
+def kl_reference(d, ref) -> float:
+    """The dense KL(d || ref) = sum d log(d/ref) over the support of d, the
+    reference of the package's sum of nonnegative terms W phi(d/W)."""
+    d = np.asarray(d, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    mass = d > 0
+    return float(np.sum(d[mass] * np.log(d[mass] / ref[mass])))
 
 
 def multinomial(N: int, parts) -> float:

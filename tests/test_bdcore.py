@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import draw_model
+from conftest import BAD_WEIGHTS, draw_model
 
 from mvkraw import (
     ModelParams,
@@ -448,6 +448,17 @@ def test_verify_structure_anchor_instances():
         space = StateSpace(params.n, params.N)
         report = verify_structure(*rate_tables(params, space), space, tol=1e-12)
         assert report.passed, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("case", BAD_WEIGHTS)
+def test_verify_structure_refuses_a_bad_weight(case):
+    # the weight is read through gathers that clip their indices, so a
+    # wrong shape would pass unnoticed and a negative entry reach sqrt
+    params = ModelParams(n=2, N=4, p=(1.0, 1.0), q=(1.0, 3.0))
+    space = StateSpace(2, 4)
+    bad = BAD_WEIGHTS[case](weight_vector(params, space))
+    with pytest.raises(ValidationError, match="weight vector"):
+        verify_structure(*rate_tables(params, space), space, bad)
 
 
 def test_verify_structure_random_loop():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import draw_model, multinomial
+from conftest import draw_model
 
 from mvkraw import (
     ModelParams,
@@ -102,8 +102,8 @@ def test_weight_is_multinomial():
 
 
 def test_multinomial_vector_matches_per_point_values():
-    # both routes, exact integers up to N = 20 and log space above, against
-    # the exact rational pmf of the float cells
+    # the one route, below, at and above N = 20, against the exact rational
+    # pmf of the float cells
     rng = np.random.default_rng(20260815)
     for n, N in ((1, 20), (2, 20), (3, 12), (4, 7), (2, 1), (2, 25), (3, 25), (2, 80)):
         space = StateSpace(n, N)
@@ -117,13 +117,10 @@ def test_multinomial_vector_matches_per_point_values():
             for c, k in enumerate(counts):
                 value = value * powers[c][k] / math.factorial(k)
             assert abs(W[r] / float(value) - 1.0) < 1e-13, (x, W[r], float(value))
-        if N <= 20:
-            ones = multinomial_vector(space, 1.0, np.ones(n))
-            assert np.array_equal(ones, [multinomial(N, x) for x in space.points])
 
 
 def test_large_N_log_path_consistent():
-    # exact integer path (N <= 20) against the log-gamma path (N > 20)
+    # one route at every N: the pmf sums to 1 below and above N = 20
     eta0, eta = 0.2, np.array([0.5, 0.3])
     space_small = StateSpace(2, 20)
     W = multinomial_vector(space_small, eta0, eta)
@@ -160,12 +157,13 @@ def test_multinomial_vector_zero_cell_above_exact_range():
     assert W.sum() == pytest.approx(1.0, abs=1e-13)
 
 
-@pytest.mark.parametrize("n, N, sampled", [(2, 40, 300), (3, 80, 300), (1, 2000, None)])
+@pytest.mark.parametrize("n, N, sampled", [
+    (2, 20, None), (3, 20, None), (2, 40, 300), (3, 80, 300), (1, 2000, None)])
 def test_multinomial_vector_against_50_digits(n, N, sampled):
     # the log route against the exact pmf of the float cells at 50 digits:
     # within 4 ulp in the normal range; in the subnormal range, and where
-    # the pmf rounds to 0, within two subnormal spacings.  At (1,2000) every
-    # point is compared, the tails included.
+    # the pmf rounds to 0, within two subnormal spacings.  At (2,20), (3,20)
+    # and (1,2000) every point is compared, the tails included.
     import mpmath
 
     rng = np.random.default_rng(2000 + N)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from conftest import CLI_ENV
+from conftest import BAD_WEIGHTS, CLI_ENV, kl_reference, tv_reference
 
 from mvkraw import (
     AbsorbingState,
@@ -20,16 +20,14 @@ from mvkraw import (
     evolve_distribution,
     generator_from_tables,
     gillespie_run,
-    kl_divergence,
     rate_tables,
     relaxation_rate,
-    total_variation,
     weight_vector,
 )
 from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.simulate import (
     _BLOCK, RNG_FAMILY, _jump_tables, _kl_terms, _kl_to_weight, _rate_bound,
-    _uniformized_step, gillespie_from_tables,
+    _tv_to_weight, _uniformized_step, gillespie_from_tables,
 )
 
 
@@ -68,7 +66,7 @@ def test_convergence_toward_stationary(setup):
     long = gillespie_run(params, space, 200_000, seed=11)
     assert long.tv_to_stationary < short.tv_to_stationary
     assert long.tv_to_stationary < 0.05
-    assert total_variation(long.occupation, W) == pytest.approx(
+    assert tv_reference(long.occupation, W) == pytest.approx(
         long.tv_to_stationary
     )
 
@@ -200,6 +198,19 @@ def test_integer_arguments_are_checked_before_any_event(setup, monkeypatch):
     assert res.occupation.tobytes() == ref.occupation.tobytes()
     assert (res.events, res.seed) == (100, 5)
     assert type(res.events) is int and type(res.seed) is int
+
+
+@pytest.mark.parametrize("case", BAD_WEIGHTS)
+def test_gillespie_refuses_a_bad_reference(setup, monkeypatch, case):
+    import mvkraw.simulate as sim
+
+    params, space = setup
+    bad = BAD_WEIGHTS[case](weight_vector(params, space))
+    # refused before any event: a generator that is never built draws none
+    monkeypatch.setattr(sim.np.random, "PCG64", None)
+    with pytest.raises(ValidationError, match="weight vector"):
+        gillespie_from_tables(*rate_tables(params, space), space, 100, 5,
+                              reference=bad)
 
 
 def test_absorbing_state_detected():
@@ -351,8 +362,8 @@ def test_general_vector_takes_uniformization(tmp_path):
     assert res.mass_defect == np.abs(sums - 1.0).max()
     W = weight_vector(params, space)
     for d, tv, kl in zip(res.distributions, res.tv_to_stationary, res.kl_to_stationary):
-        assert tv == pytest.approx(total_variation(d, W), abs=1e-15)
-        assert kl == pytest.approx(kl_divergence(d, W), rel=1e-12)
+        assert tv == pytest.approx(tv_reference(d, W), abs=1e-15)
+        assert kl == pytest.approx(kl_reference(d, W), rel=1e-12)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "schema": 1,
@@ -360,9 +371,11 @@ def test_general_vector_takes_uniformization(tmp_path):
         "mode": "uniformization", "time": 3.0, "steps": 6, "initial": v.tolist(),
     }))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    # the output of the uniformization route with renormalized snapshots
+    # the output of the uniformization route with renormalized snapshots; tv
+    # and kl read W by the log route, each value here no farther from its
+    # 50-digit value than the integer coefficients' were
     digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-    assert digest == "7e30465c78feb32ed8441df091fd68bae2ae78b6399bf95aa19f7f079216ad97"
+    assert digest == "3da4394b408364a5b1ff0b3447a294c05cc5509fe63e94d09b92fb3472123c43"
     assert json.loads((tmp_path / "simulate.json").read_text())["summary"]["route"] == (
         "uniformization")
 
@@ -561,6 +574,24 @@ def test_initial_vector_validation(setup):
             evolve_distribution(params, space, bad, T=1.0, steps=2)
 
 
+def test_horizon_and_steps_are_checked_before_any_work(setup, monkeypatch):
+    import mvkraw.simulate as sim
+
+    params, space = setup
+    monkeypatch.setattr(sim, "weight_vector", lambda *_: pytest.fail("work began"))
+    for T, steps in ((1.0, 2.5), (1.0, 2.0), (1.0, True), (1.0, "2"), (1.0, None),
+                     ("1", 2), (None, 2), (True, 2), (np.nan, 2), (np.inf, 2),
+                     (0.0, 2), (10**400, 2)):
+        with pytest.raises(ValidationError):
+            evolve_distribution(params, space, "origin", T=T, steps=steps)
+    monkeypatch.undo()
+    # numpy numbers are numbers
+    res = evolve_distribution(params, space, "origin", T=np.float32(1.5),
+                              steps=np.int64(3))
+    ref = evolve_distribution(params, space, "origin", T=1.5, steps=3)
+    assert res.distributions.tobytes() == ref.distributions.tobytes()
+
+
 def test_relaxation_rate_recovers_spectral_gap(setup):
     params, space = setup
     from mvkraw import solve_spectrum
@@ -582,31 +613,23 @@ def test_relaxation_rate_needs_points(setup):
 
 
 def test_divergence_helpers():
+    # the in-range forms and their dense references on hand values
     d = np.array([0.5, 0.5, 0.0])
     r = np.array([0.25, 0.25, 0.5])
-    assert total_variation(d, r) == pytest.approx(0.5)
-    assert total_variation(d, d) == 0.0
-    assert kl_divergence(d, r) == pytest.approx(
-        0.5 * np.log(2.0) + 0.5 * np.log(2.0)
-    )
-    assert kl_divergence(r, r) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValidationError):
-        kl_divergence(r, d)  # reference has a zero where mass sits
+    for tv in (_tv_to_weight, tv_reference):
+        assert tv(d, r) == pytest.approx(0.5)
+        assert tv(d, d) == 0.0
+    for kl in (lambda a, b: _kl_to_weight(a, b, None), kl_reference):
+        assert kl(d, r) == pytest.approx(0.5 * np.log(2.0) + 0.5 * np.log(2.0))
+        assert kl(r, r) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_allows_zero_reference_off_the_support():
     d = np.array([0.5, 0.5, 0.0])
     r = np.array([0.25, 0.75, 0.0])
-    assert kl_divergence(d, r) == pytest.approx(
-        0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    )
-
-
-def test_kl_refuses_zero_reference_on_the_support():
-    d = np.array([0.5, 0.25, 0.25])
-    r = np.array([0.5, 0.5, 0.0])
-    with pytest.raises(ValidationError):
-        kl_divergence(d, r)
+    expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
+    assert _kl_to_weight(d, r, None) == pytest.approx(expected)
+    assert kl_reference(d, r) == pytest.approx(expected)
 
 
 def test_kl_blocks_match_the_whole_lattice():

@@ -20,6 +20,7 @@ from mvkraw import (
 )
 from mvkraw.bdcore import difference_operator_from_tables, symmetrized_from_tables
 from mvkraw.model import rate_tables
+from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.spectrum import _perturbed, characteristic_matrix
 
 
@@ -163,15 +164,6 @@ def test_identity_checks_random_loop():
         assert report.passed, "\n".join(report.lines())
 
 
-def test_degree_eigenvalue():
-    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 5.0))
-    spec = solve_spectrum(params)
-    assert spec.degree_eigenvalue((0, 0)) == 0.0
-    assert spec.degree_eigenvalue((2, 1)) == pytest.approx(
-        2 * spec.lam[0] + spec.lam[1], rel=1e-15
-    )
-
-
 def test_coordinate_relabeling_invariance():
     # permuting the coordinates permutes the u rows, eigenvalues unchanged
     params = ModelParams(n=3, N=2, p=(1.0, 2.0, 0.5), q=(0.5, 2.0, 6.0))
@@ -236,7 +228,7 @@ def test_numeric_eigenbasis_regular():
     V = basis.vectors
     assert np.abs(V.T @ V - np.eye(space.size)).max() < 1e-12
     spec = solve_spectrum(params)
-    expected = np.sort([spec.degree_eigenvalue(m) for m in space.points])
+    expected = np.sort(degree_eigenvalues(spec, space))
     assert np.allclose(np.sort(basis.eigenvalues), expected, atol=1e-10)
 
 
