@@ -29,10 +29,11 @@ Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (equal) death intensities, 4 a size cap exceeded (a lattice
 above ``lattice.LATTICE_CAP`` points; a dense table above
 ``sympower.DENSE_CAP``, so ``table``, ``verify --level full`` and
-``rational -N 99`` and up) or values outside the float64 range (a rate
-sum, a secular term, spectral data or a cell probability; polynomial
-values, for ``table`` only), 5 a solver did not converge, 6 an absorbing
-state was reached.
+``rational -N 99`` and up; a ``simulate`` config whose ``steps + 1``
+snapshots, one CSV row each, exceed ``LATTICE_CAP``) or values outside the
+float64 range (a rate sum, a secular term, spectral data or a cell
+probability; polynomial values, for ``table`` only), 5 a solver did not
+converge, 6 an absorbing state was reached.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def _config_number(cfg: dict, key: str, kind):
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import evolve_distribution, gillespie_from_tables, relaxation_rate
+    from .simulate import _evolve, _transient_law, gillespie_from_tables, relaxation_rate
 
     cfg, params = _load_sim_config(args.config)
     space = StateSpace(params.n, params.N)
@@ -344,8 +345,9 @@ def _cmd_simulate(args) -> int:
     elif mode == "uniformization":
         time = _config_number(cfg, "time", float)
         steps = _config_number(cfg, "steps", int)
-        initial = cfg.get("initial", "origin")
-        result = evolve_distribution(params, space, initial, time, steps)
+        stream = _transient_law(params, space, cfg.get("initial", "origin"), time, steps)
+        # one snapshot at a time: only its time, tv and kl are kept
+        result = _evolve(next(stream), stream)
         name, header = "evolution.csv", ("time", "tv", "kl")
         rows = [
             (float(t), float(tv), float(kl))

@@ -18,30 +18,26 @@ Two engines:
   particles hop independently on the (n+1)-state star, so from a point
   mass x (the origin included) the law at time t is exact: the product
   over slots i of the multinomials of x_i particles with cells
-  P1(t)[i, :], where P1(t) = exp(t Q1) is the (n+1) x (n+1) one-body
-  kernel.  From the stationary weight W the law stays W.  Any other start
-  is pushed through the many-body kernel by uniformization, the only route
-  whose cost does not grow with the support of the start and the oracle
-  of the exact law in the tests: with rate bound Lam the transition kernel
-  K = I + L/Lam is column-stochastic and the Poisson-weighted series
-  sum_k pois(k; Lam dt) K^k converges with explicitly controlled tail.
-  P1(t) is the same series on the one-body kernel I + Q1/Lam1, so all of
-  its terms are nonnegative and its rows sum to 1 up to rounding; above
+  P1(t)[i, :], P1(t) = exp(t Q1) the (n+1) x (n+1) one-body kernel.  From
+  the stationary weight W the law stays W.  Any other start takes
+  uniformization, the oracle of the exact law in the tests: with rate
+  bound Lam, K = I + L/Lam is column-stochastic and the Poisson-weighted
+  series sum_k pois(k; Lam dt) K^k has an explicitly controlled tail.
+  P1(t) is that series on I + Q1/Lam1, nonnegative term by term; above
   Lam1 dt = 600 it is squared up from dt/2^k, so its cost grows with
-  log2(Lam1 dt), where uniformization's grows with Lam dt.  The reported
-  rate bound is read off the vertices of the simplex, so the exact law
-  builds no rate table; uniformization from a general start builds them
-  and runs at the generator's own largest exit rate.
-  Rounding drifts the mass of the law from 1 (3.3e-13 at n=1, N=2000,
-  p=q=1): the drift is reported as `mass_defect`, and each snapshot is
-  then divided by its sum.  TV to W is 1 - sum min(d, W), and KL to W a
-  sum of the nonnegative terms W phi(d/W), so neither leaves its range by
-  rounding.  1 - sum min(d, W) cancels to about 50 ulps of 1, so a TV
-  below about 1e-14 is rounding noise.  Where W is below the smallest
-  normal double, zero or subnormal (n=1, N=2000, p=q=1: 396 + 34 of the
-  2,001 points), KL reads log W off the log route, whose values are
-  finite there.  The start is snapshot 0 and each snapshot is written
-  into its row.
+  log2(Lam1 dt), where uniformization's grows with Lam dt.  The rate bound
+  is read off the vertices of the simplex, so the exact law builds no
+  rate table; uniformization builds them and runs at the generator's own
+  largest exit rate.  Rounding drifts the mass of a law from 1 (3.3e-13
+  at n=1, N=2000, p=q=1), reported as `mass_defect`; each snapshot is
+  then divided by its sum.  TV to W is 1 - sum min(d, W), and KL a sum of
+  the nonnegative terms W phi(d/W), so neither leaves its range by
+  rounding; that TV cancels to about 50 ulps of 1, so below about 1e-14
+  it is rounding noise.  Where W is zero or subnormal (n=1, N=2000,
+  p=q=1: 396 + 34 of the 2,001 points), KL reads log W off the log route,
+  finite there.  `_transient_law` yields the laws one at a time, holding
+  one: `evolve_distribution` copies each into its row, and the CLI keeps
+  only time, TV and KL, so its memory does not grow with the steps.
 
 Each route imports the layers it computes with when it runs: the exact
 law needs ``sympower``, uniformization on the lattice ``bdcore`` and
@@ -61,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AbsorbingState, NoConvergence, ValidationError
-from .lattice import StateSpace, _is_number
+from .errors import AbsorbingState, CapExceeded, NoConvergence, ValidationError
+from .lattice import LATTICE_CAP, StateSpace, _is_number
 from .model import (
     ModelParams, _check_weight, _linear_rates, check_rate_tables, log_weight_vector,
     rate_tables, weight_vector,
@@ -210,25 +206,38 @@ class EvolveResult(NamedTuple):
     route: str                    # "exact" or "uniformization"
 
 
-def evolve_distribution(
-    params: ModelParams,
-    space: StateSpace,
-    initial,
-    T: float,
-    steps: int,
-) -> EvolveResult:
-    """Distribution snapshots of exp(tL) applied to `initial`.
+def evolve_distribution(params: ModelParams, space: StateSpace, initial, T: float,
+                        steps: int) -> EvolveResult:
+    """Distribution snapshots of exp(tL) applied to `initial`, a vector
+    over ranks, "origin" or "stationary", at steps+1 equally spaced times
+    from 0 to T; snapshot 0 is the start.  "stationary" stays W, a point
+    mass ("origin" or a vector with one nonzero entry) evolves by its exact
+    law, the `sympower.coefficient_row` of the one-body kernel, and any
+    other vector by uniformization.  ValidationError, before any work,
+    unless T is a finite positive number and steps a positive integer (a
+    bool is neither); CapExceeded, before any array, above LATTICE_CAP
+    snapshots.  Each law of `_transient_law` is copied into its row."""
+    stream = _transient_law(params, space, initial, T, steps)
+    head = next(stream)   # every input is checked here, before any array
+    return _evolve(head, stream, np.empty((steps + 1, space.size)))
 
-    `initial` is a distribution vector over ranks, or "origin" /
-    "stationary".  Snapshots are taken at steps+1 equally spaced times
-    from 0 to T; snapshot 0 is the initial vector itself.  The start
-    picks the route: "stationary" stays W, and a point mass ("origin" or
-    a vector with one nonzero entry) evolves by its exact law, the
-    `sympower.coefficient_row` of the one-body kernel; any other vector is
-    pushed through the many-body kernel by uniformization.  ValidationError,
-    before any work, unless T is a finite positive number and steps a
-    positive integer (a bool is neither).
-    """
+
+def _evolve(head, stream, dists=None) -> EvolveResult:
+    """The result of a `_transient_law` stream; laws kept only in `dists`."""
+    rows = []
+    for t, d, defect, tv, kl in stream:
+        if dists is not None:
+            dists[len(rows)] = d
+        rows.append((t, defect, tv, kl))
+        del d   # no law outlives its snapshot
+    times, defects, tv, kl = map(np.array, zip(*rows))
+    return EvolveResult(times, dists, tv, kl, float(defects.max()), *head)
+
+
+def _transient_law(params: ModelParams, space: StateSpace, initial, T, steps):
+    """Yield (rate bound, route) once every input is checked, then (t, law,
+    |sum - 1|, tv, kl) at steps+1 times from 0 to T, holding one law at a
+    time; each law but W is divided by its sum in place."""
     try:
         horizon = float(T) if _is_number(T) else math.nan
     except OverflowError:   # an integer past the float64 range
@@ -238,19 +247,15 @@ def evolve_distribution(
     steps = _integer("steps", steps)
     if steps < 1:
         raise ValidationError("steps must be at least 1")
+    if steps + 1 > LATTICE_CAP:   # evolution.csv has a row per snapshot
+        raise CapExceeded(f"size cap exceeded: {steps + 1} snapshots > {LATTICE_CAP}")
     W = weight_vector(params, space)
-    # the start is written into row 0 of the snapshots and read from there
-    dists = np.empty((steps + 1, space.size))
-    v = dists[0]
 
     if isinstance(initial, str):
-        if initial == "origin":
-            v[:] = 0.0
-            v[0] = 1.0
-        elif initial == "stationary":
-            v[:] = W
-        else:
+        if initial not in ("origin", "stationary"):
             raise ValidationError(f"unknown initial distribution {initial!r}")
+        v = np.zeros(space.size)
+        v[0] = 1.0
     else:
         # numpy reads JSON true as 1 and "0.5" as 0.5, also in a list of numbers
         if isinstance(initial, (list, tuple)) and not all(map(_is_number, initial)):
@@ -260,7 +265,7 @@ def evolve_distribution(
             raise ValidationError("initial must be a vector of numbers")
         if start.shape != (space.size,):
             raise ValidationError("initial distribution does not match the lattice")
-        v[:] = start
+        v = start.astype(float)
         if not np.isfinite(v).all():
             raise ValidationError("initial distribution has a non-finite entry")
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-12:
@@ -268,52 +273,47 @@ def evolve_distribution(
 
     lam = _rate_bound(params)
     times = np.linspace(0.0, horizon, steps + 1)
-    support = np.flatnonzero(v)
-    stationary = isinstance(initial, str) and initial == "stationary"
-    if stationary:
-        route = "exact"
-        dists[1:] = W
-    elif len(support) == 1:
+    if isinstance(initial, str) and initial == "stationary":
+        yield lam, "exact"   # the law is W itself, at distance 0
+        yield from ((t, W, abs(float(W.sum()) - 1.0), 0.0, 0.0) for t in times)
+        return
+    if np.count_nonzero(v) == 1:
         from .sympower import coefficient_row
 
-        route = "exact"
         Q1 = np.zeros((space.n + 1, space.n + 1))
         Q1[0, 1:] = params.p
         Q1[1:, 0] = params.q
         exits = Q1.sum(axis=1)
         lam1 = float(exits.max())
         K1 = np.eye(space.n + 1) + (Q1 - np.diag(exits)) / lam1
-        x = space.coords[support[0]]
-        for k, P1 in enumerate(_one_body_kernels(K1, lam1, times), 1):
-            np.multiply(v[support[0]], coefficient_row(P1, x, space), out=dists[k])
+        x, mass = space.coords[v.argmax()], v.max()
+        laws = (np.multiply(mass, coefficient_row(P1, x, space))
+                for P1 in _one_body_kernels(K1, lam1, times))
+        yield lam, "exact"
     else:
         import scipy.sparse
 
         from .bdcore import generator_from_tables
 
-        route = "uniformization"
         L = generator_from_tables(*rate_tables(params, space), space)
         # on a face of the simplex where the total rate is flat, rounding can
         # lift a table row an ulp above the vertices: K = I + L/lam keeps a
         # nonnegative diagonal only at the generator's own largest exit rate
         lam = float(-L.diagonal().min())
         K = ((L / lam) + scipy.sparse.identity(space.size, format="csr")).tocsr()
-        for k, snapshot in enumerate(_snapshots(K, v, lam, times), 1):
-            dists[k] = snapshot
-
-    sums = dists.sum(axis=1)
-    mass = float(np.abs(sums - 1.0).max())
-    if stationary:
-        # the law is W itself, at distance 0
-        tv = kl = np.zeros(steps + 1)
-    else:
-        # rounding drifts the mass of the law from 1 (`mass_defect`), and
-        # each snapshot is brought back to it
-        dists /= sums[:, None]
-        tv = np.array([_tv_to_weight(d, W) for d in dists])
-        logW = log_weight_vector(params, space) if W.min() < _TINY else None
-        kl = np.array([_kl_to_weight(d, W, logW) for d in dists])
-    return EvolveResult(times, dists, tv, kl, mass, lam, route)
+        # uniformization goes on from v and from each law it yields
+        laws = map(np.copy, _snapshots(K, v, lam, times))
+        v = v.copy()
+        yield lam, "uniformization"
+    logW = log_weight_vector(params, space) if W.min() < _TINY else None
+    laws = chain(iter((v,)), laws)
+    del v   # the spent iterator lets go of v: no law outlives its snapshot
+    for t in times:
+        d = next(laws)
+        total = d.sum()
+        d /= total   # rounding drifts the mass of the law from 1
+        yield t, d, abs(float(total) - 1.0), _tv_to_weight(d, W), _kl_to_weight(d, W, logW)
+        del d
 
 
 def _rate_bound(params: ModelParams) -> float:

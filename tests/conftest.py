@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +105,16 @@ def multinomial(N: int, parts) -> float:
         out *= math.comb(remaining, int(v))
         remaining -= int(v)
     return float(out)
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes.
+    tracemalloc counts numpy's buffers and Python's objects exactly, unlike
+    RSS."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from mvkraw import CapExceeded, StateSpace, ValidationError, simplex_size
 from mvkraw.lattice import LATTICE_CAP
@@ -233,12 +234,9 @@ def test_lattice_memory_is_bounded():
     # 91,881 points, the lattice holds coords, degrees and the binomial
     # table, 2.9 MB; the neighbour tables would add 4.4 MB.  Built in rank
     # order, column by column, it peaks at two more columns, 4.5 MB
-    tracemalloc.start()
-    try:
-        space = StateSpace(3, 80)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # what the built lattice holds is read while it is traced
+    (space, held), peak = traced_peak(
+        lambda: (StateSpace(3, 80), tracemalloc.get_traced_memory()[0]))
     assert space.size == 91_881
     assert held <= 3.5e6, held
     assert peak <= 5e6, peak

@@ -3,17 +3,17 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from conftest import BAD_WEIGHTS, CLI_ENV, kl_reference, tv_reference
+from conftest import BAD_WEIGHTS, CLI_ENV, kl_reference, traced_peak, tv_reference
 
 from mvkraw import (
     AbsorbingState,
+    CapExceeded,
     ModelParams,
     StateSpace,
     ValidationError,
@@ -165,12 +165,8 @@ def test_gillespie_memory_is_bounded():
     # held states; neither list of a block outlives its walk
     params = ModelParams(3, 20, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
     space = StateSpace(3, 20)
-    tracemalloc.start()
-    try:
-        res = gillespie_run(params, space, 200_000, seed=1, initial=(6, 2, 8))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(
+        lambda: gillespie_run(params, space, 200_000, seed=1, initial=(6, 2, 8)))
     assert res.events == 200_000
     assert peak <= 2.2e6, peak
 
@@ -691,14 +687,98 @@ def test_evolution_memory_is_bounded():
     # buffer), no rate or neighbour tables; the start is snapshot 0 and each
     # snapshot is written into its row
     params = ModelParams(3, 80, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
-    tracemalloc.start()
-    try:
-        res = evolve_distribution(params, StateSpace(3, 80), "origin", 2.0, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(
+        lambda: evolve_distribution(params, StateSpace(3, 80), "origin", 2.0, 4))
     assert res.route == "exact"
     assert peak <= 10.5e6, peak
+
+
+def _simulate_config(path, n, N, p, q, time, steps, initial="origin"):
+    path.write_text(json.dumps({
+        "schema": 1, "params": {"schema": 1, "n": n, "N": N, "p": p, "q": q},
+        "mode": "uniformization", "time": time, "steps": steps, "initial": initial,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("N, start", [(40, "origin"), (30, "two-point")])
+def test_simulate_memory_does_not_grow_with_steps(tmp_path, N, start):
+    # the CLI reads the law one snapshot at a time and keeps its time, tv
+    # and kl: its peak at 64 steps is within one snapshot of its peak at 4.
+    # From the origin at (3,40), 12,341 points, the exact route; half at
+    # rank 0 and half at the last rank of (3,30), 5,456 points, uniformization
+    from mvkraw.cli import main
+
+    size = math.comb(N + 3, 3)
+    initial = "origin"
+    if start == "two-point":
+        initial = [0.0] * size
+        initial[0] = initial[-1] = 0.5
+    peaks = {}
+    for steps in (1, 4, 64):   # the first run loads the route's modules
+        config = _simulate_config(tmp_path / f"{steps}.json", 3, N, [1.0, 2.0, 1.5],
+                                  [1.0, 3.0, 6.0], 1.0, steps, initial)
+        out = tmp_path / str(steps)
+        rc, peaks[steps] = traced_peak(
+            lambda: main(["simulate", "--config", config, "--out", str(out)]))
+        assert rc == 0
+    route = json.loads((out / "simulate.json").read_text())["summary"]["route"]
+    assert route == ("exact" if start == "origin" else "uniformization")
+    assert abs(peaks[64] - peaks[4]) < 8 * size, (peaks, 8 * size)
+
+
+@pytest.mark.parametrize("initial, digests", [
+    ("origin", ("7151bd65a4d0b2bb1a0ae0a6691d8af8ce80cda7e0784c3b409f764fa33eea58",
+                "2d050eecee6e9721fff480e169d21916b08dfe9e10d736fbdad21a21f65ac5e5")),
+    ((3, 2, 4), ("d78b16b307cfc8313b2c6221d079b8cf7b5c8561ff90b24d2a55cbc085c47134",
+                 "fac50c60c3a2c594f9f138ab17d148df7c8123367255d6310c3f1a244472823b")),
+])
+def test_exact_route_outputs_are_pinned(tmp_path, initial, digests):
+    # the exact route at (3,12), T = 2 in 4 steps, from the origin and from
+    # a point mass inside the lattice: evolution.csv and simulate.json, byte
+    # for byte, as they were written when every snapshot was held
+    from mvkraw.cli import main
+
+    if initial != "origin":
+        initial = point_mass(StateSpace(3, 12), initial).tolist()
+    config = _simulate_config(tmp_path / "config.json", 3, 12, [1.0, 2.0, 1.5],
+                              [1.0, 3.0, 6.0], 2.0, 4, initial)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("evolution.csv", "simulate.json")) == digests
+
+
+def test_steps_past_the_cap_are_refused(tmp_path, setup, monkeypatch):
+    # one row of evolution.csv per snapshot: steps + 1 above LATTICE_CAP is
+    # refused before any array is built, with exit 4 and one error line
+    import mvkraw.simulate as sim
+    from mvkraw.lattice import LATTICE_CAP
+
+    class WorkBegan(Exception):
+        pass
+
+    def began(*_):
+        raise WorkBegan
+
+    params, space = setup
+    monkeypatch.setattr(sim, "weight_vector", began)
+    for steps in (LATTICE_CAP, 10**12):
+        with pytest.raises(CapExceeded, match="size cap exceeded"):
+            evolve_distribution(params, space, "origin", T=1.0, steps=steps)
+    # LATTICE_CAP snapshots pass the rule
+    with pytest.raises(WorkBegan):
+        evolve_distribution(params, space, "origin", T=1.0, steps=LATTICE_CAP - 1)
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    config = _simulate_config(tmp_path / "config.json", 2, 4, [1.0, 2.0], [1.0, 4.0],
+                              1.0, 10**12)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvkraw", "simulate", "--config", config,
+         "--out", str(out)], capture_output=True, text=True, env=CLI_ENV)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: size cap exceeded: {10**12 + 1} snapshots > {LATTICE_CAP}"]
+    assert not out.exists()
 
 
 def _counted_series(monkeypatch, limit):

@@ -1,13 +1,14 @@
 """A seeded sweep over valid models, run through `cli.main`.
 
 `verify --level full` exits 0 on every draw.  `spectrum`, `table --level
-full` and `simulate` in uniformization mode from the origin exit with a
-documented code: 0; 1 with a `[FAIL]` line naming the failed check; or 4
-with one `error:` line.  No run raises a RuntimeWarning, every manifest's
-pass flags are residual <= tol, and every `tv` is in [0, 1] and every
-`kl` >= 0."""
+full` and `simulate` in uniformization mode, from the origin and from half
+at each end of the lattice, exit with a documented code: 0; 1 with a
+`[FAIL]` line naming the failed check; or 4 with one `error:` line.  No
+run raises a RuntimeWarning, every manifest's pass flags are residual <=
+tol, and every `tv` is in [0, 1] and every `kl` >= 0."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -84,17 +85,37 @@ def test_table_full_on_seeded_models(tmp_path, capsys, params):
         assert ("gen_oracle.csv" in manifest["outputs"]) == (rc == 0)
 
 
-@pytest.mark.parametrize("params", DRAWS, ids=IDS)
-def test_simulate_from_origin_on_seeded_models(tmp_path, capsys, params):
+def _simulate(tmp_path, capsys, params, time, initial) -> str | None:
+    """`simulate` in uniformization mode, 4 steps: exit 0 or 4, and on 0 a
+    tv in [0, 1] and a kl >= 0 on each of the 5 rows; the route run."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "schema": 1, "params": _params(params), "mode": "uniformization",
-        "time": 10.0 / min(params.q), "steps": 4, "initial": "origin"}))
+        "time": time, "steps": 4, "initial": initial}))
     rc = _run(capsys, ["simulate", "--config", str(config)], tmp_path)
     assert rc != 1
-    if rc == 0:
-        lines = (tmp_path / "evolution.csv").read_text().splitlines()
-        assert lines[1] == "time,tv,kl" and len(lines) == 7
-        for line in lines[2:]:
-            _, tv, kl = map(float, line.split(","))
-            assert 0.0 <= tv <= 1.0 and kl >= 0.0, line
+    if rc == 4:
+        return None
+    lines = (tmp_path / "evolution.csv").read_text().splitlines()
+    assert lines[1] == "time,tv,kl" and len(lines) == 7
+    for line in lines[2:]:
+        _, tv, kl = map(float, line.split(","))
+        assert 0.0 <= tv <= 1.0 and kl >= 0.0, line
+    return json.loads((tmp_path / "simulate.json").read_text())["summary"]["route"]
+
+
+@pytest.mark.parametrize("params", DRAWS, ids=IDS)
+def test_simulate_from_origin_on_seeded_models(tmp_path, capsys, params):
+    _simulate(tmp_path, capsys, params, 10.0 / min(params.q), "origin")
+
+
+@pytest.mark.parametrize("params", DRAWS, ids=IDS)
+def test_simulate_from_two_points_on_seeded_models(tmp_path, capsys, params):
+    # half at rank 0 and half at the last rank takes uniformization, whose
+    # cost grows with the rate bound times the horizon: over 20/Lam, with
+    # Lam = N max(sum p, max q), each draw makes a bounded number of jumps
+    start = [0.0] * math.comb(params.N + params.n, params.n)
+    start[0] = start[-1] = 0.5
+    lam = params.N * max(sum(params.p), max(params.q))
+    route = _simulate(tmp_path, capsys, params, 20.0 / lam, start)
+    assert route in (None, "uniformization")
