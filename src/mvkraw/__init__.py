@@ -40,13 +40,13 @@ _EXPORTS = {
         "weight_vector",
     ),
     "polynomials": (
-        "eigen_residuals",
         "eval_P",
         "eval_P_via_generating_function",
         "kr_P",
         "orthonormal_map",
         "orthonormality",
         "table",
+        "table_checks",
         "table_via_generating_function",
     ),
     "rational": (

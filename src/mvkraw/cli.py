@@ -15,15 +15,12 @@ are rejected.  Every CSV output starts with a comment line naming its
 manifest, a JSON file recording the command, inputs, package version, and
 residual summaries (no timestamps, so reruns are byte-identical).
 
-Every table check reads the orthonormal map T = Sym^N(R) =
-sqrt(W) P sqrt(C(N,m) eta_bar^m), where every |T| <= 1, while raw P values
-grow like C(N, m).  The generating-function oracle is judged as
-max |T - T_oracle|, over every row (``table --level full``) or a fixed
-sample of rows (``verify --level full``), the eigen equation as
-H T - T diag(E) per unit of the largest total exit rate, held to
-``--tol``.  P is formed only where a P table is written: ``table.csv``,
-and ``gen_oracle.csv`` when the oracle agrees with the kernel; every P is
-read off before either is written.
+The table checks of ``verify --level full`` are `polynomials.table_checks`,
+on the orthonormal map T = Sym^N(R), where every |T| <= 1.  ``table
+--level full`` judges the generating-function oracle as max |T - T_oracle|
+over every row.  P is formed only where a P table is written:
+``table.csv``, and ``gen_oracle.csv`` when the oracle agrees with the
+kernel; every P is read off before either is written.
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input,
 3 exceptional (equal) death intensities, 4 a size cap exceeded (a lattice
@@ -138,10 +135,13 @@ def _write_csv(directory: str, name: str, manifest_name: str, header, rows) -> s
 
 
 def _write_manifest(directory: str, name: str, payload: dict) -> str:
-    """`payload` and the package version as sorted JSON."""
+    """`payload` and the package version as sorted strict JSON.  A value
+    that is not finite, which `json` writes as Infinity or NaN, is read back
+    as None and written as null; a check with a null residual has failed."""
     path = os.path.join(directory, name)
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump({**payload, "version": __version__}, fh, indent=2, sort_keys=True)
+        json.dump({**strict, "version": __version__}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -242,8 +242,7 @@ def _cmd_verify(args) -> int:
     from .spectrum import _perturbed, identity_checks, solve_spectrum
 
     if args.level == "full":
-        from .polynomials import _eigen_defects, _oracle_check, orthonormality
-        from .sympower import coefficient_power
+        from .polynomials import table_checks
 
     params = _load_params(args.params)
     space = StateSpace(params.n, params.N)
@@ -255,20 +254,8 @@ def _cmd_verify(args) -> int:
     if args.inject_u_perturbation:
         spec = _perturbed(spec, args.inject_u_perturbation)
     report.extend(identity_checks(spec, tol=args.tol))
-
     if args.level == "full":
-        # every table check reads T = Sym^N(R), |T| <= 1; no P is formed
-        T = coefficient_power(spec.R, space)
-        _oracle_check(spec, space, T, report, args.tol, sample=True)
-        report.add("eigen-equation",
-                   float(_eigen_defects(B, D, spec, space, T).max()), args.tol)
-        o = orthonormality(T)
-        report.add("orthogonality-offdiagonal", o.offdiagonal, args.tol)
-        report.add("norms-closed-form", o.diagonal, max(args.tol, 1e-8))
-        report.add("dual-orthogonality-offdiagonal", o.dual_offdiagonal,
-                   max(args.tol, 1e-9))
-        report.add("dual-norms-closed-form", o.dual_diagonal, max(args.tol, 1e-8))
-        report.add("orthonormal-map", o.identity, max(args.tol, 1e-9))
+        report.extend(table_checks(spec, space, B, D, tol=args.tol))
 
     out = _outdir(args)
     for line in report.lines():

@@ -29,16 +29,17 @@ squares sum to 1, so rounding only adds up: the rows agree with the kernel
 to 2.2e-16 at (1,120) and 1.9e-15 at (2,60), where the single-parent
 product of `sympower.coefficient_row` was off by 0.76 and 1.4e-9.
 `_oracle_check` compares it with the kernel's T: on a fixed sample of rows
-for `verify --level full` (`_oracle_sample`: the origin, the corners N e_j,
-the centroid and three fixed ranks), on every row for `table --level full`.
+in `table_checks` (`_oracle_sample`: the origin, the corners N e_j, the
+centroid and three fixed ranks), on every row for `table --level full`.
 `eval_P_via_generating_function` (one x) and `table_via_generating_function`
 (every x) read P off it.
 
 The dual polynomials Q_x(m) are the same expression read as functions of m:
 Q_x(m) = eval_P(spec, m, x, N).  The module also provides the orthonormal
 map T of a table, the one check of orthogonality in both directions
-(`orthonormality`, from T^T T and T T^T), and the classical single-variable
-evaluator used as the n=1 oracle.
+(`orthonormality`, from T^T T and T T^T), the table checks of `verify`
+(`table_checks`), and the classical single-variable evaluator used as the
+n=1 oracle.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ import numpy as np
 from .errors import CapExceeded, ValidationError
 from .lattice import StateSpace, _point_key, simplex_size
 from .model import (
-    ModelParams, _check_space, _count_columns, _log_route_pmf, rate_tables,
+    ModelParams, _check_space, _count_columns, _log_route_pmf, check_rate_tables,
 )
+from .report import Report
 from .spectrum import SpectralData
 from .sympower import _dense, _one_body, coefficient_power
 
@@ -289,30 +291,6 @@ def degree_eigenvalues(spec: SpectralData, space: StateSpace) -> np.ndarray:
     return space.coords @ spec.lam
 
 
-def eigen_residuals(
-    params: ModelParams, spec: SpectralData, space: StateSpace, tab: np.ndarray
-) -> np.ndarray:
-    """Per-column defect of the eigen equation on the orthonormal scale,
-    H T_m = E(m) T_m with T = `orthonormal_map` of the table and H the
-    symmetrized operator, per unit of the largest total exit rate (as in
-    `bdcore.verify_structure`).  It is Ht P_m = E(m) P_m conjugated by
-    sqrt(W), read where |T| <= 1 rather than on P, which reaches 1e240."""
-    return _eigen_defects(*rate_tables(params, space), spec, space,
-                          orthonormal_map(params, spec, space, tab))
-
-
-def _eigen_defects(
-    B: np.ndarray, D: np.ndarray, spec: SpectralData, space: StateSpace, T: np.ndarray
-) -> np.ndarray:
-    """`eigen_residuals` from the rate tables B, D and the orthonormal map
-    T itself."""
-    from .bdcore import _symmetrized
-
-    defect = _symmetrized(B, D, space) @ T - T * degree_eigenvalues(spec, space)
-    scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
-    return np.abs(defect).max(axis=0) / scale
-
-
 class Orthonormality(NamedTuple):
     """Defects of G = T^T T (columns) and G' = T T^T (rows) against I."""
 
@@ -342,6 +320,39 @@ def orthonormality(T: np.ndarray) -> Orthonormality:
 
     cols, rows = defects(T.T @ T), defects(T @ T.T)
     return Orthonormality(*cols[:2], *rows[:2], max(cols[2], rows[2]))
+
+
+def table_checks(spec: SpectralData, space: StateSpace, B: np.ndarray, D: np.ndarray,
+                 tol: float = 1e-10) -> Report:
+    """The table checks of `verify --level full`, beside
+    `bdcore.verify_structure` and `spectrum.identity_checks`.
+
+    Each reads T = Sym^N(R), where every |T| <= 1, and no P, which grows
+    like C(N, m) and may leave float64: `generating-function-agreement`
+    on `_oracle_sample`, then `eigen-equation`, H T - T diag(E) per unit
+    of the largest total exit rate, H the symmetrized operator of the rate
+    tables B, D, both held to `tol`, then the five `orthonormality`
+    defects: the off-diagonal to `tol`, the norms to max(tol, 1e-8), the
+    dual off-diagonal and the identity to max(tol, 1e-9).  ValidationError
+    for rate tables `model.check_rate_tables` refuses.
+    """
+    from .bdcore import _symmetrized
+
+    B, D = check_rate_tables(B, D, space)
+    T = coefficient_power(spec.R, space)
+    report = Report()
+    _oracle_check(spec, space, T, report, tol, sample=True)
+    scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
+    H, E = _symmetrized(B, D, space), degree_eigenvalues(spec, space)
+    # one expression: the size x size defect is freed before T^T T is formed
+    report.add("eigen-equation", np.abs(H @ T - T * E).max() / scale, tol)
+    o = orthonormality(T)
+    report.add("orthogonality-offdiagonal", o.offdiagonal, tol)
+    report.add("norms-closed-form", o.diagonal, max(tol, 1e-8))
+    report.add("dual-orthogonality-offdiagonal", o.dual_offdiagonal, max(tol, 1e-9))
+    report.add("dual-norms-closed-form", o.dual_diagonal, max(tol, 1e-8))
+    report.add("orthonormal-map", o.identity, max(tol, 1e-9))
+    return report
 
 
 def orthonormal_map(

@@ -22,19 +22,17 @@ from mvkraw import (
     RationalParams,
     StateSpace,
     derive_dual_pair,
-    eigen_residuals,
     evolve_distribution,
     gillespie_run,
     identity_checks,
     kr_P,
     numeric_eigenbasis,
-    orthonormal_map,
-    orthonormality,
     rate_tables,
     relaxation_rate,
     solve_spectrum,
     symmetrized_from_tables,
     table,
+    table_checks,
     table_via_generating_function,
     verify_recurrence,
     verify_structure,
@@ -49,18 +47,19 @@ def _emit(capsys, name, ok, detail):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", flush=True)
 
 
+def _table_checks(params):
+    """`table_checks` of one model, the table checks `verify` runs."""
+    space = StateSpace(params.n, params.N)
+    return table_checks(solve_spectrum(params), space, *rate_tables(params, space))
+
+
 @functools.lru_cache(maxsize=None)
 def _eigen_instances():
-    """Ten random instances at each of (n=2, N=6) and (n=3, N=4)."""
+    """The table checks of ten random instances at each of (n=2, N=6) and
+    (n=3, N=4)."""
     rng = np.random.default_rng(SEED)
-    out = []
-    for n, N in ((2, 6), (3, 4)):
-        space = StateSpace(n, N)
-        for _ in range(10):
-            params = draw_model(rng, n, N)
-            spec = solve_spectrum(params)
-            out.append((params, spec, space, table(spec, space)))
-    return out
+    return [_table_checks(draw_model(rng, n, N))
+            for n, N in ((2, 6), (3, 4)) for _ in range(10)]
 
 
 def test_criterion_01_structural_identities(capsys):
@@ -124,8 +123,8 @@ def test_criterion_02_secular_solver(capsys):
 def test_criterion_03_eigen_equation(capsys):
     t0 = time.perf_counter()
     worst = 0.0
-    for params, spec, space, tab in _eigen_instances():
-        worst = max(worst, float(eigen_residuals(params, spec, space, tab).max()))
+    for report in _eigen_instances():
+        worst = max(worst, report["eigen-equation"].residual)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0
     _emit(capsys, "criterion-03 eigen-equation", ok,
@@ -138,10 +137,9 @@ def test_criterion_03_eigen_equation(capsys):
 def test_criterion_04_orthogonality_norms(capsys):
     worst_off = 0.0
     worst_diag = 0.0
-    for params, spec, space, tab in _eigen_instances():
-        o = orthonormality(orthonormal_map(params, spec, space, tab))
-        worst_off = max(worst_off, o.offdiagonal)
-        worst_diag = max(worst_diag, o.diagonal)
+    for report in _eigen_instances():
+        worst_off = max(worst_off, report["orthogonality-offdiagonal"].residual)
+        worst_diag = max(worst_diag, report["norms-closed-form"].residual)
     ok = worst_off <= 1e-10 and worst_diag <= 1e-8
     _emit(capsys, "criterion-04 orthogonality-norms", ok,
           f"off-diagonal {worst_off:.3e} <= 1e-10, "
@@ -209,17 +207,15 @@ def test_criterion_06_weighted_sum_identities(capsys):
 
 
 def test_criterion_07_duality(capsys):
-    params = ModelParams(2, 5, (1.0, 2.0), (3.0, 5.0))
-    space = StateSpace(2, 5)
-    spec = solve_spectrum(params)
-    tab = table(spec, space)
-    o = orthonormality(orthonormal_map(params, spec, space, tab))
-    ok = o.identity <= 1e-9 and o.dual_diagonal <= 1e-8
+    report = _table_checks(ModelParams(2, 5, (1.0, 2.0), (3.0, 5.0)))
+    identity = report["orthonormal-map"].residual
+    dual_diagonal = report["dual-norms-closed-form"].residual
+    ok = identity <= 1e-9 and dual_diagonal <= 1e-8
     _emit(capsys, "criterion-07 duality", ok,
-          f"orthonormal map defect {o.identity:.3e} <= 1e-9, dual norm mismatch "
-          f"{o.dual_diagonal:.3e} <= 1e-8 at (2,5)")
-    assert o.identity <= 1e-9
-    assert o.dual_diagonal <= 1e-8
+          f"orthonormal map defect {identity:.3e} <= 1e-9, dual norm mismatch "
+          f"{dual_diagonal:.3e} <= 1e-8 at (2,5)")
+    assert identity <= 1e-9
+    assert dual_diagonal <= 1e-8
 
 
 def test_criterion_08_univariate_reduction(capsys):

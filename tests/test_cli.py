@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +276,69 @@ def test_verify_forms_no_polynomial_table(tmp_path, params_file, monkeypatch):
     assert rc == 0
     report = json.loads((tmp_path / "verify.json").read_text())["report"]
     assert [c["name"] for c in report["checks"]] == VERIFY_FULL_CHECKS
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model, extra, rc, manifest_digest, console_digest", [
+    ({"n": 3, "N": 8, "p": [1.0, 2.0, 1.5], "q": [1.0, 3.0, 6.0]}, [], 0,
+     "261d1ae219316a9bcbb1d1d0aeae10545e8336c15b608406f5ba3da9947c9853",
+     "78877924f48724f5df2b64dd463050909692266ed15cd7ea89134581ef2c6b43"),
+    ({"n": 4, "N": 4, "p": [1.0, 2.0, 1.5, 0.7], "q": [1.0, 3.0, 6.0, 2.2]}, [], 0,
+     "f10c38002cf32ad6400783d3bd2b8a918ff205b2820b0ba8e87c3f3d4d83dca6",
+     "cd460e96988907e7807df092dcfc54a735c13a51a35a553e0d32fdfb78c9d3fe"),
+    ({"n": 2, "N": 5, "p": [1.0, 2.0], "q": [1.0, 4.0]},
+     ["--inject-u-perturbation", "1e-6"], 1,
+     "cea92e0483f335f596e947554e9f55d19cef2a56553b45e0a7181def7f23308a",
+     "98afc6940716c4caf2b0d9edf8d69600a354a76684313977af7842bd28c1bba7"),
+], ids=["3-8", "4-4", "2-5-injected"])
+def test_verify_full_bytes_are_pinned(tmp_path, capsys, model, extra, rc,
+                                      manifest_digest, console_digest):
+    # the manifest and console of `verify --level full` at the benchmark's
+    # models, pinned when its table checks moved into `table_checks`
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, **model}))
+    assert cli.main(["verify", "--level", "full", "--params", str(path),
+                     "--out", str(tmp_path), *extra]) == rc
+    assert _sha256(capsys.readouterr().out) == console_digest
+    assert _sha256((tmp_path / "verify.json").read_text()) == manifest_digest
+
+
+def test_rational_bytes_are_pinned(tmp_path, capsys):
+    assert cli.main(["rational", "--rates", "1", "2", "3", "4", "-N", "6",
+                     "--out", str(tmp_path)]) == 0
+    assert (_sha256((tmp_path / "rational.json").read_text())
+            == "a2ceb611e5a5b154811a9a3761ac3ea8e25beb5a62c9729f3c777e3130c061fc")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("eps", ["1e20", "1e300"])
+def test_manifest_is_strict_json_where_residuals_leave_float64(tmp_path, capsys, eps):
+    # a finite injection this large drives residuals to inf (and nan at
+    # 1e300): each is written as null, which only a failed check carries,
+    # while the console keeps inf and nan
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "n": 3, "N": 8, "p": [1.0, 2.0, 1.5], "q": [1.0, 3.0, 6.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = cli.main(["verify", "--level", "full", "--params", str(path),
+                       "--out", str(tmp_path), "--inject-u-perturbation", eps])
+    assert rc == 1
+    console = capsys.readouterr().out.splitlines()
+    manifest = json.loads((tmp_path / "verify.json").read_text(),
+                          parse_constant=_refuse_constant)
+    nulls = [c for c in manifest["report"]["checks"] if c["residual"] is None]
+    assert nulls and not any(c["passed"] for c in nulls)
+    assert manifest["report"]["passed"] is False
+    for check in nulls:
+        line = next(line for line in console if f" {check['name']}: " in line)
+        assert line.startswith("[FAIL]") and ("residual=inf" in line or "residual=nan" in line)
 
 
 def test_verify_passes_near_coincident_q(tmp_path):
@@ -560,7 +625,7 @@ PUBLIC_NAMES = [
     "NoConvergence", "RationalParams", "RelaxationFit", "Report",
     "SingularParameters", "SpectralData", "StateSpace", "ValidationError", "bdcore",
     "check_compatibility", "check_rate_tables", "derive_dual_pair",
-    "difference_operator_from_tables", "eigen_residuals", "errors", "eval_P",
+    "difference_operator_from_tables", "errors", "eval_P",
     "eval_P_via_generating_function", "eval_rational", "evolve_distribution",
     "generator_from_tables", "gillespie_run", "identity_checks",
     "kr_P", "ladder_from_tables", "lattice", "model", "numeric_eigenbasis",
@@ -568,7 +633,7 @@ PUBLIC_NAMES = [
     "rate_tables", "rational", "rational_case_n2", "relaxation_rate", "report",
     "secular_function", "simplex_size", "simulate", "solve_spectrum", "spectrum",
     "stationary_weight_generic", "symmetrized_from_tables", "sympower", "table",
-    "table_via_generating_function", "verify_recurrence",
+    "table_checks", "table_via_generating_function", "verify_recurrence",
     "verify_structure", "weight_vector",
 ]
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,14 +13,16 @@ from mvkraw import (
     ModelParams,
     StateSpace,
     ValidationError,
-    eigen_residuals,
+    cli,
     eval_P,
     eval_P_via_generating_function,
     kr_P,
     orthonormal_map,
     orthonormality,
+    rate_tables,
     solve_spectrum,
     table,
+    table_checks,
     table_via_generating_function,
 )
 from mvkraw.model import multinomial_vector, weight_vector
@@ -177,11 +180,38 @@ def test_eval_P_validation():
 def test_eigen_equation_canonical():
     for n in (2, 3):
         params = canonical(n)
-        spec = solve_spectrum(params)
         space = StateSpace(params.n, params.N)
-        tab = table(spec, space)
-        res = eigen_residuals(params, spec, space, tab)
-        assert res.max() < 1e-10
+        report = table_checks(solve_spectrum(params), space, *rate_tables(params, space))
+        assert report["eigen-equation"].residual < 1e-10
+
+
+def test_table_checks_where_P_leaves_float64(tmp_path, capsys):
+    # draw 53 of the seeded sweep: P leaves the float64 range, so `table`
+    # raises, while the table checks read T alone; they pass, and they are
+    # the checks `verify --level full` writes, to the bit
+    params = ModelParams(n=1, N=496, p=(0.0030672663549587264,), q=(1.5522792771591298,))
+    space = StateSpace(params.n, params.N)
+    spec = solve_spectrum(params)
+    with pytest.raises(CapExceeded):
+        table(spec, space)
+    report = table_checks(spec, space, *rate_tables(params, space))
+    assert len(report.checks) == 7 and report.passed, "\n".join(report.lines())
+
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"schema": 1, "n": params.n, "N": params.N,
+                                "p": list(params.p), "q": list(params.q)}))
+    rc = cli.main(["verify", "--level", "full", "--params", str(path), "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().out
+    written = json.loads((tmp_path / "verify.json").read_text())["report"]["checks"]
+    assert written[-7:] == report.as_dict()["checks"]
+
+
+def test_table_checks_refuse_bad_rate_tables():
+    params = canonical(2)
+    space = StateSpace(params.n, params.N)
+    B, D = rate_tables(params, space)
+    with pytest.raises(ValidationError, match="rate tables have shapes"):
+        table_checks(solve_spectrum(params), space, B[:-1], D)
 
 
 def test_degree_eigenvalues_vector():
