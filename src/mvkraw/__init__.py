@@ -14,15 +14,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines; each submodule is public too
 _EXPORTS = {
-    "bdcore": (
-        "check_compatibility",
-        "difference_operator_from_tables",
-        "generator_from_tables",
-        "ladder_from_tables",
-        "stationary_weight_generic",
-        "symmetrized_from_tables",
-        "verify_structure",
-    ),
+    "bdcore": ("generator_from_tables", "verify_structure"),
     "errors": (
         "AbsorbingState",
         "CapExceeded",

@@ -20,14 +20,13 @@ coefficient per neighbour x +- e_j, given as (size, n) tables aligned with
 `space.up` and `space.down`.  One assembly lays them out as a neighbour
 stencil (`_Stencil`: ranks and values, one row per point), the form
 `verify_structure`, the eigen equation and the dual recurrence apply by
-gather; the public `*_from_tables` builders convert it to CSR, the only
-use of scipy here.
+gather; `generator_from_tables` converts the generator to CSR for
+uniformization, the only use of scipy here.
 
 It also derives the stationary weight W from the two-term relation
 W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j), one degree layer at a time (checking
-path-independence), verifies the pairwise compatibility condition that
-makes that relation consistent, and bundles all structural identities into
-one report.  Tables entering those three are validated by
+path-independence), and bundles all structural identities into one report.
+Tables entering the generator and the report are validated by
 `model.check_rate_tables`.
 """
 
@@ -47,6 +46,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_IDENTITY_TOL = 1e-10
+# largest gap between two parents' log W that `_log_weight` calls agreement
+_PATH_TOL = 1e-10
 
 
 class _Stencil(NamedTuple):
@@ -143,8 +144,6 @@ def _difference(B, D, space: StateSpace) -> _Stencil:
 
 
 def _ladder(B, D, space: StateSpace, j: int) -> _Stencil:
-    if not 0 <= j < space.n:
-        raise ValidationError(f"direction {j} out of range for n={space.n}")
     dirs = slice(j, j + 1)
     up = -np.sqrt(_across(D[:, dirs], space.up[:, dirs]))
     return _stencil(space, np.sqrt(B[:, j]), up, np.zeros_like(up), dirs)
@@ -152,57 +151,22 @@ def _ladder(B, D, space: StateSpace, j: int) -> _Stencil:
 
 def generator_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
     """Generator L: L[x, x-e_j] = B_j(x-e_j), L[x, x+e_j] = D_j(x+e_j),
-    diagonal -(sum_j B_j + D_j)."""
+    diagonal -(sum_j B_j + D_j).  ValidationError for tables
+    `model.check_rate_tables` refuses."""
+    B, D = check_rate_tables(B, D, space)
     return _generator(B, D, space).csr()
 
 
-def symmetrized_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace) -> sp.csr_matrix:
-    """Oracle of the `_symmetrized` stencil: test_symmetrized_operator.
-
-    Symmetric operator H with diagonal sum_j(B_j + D_j)(x) and
-    off-diagonal -sqrt(B_j(x)) sqrt(D_j(x+e_j)) placed symmetrically."""
-    return _symmetrized(B, D, space).csr()
-
-
-def difference_operator_from_tables(
-    B: np.ndarray, D: np.ndarray, space: StateSpace
-) -> sp.csr_matrix:
-    """Oracle of the `_difference` stencil: test_difference_operator.
-
-    Difference operator Ht acting on functions f of the lattice point:
-    (Ht f)(x) = sum_j B_j(x)(f(x) - f(x+e_j)) + D_j(x)(f(x) - f(x-e_j))."""
-    return _difference(B, D, space).csr()
-
-
-def ladder_from_tables(B: np.ndarray, D: np.ndarray, space: StateSpace, j: int) -> sp.csr_matrix:
-    """Oracle of the `_ladder` stencil: test_ladder_factorization.
-
-    Ladder factor A_j: (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
-    return _ladder(B, D, space, j).csr()
-
-
-def stationary_weight_generic(
-    B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
-) -> np.ndarray:
-    """Oracle of `weight_vector`: test_stationary_weight_generic_matches_closed_form.
-
-    The stationary weight of any rate field from the two-term relation
-    W(x) B_j(x) = W(x + e_j) D_j(x + e_j), normalized to sum 1."""
-    W = np.exp(_log_weight(B, D, space, tol))
-    return W / W.sum()
-
-
-def _log_weight(B: np.ndarray, D: np.ndarray, space: StateSpace,
-                tol: float = 1e-10) -> np.ndarray:
+def _log_weight(B: np.ndarray, D: np.ndarray, space: StateSpace) -> np.ndarray:
     """log W from the two-term relation, shifted to maximum 0.
 
     It is propagated from the origin one degree layer at a time (the parents
     of a layer lie in the one before), so it neither under- nor overflows.
     Every alternative parent direction is checked against the first, so
     agreement here is exactly path-independence of the two-term relation;
-    the first bad (point, direction) in rank order is reported.
+    the first bad (point, direction) in rank order is reported.  The
+    tables are those `check_rate_tables` returned.
     """
-    B, D = check_rate_tables(B, D, space)
     # math.log once per distinct rate: numpy's log differs from it in the
     # last bit on about 0.1% of inputs, and W equals a point-by-point walk
     values, where = np.unique(np.stack((B, D)), return_inverse=True)
@@ -217,7 +181,7 @@ def _log_weight(B: np.ndarray, D: np.ndarray, space: StateSpace,
         with np.errstate(invalid="ignore"):
             candidate = logw[parent] + logB[parent, dirs] - logD[lo:hi]
             value = candidate[np.arange(hi - lo), occupied.argmax(axis=1)]
-            split = np.abs(candidate - value[:, None]) > tol
+            split = np.abs(candidate - value[:, None]) > _PATH_TOL
         undefined = D[lo:hi] <= 0.0
         unreachable = B[parent, dirs] <= 0.0
         bad = occupied & (undefined | unreachable | split)
@@ -241,50 +205,6 @@ def _log_weight(B: np.ndarray, D: np.ndarray, space: StateSpace,
             )
         logw[lo:hi] = value
     return logw - logw.max()
-
-
-class CompatibilityResult(NamedTuple):
-    passed: bool
-    worst_residual: float
-    witness: tuple | None
-    pairs_checked: int
-    pairs_skipped: int
-
-
-def check_compatibility(
-    B: np.ndarray, D: np.ndarray, space: StateSpace, tol: float = 1e-10
-) -> CompatibilityResult:
-    """Oracle of `_log_weight`'s path check: test_check_compatibility_matches_plaquette_loop.
-
-    Check the pairwise ratio condition that makes the two-term weight
-    consistent: around every elementary plaquette (x, x+e_j, x+e_k,
-    x+e_j+e_k) the products of birth/death ratios along the two paths must
-    agree.  Ratios with a vanishing death denominator are skipped; a
-    non-finite rate is an error (raised by `check_rate_tables`).
-    """
-    B, D = check_rate_tables(B, D, space)
-    # plaquettes as a (corner, pair) array, corners x with |x| <= N - 2 in
-    # rank order and pairs j < k in lexicographic order
-    j, k = np.triu_indices(space.n, 1)
-    x = np.nonzero(space.degrees <= space.N - 2)[0][:, None]
-    xj, xk = space.up[x, j], space.up[x, k]
-    xjk = space.up[xj, k]
-    d1, d2, d3, d4 = D[xj, j], D[xjk, k], D[xk, k], D[xjk, j]
-    skip = (d1 == 0.0) | (d2 == 0.0) | (d3 == 0.0) | (d4 == 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lhs = (B[x, j] / d1) * (B[xj, k] / d2)
-        rhs = (B[x, k] / d3) * (B[xk, j] / d4)
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-        residual = np.abs(lhs - rhs) / scale
-    # a skipped plaquette or a NaN residual (inf/inf) never sets the worst
-    residual = np.where(skip | np.isnan(residual), 0.0, residual).ravel()
-    worst = float(residual.max(initial=0.0))
-    witness = None
-    if worst > 0.0:
-        corner, pair = divmod(int(residual.argmax()), len(j))
-        witness = (tuple(space.coords[x[corner, 0]].tolist()), int(j[pair]), int(k[pair]))
-    skipped = int(skip.sum())
-    return CompatibilityResult(worst <= tol, worst, witness, skip.size - skipped, skipped)
 
 
 def verify_structure(

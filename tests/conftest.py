@@ -98,6 +98,33 @@ def kl_reference(d, ref) -> float:
     return float(np.sum(d[mass] * np.log(d[mass] / ref[mass])))
 
 
+def dense_operators(B, D, space):
+    """The operators of `bdcore` as dense matrices, entry by entry: the
+    generator L, the symmetrized H with off-diagonal
+    -sqrt(B_j(x)) sqrt(D_j(x+e_j)) placed symmetrically, the difference
+    operator (Ht f)(x) = sum_j B_j(x)(f(x) - f(x+e_j)) + D_j(x)(f(x) - f(x-e_j))
+    and the ladder factors (A_j f)(x) = sqrt(B_j(x)) f(x) - sqrt(D_j(x+e_j)) f(x+e_j)."""
+    size, n = B.shape
+    L, H, Ht = (np.zeros((size, size)) for _ in range(3))
+    ladders = [np.zeros((size, size)) for _ in range(n)]
+    for x in range(size):
+        exit_rate = B[x].sum() + D[x].sum()
+        L[x, x], H[x, x], Ht[x, x] = -exit_rate, exit_rate, exit_rate
+        for j in range(n):
+            ladders[j][x, x] = math.sqrt(B[x, j])
+            up, down = space.up[x, j], space.down[x, j]
+            if up >= 0:
+                L[x, up] = D[up, j]
+                H[x, up] = -(math.sqrt(B[x, j]) * math.sqrt(D[up, j]))
+                Ht[x, up] = -B[x, j]
+                ladders[j][x, up] = -math.sqrt(D[up, j])
+            if down >= 0:
+                L[x, down] = B[down, j]
+                H[x, down] = -(math.sqrt(B[down, j]) * math.sqrt(D[x, j]))
+                Ht[x, down] = -D[x, j]
+    return L, H, Ht, ladders
+
+
 def multinomial(N: int, parts) -> float:
     """N! / (prod parts_i! * (N - sum parts)!) from integer binomials, exact."""
     out, remaining = 1, N

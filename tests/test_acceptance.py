@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import CLI_ENV, draw_model, series_table
+from conftest import CLI_ENV, dense_operators, draw_model, series_table
 
 from mvkraw import (
     ExceptionalParameters,
@@ -30,7 +30,6 @@ from mvkraw import (
     rate_tables,
     relaxation_rate,
     solve_spectrum,
-    symmetrized_from_tables,
     table,
     table_checks,
     table_via_generating_function,
@@ -326,7 +325,7 @@ def test_criterion_11_exceptional_guard(capsys, tmp_path):
     space = StateSpace(2, 4)
     basis = numeric_eigenbasis(params, space)
     V = basis.vectors
-    H = symmetrized_from_tables(*rate_tables(params, space), space).toarray()
+    H = dense_operators(*rate_tables(params, space), space)[1]
     ortho = float(np.abs(V.T @ V - np.eye(space.size)).max())
     defect = float(np.abs(H @ V - V * basis.eigenvalues).max())
 

@@ -5,20 +5,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import BAD_WEIGHTS, draw_model
+from conftest import BAD_WEIGHTS, dense_operators, draw_model
 
 from mvkraw import (
     ModelParams,
     StateSpace,
     ValidationError,
-    check_compatibility,
     check_rate_tables,
-    difference_operator_from_tables,
     generator_from_tables,
-    ladder_from_tables,
     rate_tables,
-    stationary_weight_generic,
-    symmetrized_from_tables,
     verify_structure,
     weight_vector,
 )
@@ -35,7 +30,7 @@ def tables_of(space, birth, death):
 def weight_by_point_walk(B, D, space, tol=1e-10):
     """Stationary weight propagated point by point in rank order, one
     math.log pair per parent direction: the reference for the layered
-    propagation of `stationary_weight_generic`, messages included."""
+    propagation of `bdcore._log_weight`, messages included."""
     logw = np.empty(space.size)
     logw[0] = 0.0
     for i in range(1, space.size):
@@ -72,12 +67,13 @@ def weight_by_point_walk(B, D, space, tol=1e-10):
 
 
 def compatibility_by_plaquette_loop(B, D, space, tol=1e-10):
-    """The plaquette-by-plaquette compatibility check: the reference for the
-    array code of `check_compatibility`, witness order included."""
+    """The pairwise condition that makes the two-term weight consistent:
+    around every plaquette (x, x+e_j, x+e_k, x+e_j+e_k) the products of
+    birth/death ratios along the two paths agree, plaquettes with a
+    vanishing death rate skipped.  Returns (passed, worst residual, the
+    first worst (x, j, k) or None)."""
     worst = 0.0
     witness = None
-    checked = 0
-    skipped = 0
     for i in range(space.size):
         for j in range(space.n):
             xj = space.up[i, j]
@@ -93,23 +89,27 @@ def compatibility_by_plaquette_loop(B, D, space, tol=1e-10):
                 d1, d2 = D[xj, j], D[xjk, k]
                 d3, d4 = D[xk, k], D[xjk, j]
                 if d1 == 0.0 or d2 == 0.0 or d3 == 0.0 or d4 == 0.0:
-                    skipped += 1
                     continue
                 lhs = (B[i, j] / d1) * (B[xj, k] / d2)
                 rhs = (B[i, k] / d3) * (B[xk, j] / d4)
                 scale = max(abs(lhs), abs(rhs), 1e-300)
                 residual = abs(lhs - rhs) / scale
-                checked += 1
                 if residual > worst:
                     worst = residual
                     witness = (tuple(space.coords[i].tolist()), j, k)
-    return bdcore.CompatibilityResult(worst <= tol, worst, witness, checked, skipped)
+    return worst <= tol, worst, witness
 
 
 def _message(fn, *args):
     with pytest.raises(ValidationError) as info:
         fn(*args)
     return str(info.value)
+
+
+def _layered_weight(B, D, space):
+    """W from `bdcore._log_weight`, normalized as the point walk does."""
+    W = np.exp(bdcore._log_weight(B, D, space))
+    return W / W.sum()
 
 
 def test_tabulate_rates_anchor():
@@ -169,9 +169,13 @@ def test_tabulate_rejects_bad_fields():
     with pytest.raises(ValidationError, match="shapes"):
         check_rate_tables(B[:, :1], D[:, :1], space)
     # every consumer of a rate field validates it
-    for consume in (verify_structure, stationary_weight_generic, check_compatibility):
-        with pytest.raises(ValidationError, match="vanish at the ceiling"):
-            consume(*leaky, space)
+    nan = tables_of(space, ok_birth, ok_death)
+    nan[1][space.rank((1, 1)), 0] = np.nan
+    for consume in (verify_structure, generator_from_tables):
+        for field, match in ((leaky, "vanish at the ceiling"), (negative, "negative rate"),
+                             (nan, "non-finite rate"), ((B[:, :1], D[:, :1]), "shapes")):
+            with pytest.raises(ValidationError, match=match):
+                consume(*field, space)
 
 
 def test_generator_shape_and_columns():
@@ -201,11 +205,10 @@ def test_symmetrized_operator():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 3)
     B, D = rate_tables(params, space)
-    H = symmetrized_from_tables(B, D, space).toarray()
+    L, H, _, _ = dense_operators(B, D, space)
     assert np.abs(H - H.T).max() == 0.0
     W = weight_vector(params, space)
     s = np.sqrt(W)
-    L = generator_from_tables(B, D, space).toarray()
     # H = -W^{-1/2} L W^{1/2}, entrywise -L[x, y] sqrt(W[y] / W[x])
     assert np.abs(H + (L * s[None, :]) / s[:, None]).max() < 1e-12
     assert np.abs(H @ s).max() < 1e-13
@@ -217,25 +220,21 @@ def test_ladder_factorization():
     params = ModelParams(n=3, N=3, p=(1.0, 2.0, 0.5), q=(1.0, 2.5, 6.0))
     space = StateSpace(3, 3)
     B, D = rate_tables(params, space)
-    H = symmetrized_from_tables(B, D, space).toarray()
+    _, H, _, ladders = dense_operators(B, D, space)
     acc = np.zeros_like(H)
     W = weight_vector(params, space)
     s = np.sqrt(W)
-    for j in range(3):
-        A = ladder_from_tables(B, D, space, j).toarray()
+    for A in ladders:
         acc += A.T @ A
         assert np.abs(A @ s).max() < 1e-13
     assert np.abs(H - acc).max() < 1e-12
-    for j in (-1, 3):
-        with pytest.raises(ValidationError, match="out of range"):
-            ladder_from_tables(B, D, space, j)
 
 
 def test_difference_operator():
     params = ModelParams(n=2, N=3, p=(1.0, 2.0), q=(3.0, 5.0))
     space = StateSpace(2, 3)
     B, D = rate_tables(params, space)
-    Ht = difference_operator_from_tables(B, D, space)
+    Ht = dense_operators(B, D, space)[2]
     ones = np.ones(space.size)
     assert np.abs(Ht @ ones).max() == 0.0
     # action on the coordinate function x1 at an interior point:
@@ -244,29 +243,6 @@ def test_difference_operator():
     out = Ht @ f
     r = space.rank((1, 1))
     assert out[r] == pytest.approx(-B[r, 0] + D[r, 0], abs=1e-14)
-
-
-def dense_operators(B, D, space):
-    """L, H, Ht and the A_j entry by entry from their docstring formulas."""
-    size, n = B.shape
-    L, H, Ht = (np.zeros((size, size)) for _ in range(3))
-    ladders = [np.zeros((size, size)) for _ in range(n)]
-    for x in range(size):
-        exit_rate = B[x].sum() + D[x].sum()
-        L[x, x], H[x, x], Ht[x, x] = -exit_rate, exit_rate, exit_rate
-        for j in range(n):
-            ladders[j][x, x] = math.sqrt(B[x, j])
-            up, down = space.up[x, j], space.down[x, j]
-            if up >= 0:
-                L[x, up] = D[up, j]
-                H[x, up] = -(math.sqrt(B[x, j]) * math.sqrt(D[up, j]))
-                Ht[x, up] = -B[x, j]
-                ladders[j][x, up] = -math.sqrt(D[up, j])
-            if down >= 0:
-                L[x, down] = B[down, j]
-                H[x, down] = -(math.sqrt(B[down, j]) * math.sqrt(D[x, j]))
-                Ht[x, down] = -D[x, j]
-    return L, H, Ht, ladders
 
 
 @pytest.mark.parametrize("n, N", [(1, 6), (2, 4), (3, 3)])
@@ -280,9 +256,9 @@ def test_builders_match_their_formulas(n, N):
         B[space.up < 0] = 0.0
         D[space.down < 0] = 0.0
         L, H, Ht, ladders = dense_operators(B, D, space)
-        built = [generator_from_tables(B, D, space), symmetrized_from_tables(B, D, space),
-                 difference_operator_from_tables(B, D, space)]
-        built += [ladder_from_tables(B, D, space, j) for j in range(n)]
+        built = [generator_from_tables(B, D, space),
+                 bdcore._symmetrized(B, D, space).csr(), bdcore._difference(B, D, space).csr()]
+        built += [bdcore._ladder(B, D, space, j).csr() for j in range(n)]
         for op, ref in zip(built, [L, H, Ht, *ladders]):
             assert op.format == "csr" and op.has_sorted_indices
             assert np.array_equal(op.toarray(), ref)
@@ -328,9 +304,9 @@ def test_stationary_weight_generic_matches_closed_form():
         space = StateSpace(n, N)
         W1 = weight_vector(params, space)
         B, D = rate_tables(params, space)
-        W2 = stationary_weight_generic(B, D, space)
+        W2 = weight_by_point_walk(B, D, space)
         assert np.abs(W1 - W2).max() < 1e-13
-        assert np.array_equal(W2, weight_by_point_walk(B, D, space))
+        assert np.array_equal(_layered_weight(B, D, space), W2)
 
 
 def test_stationary_weight_generic_names_the_first_offender():
@@ -340,13 +316,13 @@ def test_stationary_weight_generic_names_the_first_offender():
     dead = D.copy()
     dead[space.rank((0, 2, 1)), 2] = 0.0
     dead[space.rank((1, 1, 0)), 1] = 0.0
-    msg = _message(stationary_weight_generic, B, dead, space)
+    msg = _message(verify_structure, B, dead, space)
     assert msg == ("death rate vanishes entering (1, 1, 0) along direction 1: "
                    "two-term weight undefined")
     closed = B.copy()
     closed[space.rank((0, 1, 1)), 0] = 0.0
     closed[space.rank((0, 0, 1)), 0] = 0.0
-    msg = _message(stationary_weight_generic, closed, D, space)
+    msg = _message(verify_structure, closed, D, space)
     assert msg == "state (1, 0, 1) unreachable: birth rate vanishes at (0, 0, 1) in direction 0"
 
     # random mixes of the three faults: the layered propagation reports the
@@ -372,9 +348,9 @@ def test_stationary_weight_generic_names_the_first_offender():
         except ValidationError as exc:
             seen.update(k for k in ("undefined", "unreachable", "path-dependent")
                         if k in str(exc))
-            assert _message(stationary_weight_generic, B, D, space) == str(exc)
+            assert _message(verify_structure, B, D, space) == str(exc)
         else:
-            assert np.array_equal(stationary_weight_generic(B, D, space), W)
+            assert np.array_equal(_layered_weight(B, D, space), W)
     assert seen == {"undefined", "unreachable", "path-dependent"}
 
 
@@ -386,57 +362,12 @@ def test_path_dependent_rates_rejected():
         lambda j, x: 0.0 if sum(x) >= N else (1.0 + x[1] if j == 0 else 1.0),
         lambda j, x: float(x[j]),
     )
-    comp = check_compatibility(*bad, space)
-    assert not comp.passed
-    assert comp.worst_residual > 0.1
-    assert comp.witness is not None
+    passed, worst, witness = compatibility_by_plaquette_loop(*bad, space)
+    assert not passed
+    assert worst > 0.1
+    assert witness is not None
     with pytest.raises(ValidationError, match="path-dependent"):
-        stationary_weight_generic(*bad, space)
-
-
-def test_compatibility_passes_for_model():
-    params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 5.0))
-    space = StateSpace(2, 4)
-    comp = check_compatibility(*rate_tables(params, space), space)
-    assert comp.passed
-    assert comp.pairs_checked > 0
-    assert comp.worst_residual < 1e-14
-
-
-def test_check_compatibility_matches_plaquette_loop():
-    # model tables (residuals at rounding level), fields with perturbed
-    # births (path-dependent), zero death rates (skipped plaquettes) and
-    # all-zero residuals (no witness), result for result
-    rng = np.random.default_rng(20260815)
-    kinds = set()
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        N = int(rng.integers(1, 7))
-        space = StateSpace(n, N)
-        B, D = rate_tables(draw_model(rng, n, N), space)
-        for _ in range(int(rng.integers(0, 4))):
-            i, j = int(rng.integers(space.size)), int(rng.integers(n))
-            if rng.integers(2):
-                B[i, j] *= 1.5
-            else:
-                D[i, j] = 0.0
-        for field in ((B, D), (np.where(B > 0, 1.0, 0.0), np.where(D > 0, 1.0, 0.0))):
-            ref = compatibility_by_plaquette_loop(*field, space)
-            assert check_compatibility(*field, space) == ref
-            kinds.update(k for k, hit in (("fail", not ref.passed),
-                                          ("skip", ref.pairs_skipped > 0),
-                                          ("exact", ref.witness is None
-                                           and ref.pairs_checked > 0))
-                         if hit)
-    assert kinds == {"fail", "skip", "exact"}
-
-
-def test_compatibility_vacuous_for_n1():
-    params = ModelParams(n=1, N=4, p=(1.0,), q=(2.0,))
-    space = StateSpace(1, 4)
-    comp = check_compatibility(*rate_tables(params, space), space)
-    assert comp.passed
-    assert comp.pairs_checked == 0
+        verify_structure(*bad, space)
 
 
 def test_verify_structure_anchor_instances():
@@ -475,7 +406,7 @@ def test_verify_structure_random_loop():
         # to the rounding both carry: lambda_min is 0 here, and eigh returns
         # it to within about size * eps relative (-8e-17 at one draw where
         # the certificate reads 1.7e-17)
-        H = symmetrized_from_tables(B, D, space).toarray()
+        H = dense_operators(B, D, space)[1]
         assert report["symmetrized-positive-semidefinite"].residual >= (
             _dense_negative_part(H) - space.size * np.finfo(float).eps
         )
@@ -517,7 +448,7 @@ def test_similarity_checks_survive_underflowing_weight(params):
     # similarity checks stay finite where 1/sqrt(W) would read inf
     space = StateSpace(params.n, params.N)
     B, D = rate_tables(params, space)
-    assert (stationary_weight_generic(B, D, space) == 0.0).any()
+    assert (weight_vector(params, space) == 0.0).any()
     # log W comes from the two-term relation also when the caller passes
     # a W with zeros in it
     for W in (None, weight_vector(params, space)):

@@ -624,16 +624,14 @@ PUBLIC_NAMES = [
     "EvolveResult", "ExceptionalParameters", "GillespieResult", "ModelParams",
     "NoConvergence", "RationalParams", "RelaxationFit", "Report",
     "SingularParameters", "SpectralData", "StateSpace", "ValidationError", "bdcore",
-    "check_compatibility", "check_rate_tables", "derive_dual_pair",
-    "difference_operator_from_tables", "errors", "eval_P",
+    "check_rate_tables", "derive_dual_pair", "errors", "eval_P",
     "eval_P_via_generating_function", "eval_rational", "evolve_distribution",
     "generator_from_tables", "gillespie_run", "identity_checks",
-    "kr_P", "ladder_from_tables", "lattice", "model", "numeric_eigenbasis",
+    "kr_P", "lattice", "model", "numeric_eigenbasis",
     "orthonormal_map", "orthonormality", "polynomials", "probabilities",
     "rate_tables", "rational", "rational_case_n2", "relaxation_rate", "report",
     "secular_function", "simplex_size", "simulate", "solve_spectrum", "spectrum",
-    "stationary_weight_generic", "symmetrized_from_tables", "sympower", "table",
-    "table_checks", "table_via_generating_function", "verify_recurrence",
+    "sympower", "table", "table_checks", "table_via_generating_function", "verify_recurrence",
     "verify_structure", "weight_vector",
 ]
 

@@ -1,6 +1,7 @@
 """Each oracle names its test: every docstring in `src/` of the form
 "... oracle of `X`: test_name" names a test function that exists under
-`tests/`, and the public oracles open with such a line."""
+`tests/`, the public oracles open with such a line, and no oracle calls
+the `X` it checks."""
 
 import ast
 import re
@@ -10,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLE_LINE = re.compile(r"oracle of [^:\n]*`[^`\n]+`[^:\n]*: (test_\w+)", re.I)
 PUBLIC_ORACLES = ("eval_P", "kr_P", "eval_rational", "eval_P_via_generating_function",
                   "table_via_generating_function")
+ORACLE_OF = re.compile(r"oracle of [^`:\n]*`([\w.]+)`", re.I)
 
 
 def _definitions(directory: Path):
@@ -18,6 +20,19 @@ def _definitions(directory: Path):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
                 yield path, node
+
+
+def _referenced(tree: ast.AST) -> set:
+    """Every name `tree` reads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def test_oracle_docstrings_name_existing_tests():
@@ -36,6 +51,22 @@ def test_oracle_docstrings_name_existing_tests():
         assert ORACLE_LINE.search(openers[name]), (name, openers[name])
 
 
+def test_no_oracle_calls_what_it_checks():
+    # an oracle that reaches the code it checks, as `X` or as the private
+    # `_X` behind it, compares that code with itself
+    checked, offenders = set(), []
+    for path, node in _definitions(ROOT / "src"):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for target in ORACLE_OF.findall(ast.get_docstring(node) or ""):
+            name = target.rpartition(".")[2].lstrip("_")
+            checked.add(node.name)
+            if _referenced(node) & {name, f"_{name}"}:
+                offenders.append(f"{path.name}:{node.name} calls {target}")
+    assert not offenders, offenders
+    assert checked >= {*PUBLIC_ORACLES, "characteristic_matrix", "rational_case_n2"}, checked
+
+
 # the library entry points no command calls, each named in README.md
 ENTRY_POINTS = ("table", "orthonormal_map", "gillespie_run", "evolve_distribution",
                 "numeric_eigenbasis")
@@ -50,15 +81,8 @@ def test_every_public_name_is_used_an_oracle_or_an_entry_point():
     package = ROOT / "src" / "mvkraw"
     used = set()
     for path in package.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        if path.name != "__init__.py":
+            used |= _referenced(ast.parse(path.read_text()))
     readme = (ROOT / "README.md").read_text()
     assert all(f"`{name}`" in readme or f"{name}(" in readme for name in ENTRY_POINTS)
     public = [name for name in mvkraw.__all__ if name not in mvkraw._EXPORTS]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import draw_model
+from conftest import dense_operators, draw_model
 
 from mvkraw import (
     CapExceeded,
@@ -18,7 +18,6 @@ from mvkraw import (
     secular_function,
     solve_spectrum,
 )
-from mvkraw.bdcore import difference_operator_from_tables, symmetrized_from_tables
 from mvkraw.model import rate_tables
 from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.spectrum import _perturbed, characteristic_matrix
@@ -239,7 +238,7 @@ def test_numeric_eigenbasis_coincident_q():
     V, lam = basis.vectors, basis.eigenvalues
     assert np.abs(V.T @ V - np.eye(space.size)).max() < 1e-12
     B, D = rate_tables(params, space)
-    H = symmetrized_from_tables(B, D, space).toarray()
+    H = dense_operators(B, D, space)[1]
     assert np.abs(H @ V - V * lam[None, :]).max() < 1e-12
     assert basis.degenerate
 
@@ -260,7 +259,7 @@ def test_numeric_eigenbasis_against_dense_eigh(p, q, N):
     basis = numeric_eigenbasis(params, space)
     V, lam = basis.vectors, basis.eigenvalues
     B, D = rate_tables(params, space)
-    H = symmetrized_from_tables(B, D, space).toarray()
+    H = dense_operators(B, D, space)[1]
     reference = scipy.linalg.eigh(H, eigvals_only=True)
     scale = max(1.0, float(np.abs(reference).max()))
     assert np.all(np.diff(lam) >= 0)
@@ -284,6 +283,6 @@ def test_exceptional_degree_one_eigenvector():
     # with q1 = q2 = q, f(x) = p2 x1 - p1 x2 satisfies Ht f = q f
     params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 3.0))
     space = StateSpace(2, 4)
-    Ht = difference_operator_from_tables(*rate_tables(params, space), space)
+    Ht = dense_operators(*rate_tables(params, space), space)[2]
     f = np.array([params.p[1] * x[0] - params.p[0] * x[1] for x in space.points])
     assert np.abs(Ht @ f - params.q[0] * f).max() < 1e-12
