@@ -129,7 +129,8 @@ def _write_csv(directory: str, name: str, manifest_name: str, header, rows) -> s
     path = os.path.join(directory, name)
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest: {manifest_name}\n")
-        for row in (header, *rows):
+        fh.write(",".join(map(str, header)) + "\n")
+        for row in rows:
             fh.write(",".join(map(str, row)) + "\n")
     return path
 
@@ -192,7 +193,8 @@ def _cmd_spectrum(args) -> int:
 
 def _table_rows(space: StateSpace, tab: np.ndarray):
     header = ["x\\m"] + [_label(m) for m in space.points]
-    rows = [[_label(x)] + row for x, row in zip(space.points, tab.tolist())]
+    # one row of Python floats at a time, not the whole table
+    rows = ([_label(x)] + row.tolist() for x, row in zip(space.points, tab))
     return header, rows
 
 

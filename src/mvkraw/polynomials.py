@@ -166,7 +166,8 @@ def table(spec, space: StateSpace) -> np.ndarray:
 # the most float64 values one group of gathered parent rows may hold in
 # `_oracle_rows`: at 512 KB a group stays in cache through its product with R
 # and its column gathers, 10-25% faster than groups of 16 MB at (1,600),
-# (2,60), (3,20) and (3,29)
+# (2,60), (3,20) and (3,29); the table checks take their size x size
+# passes in blocks of as many values
 _ORACLE_BLOCK = 1 << 16
 
 
@@ -309,17 +310,33 @@ def orthonormality(T: np.ndarray) -> Orthonormality:
     of T^T T is the Gram diagonal of P under W over its closed form
     1/(C(N,m) eta_bar^m); the diagonal of T T^T is the dual Gram diagonal
     under the dual weight over eta_dual0^N / W.  So the one check carries
-    orthogonality and norms in both directions.
+    orthogonality and norms in both directions.  G = T^T T and then G' =
+    T T^T are formed whole, one at a time, and each is reduced to its
+    defects in place (`_gram_defects`): T, one Gram matrix and one block.
     """
-    def defects(G):
-        d = np.sqrt(np.diag(G))
-        normalized = np.abs(G) / np.outer(d, d)
-        np.fill_diagonal(normalized, 0.0)
-        return (float(normalized.max()), float(np.abs(np.diag(G) - 1.0).max()),
-                float(np.abs(G - np.eye(len(G))).max()))
-
-    cols, rows = defects(T.T @ T), defects(T @ T.T)
+    cols = _gram_defects(T.T @ T)
+    rows = _gram_defects(T @ T.T)
     return Orthonormality(*cols[:2], *rows[:2], max(cols[2], rows[2]))
+
+
+def _gram_defects(G: np.ndarray) -> tuple:
+    """max |G_ij| / sqrt(G_ii G_jj) off the diagonal, max |G_ii - 1| and
+    max |G - I| of a Gram matrix, computed in place in G: its diagonal is
+    copied, |G| taken with the diagonal zeroed, which with the diagonal
+    defect gives |G - I|, and then G divided by sqrt(G_ii G_jj), one block
+    of `_ORACLE_BLOCK` values at a time.  Each entry takes the float
+    operations of the whole-matrix expressions, so the defects are the
+    same bits."""
+    diagonal = G.diagonal().copy()
+    d = np.sqrt(diagonal)
+    norms = np.abs(diagonal - 1.0).max()
+    np.abs(G, out=G)
+    np.fill_diagonal(G, 0.0)
+    identity = np.max((G.max(), norms))
+    step = max(1, _ORACLE_BLOCK // len(G))
+    for lo in range(0, len(G), step):
+        G[lo:lo + step] /= np.outer(d[lo:lo + step], d)
+    return float(G.max()), float(norms), float(identity)
 
 
 def table_checks(spec: SpectralData, space: StateSpace, B: np.ndarray, D: np.ndarray,
@@ -344,8 +361,11 @@ def table_checks(spec: SpectralData, space: StateSpace, B: np.ndarray, D: np.nda
     _oracle_check(spec, space, T, report, tol, sample=True)
     scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
     H, E = _symmetrized(B, D, space), degree_eigenvalues(spec, space)
-    # one expression: the size x size defect is freed before T^T T is formed
-    report.add("eigen-equation", np.abs(H @ T - T * E).max() / scale, tol)
+    # column by column, so one block of the size x size defect at a time
+    step = max(1, _ORACLE_BLOCK // len(T))
+    blocks = [slice(lo, lo + step) for lo in range(0, len(T), step)]
+    defect = np.max([np.abs(H @ T[:, b] - T[:, b] * E[b]).max() for b in blocks])
+    report.add("eigen-equation", defect / scale, tol)
     o = orthonormality(T)
     report.add("orthogonality-offdiagonal", o.offdiagonal, tol)
     report.add("norms-closed-form", o.diagonal, max(tol, 1e-8))

@@ -6,11 +6,13 @@ Two engines:
   holding times and accumulates the time-weighted occupation measure.
   Each state's positive-rate moves, their targets and cumulative jump
   probabilities (2n - 1 bounds a row) are tabulated once with array
-  operations.  Per block of events it draws the exponentials, then the
-  uniforms, walks the chain in one list comprehension (a ``bisect_left``
-  of each uniform into the current state's bounds), and adds the holding
-  times to the occupation with ``np.add.at`` in event order: the sums of
-  an event-by-event loop, bit for bit.  Randomness comes from numpy's
+  operations; the target rows share one int object per rank.  Per block
+  of events it draws the exponentials, then the uniforms, walks the chain
+  in one list comprehension over a buffer view of the uniforms (a
+  ``bisect_left`` of each into the current state's bounds, one Python
+  float at a time, no list of them), and adds the holding times to the
+  occupation with ``np.add.at`` in event order: the sums of an
+  event-by-event loop, bit for bit.  Randomness comes from numpy's
   PCG64 generator; a run is fully determined by its seed, and
   ``tests/test_simulator.py`` pins the output of two seeds by digest.
 
@@ -60,12 +62,11 @@ import numpy as np
 from .errors import AbsorbingState, CapExceeded, NoConvergence, ValidationError
 from .lattice import LATTICE_CAP, StateSpace, _is_number
 from .model import (
-    ModelParams, _check_weight, _linear_rates, check_rate_tables, log_weight_vector,
+    _BLOCK, ModelParams, _check_weight, _linear_rates, check_rate_tables, log_weight_vector,
     rate_tables, weight_vector,
 )
 
 RNG_FAMILY = "numpy-PCG64"
-_BLOCK = 1 << 14
 _POISSON_TAIL = 1e-18
 _TINY = np.finfo(float).tiny   # below it W is zero or subnormal
 _MAX_SEGMENT = 600.0
@@ -88,7 +89,9 @@ def _jump_tables(B: np.ndarray, D: np.ndarray, space: StateSpace):
     (births, then deaths, each in direction order) and 2n - 1 cumulative
     probabilities.  The last move's bound and the padding after it are
     +inf, and 2n moves need no last bound, so `bisect_left` stays inside
-    the targets; a state with zero total rate is absorbing (a self-loop)."""
+    the targets; a state with zero total rate is absorbing (a self-loop).
+    The target rows hold one shared int object per rank (and -1 off the
+    lattice), not one per entry."""
     n = B.shape[1]
     rates = np.hstack((B, D))
     dest = np.hstack((space.up, space.down))
@@ -103,7 +106,10 @@ def _jump_tables(B: np.ndarray, D: np.ndarray, space: StateSpace):
     targets = np.take_along_axis(dest, order, axis=1)
     cums[np.arange(2 * n) >= keep.sum(axis=1)[:, None] - 1] = np.inf
     targets[absorbing, 0] = np.nonzero(absorbing)[0]
-    return totals, absorbing, cums[:, :-1].tolist(), targets.tolist()
+    # one int object per rank, shared by every row that targets it
+    ranks = np.arange(space.size + 1).astype(object)
+    ranks[-1] = -1
+    return totals, absorbing, cums[:, :-1].tolist(), ranks[targets].tolist()
 
 
 def _integer(name: str, value) -> int:
@@ -151,18 +157,18 @@ def gillespie_from_tables(
     while done < n_events:
         block = min(_BLOCK, n_events - done)
         exps = rng.standard_exponential(block)
-        unis = rng.random(block).tolist()
+        unis = memoryview(rng.random(block))
         start = state
         after = [state := targets[state][bisect_left(cums[state], u)] for u in unis]
         held = np.fromiter(chain((start,), after), np.intp, block)
-        # neither list outlives the walk, nor meets the next block's draws
+        # the walk's list does not outlive it, nor meet the next block's draws
         del after, unis
         stuck = absorbing[held]
         if stuck.any():
             first = tuple(space.coords[held[stuck.argmax()]].tolist())
             raise AbsorbingState(f"state {first} has zero total rate")
         # unbuffered, in event order: the same sums as one event at a time
-        np.add.at(occupation, held, exps / totals[held])
+        np.add.at(occupation, held, np.divide(exps, totals[held], out=exps))
         visits += np.bincount(held, minlength=space.size)
         done += block
 

@@ -13,7 +13,9 @@ from mvkraw import (
     probabilities,
     weight_vector,
 )
-from mvkraw.model import multinomial_vector
+from mvkraw.model import (
+    _BLOCK, _count_columns, _log_route_pmf, _multinomial_rows, multinomial_vector,
+)
 
 
 def test_params_validation():
@@ -189,3 +191,25 @@ def test_multinomial_vector_against_50_digits(n, N, sampled):
     if N == 2000:
         tails = np.array(tails)
         assert (tails == 0).sum() > 100 and ((tails > 0) & (tails < tiny)).sum() > 10
+
+
+@pytest.mark.parametrize("n, N, cells", [
+    (1, 40000, (0.3, 0.7)), (2, 260, (0.5, 0.0, 0.5))])
+@pytest.mark.parametrize("start, extra", [
+    (0, -1), (0, 0), (0, 1), (0, _BLOCK + 1), (7, 0), (7, _BLOCK + 1)])
+def test_multinomial_rows_in_blocks_are_the_whole_array_bits(n, N, cells, start, extra):
+    # rank slices one short of a block, a block, one past it and two blocks
+    # and one, from rank 0 and inside the lattice; (2,260) has a zero cell,
+    # where a positive count gives exactly 0
+    space = StateSpace(n, N)
+    rows = slice(start, start + _BLOCK + extra)
+    columns = _count_columns(space, rows)
+    cells = np.array(cells)
+    got = _multinomial_rows(N, columns, cells)
+    hi, lo = _log_route_pmf(N, columns, cells)
+    e = np.exp(hi)
+    want = np.where(e < np.inf, e + e * np.expm1(lo), e)
+    assert len(got) == _BLOCK + extra
+    assert got.tobytes() == want.tobytes()
+    if cells.min() == 0.0:
+        assert (got == 0.0).any() and (got > 0.0).any()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import draw_model, gram_reference, multinomial, series_table
+from conftest import draw_model, gram_reference, multinomial, series_table, traced_peak
 
 from mvkraw import (
     CapExceeded,
@@ -26,7 +26,8 @@ from mvkraw import (
     table_via_generating_function,
 )
 from mvkraw.model import multinomial_vector, weight_vector
-from mvkraw.polynomials import degree_eigenvalues
+from mvkraw.bdcore import _symmetrized
+from mvkraw.polynomials import _ORACLE_BLOCK, degree_eigenvalues
 from mvkraw.sympower import coefficient_power, coefficient_row
 
 
@@ -273,6 +274,50 @@ def test_orthonormality_matches_gram_reference(n, corrupt):
     assert np.allclose(got, (off, diag, dual_off, dual_diag), rtol=0.0, atol=1e-12)
     if corrupt:
         assert min(diag, dual_diag) > 1e-7
+
+
+def _whole_gram_defects(G):
+    d = np.sqrt(np.diag(G))
+    normalized = np.abs(G) / np.outer(d, d)
+    np.fill_diagonal(normalized, 0.0)
+    return (float(normalized.max()), float(np.abs(np.diag(G) - 1.0).max()),
+            float(np.abs(G - np.eye(len(G))).max()))
+
+
+def test_table_checks_in_blocks_are_the_whole_matrix_bits():
+    # at (3,12), 455 points, the Gram division and the eigen equation take
+    # four blocks each; every residual is the bits of the whole-matrix
+    # expressions, also for a T that is off by 1e-9 here and there
+    params = ModelParams(3, 12, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
+    space = StateSpace(3, 12)
+    spec = solve_spectrum(params)
+    B, D = rate_tables(params, space)
+    T = coefficient_power(spec.R, space)
+    assert len(T) > 2 * _ORACLE_BLOCK // len(T)
+    report = table_checks(spec, space, B, D)
+    H, E = _symmetrized(B, D, space), degree_eigenvalues(spec, space)
+    scale = max(1.0, float((B.sum(axis=1) + D.sum(axis=1)).max()))
+    assert report["eigen-equation"].residual == np.abs(H @ T - T * E).max() / scale
+    rng = np.random.default_rng(12)
+    for corrupt in (False, True):
+        if corrupt:
+            T[rng.integers(len(T), size=40), rng.integers(len(T), size=40)] += 1e-9
+        cols, rows = _whole_gram_defects(T.T @ T), _whole_gram_defects(T @ T.T)
+        want = (*cols[:2], *rows[:2], max(cols[2], rows[2]))
+        assert tuple(orthonormality(T)) == want
+    assert want[0] > 1e-12
+
+
+def test_orthonormality_memory_is_bounded():
+    # at (3,16), 969 points, T is 7.5 MB: orthonormality holds one Gram
+    # matrix of T's size, reduced in place, and one block of its division
+    # (with room for numpy's buffers), where the whole-matrix expressions
+    # held four T-sized matrices at once
+    params = ModelParams(3, 16, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
+    T = coefficient_power(solve_spectrum(params).R, StateSpace(3, 16))
+    o, peak = traced_peak(lambda: orthonormality(T))
+    assert o.identity < 1e-12
+    assert peak <= T.nbytes + 2 * 8 * _ORACLE_BLOCK, (peak, T.nbytes)
 
 
 def test_orthonormal_map_both_ways():

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -26,8 +27,8 @@ from mvkraw import (
 )
 from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.simulate import (
-    _BLOCK, RNG_FAMILY, _jump_tables, _kl_terms, _kl_to_weight, _rate_bound,
-    _tv_to_weight, _uniformized_step, gillespie_from_tables,
+    _BLOCK, RNG_FAMILY, _evolve, _jump_tables, _kl_terms, _kl_to_weight, _rate_bound,
+    _transient_law, _tv_to_weight, _uniformized_step, gillespie_from_tables,
 )
 
 
@@ -161,14 +162,16 @@ def test_walk_matches_the_event_loop_with_zero_rate_moves():
 
 def test_gillespie_memory_is_bounded():
     # tracemalloc counts numpy's buffers and Python's lists exactly: the jump
-    # tables (about 0.9 MB at 1,771 points) and one block of draws, walk and
-    # held states; neither list of a block outlives its walk
+    # tables, whose target rows share one int per rank, and one block of
+    # draws, walk and held states, 1.46 MB at 1,771 points; the uniforms are
+    # read through a buffer view, not a list, and the walk's list does not
+    # outlive it (a list of one block's uniforms would add 0.5 MB)
     params = ModelParams(3, 20, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
     space = StateSpace(3, 20)
     res, peak = traced_peak(
         lambda: gillespie_run(params, space, 200_000, seed=1, initial=(6, 2, 8)))
     assert res.events == 200_000
-    assert peak <= 2.2e6, peak
+    assert peak <= 1.8e6, peak
 
 
 def test_integer_arguments_are_checked_before_any_event(setup, monkeypatch):
@@ -683,14 +686,33 @@ def test_kl_where_the_weight_underflows(tmp_path):
 def test_evolution_memory_is_bounded():
     # tracemalloc counts numpy's buffers exactly, unlike RSS: the exact law
     # from the origin at (3,80) holds the lattice (2.9 MB), the snapshots
-    # (3.7 MB), W and one multinomial pass at a time (hi, lo and a gather
-    # buffer), no rate or neighbour tables; the start is snapshot 0 and each
-    # snapshot is written into its row
+    # (3.7 MB), W and one block of a multinomial pass at a time, no rate or
+    # neighbour tables; the start is snapshot 0 and each snapshot is written
+    # into its row
     params = ModelParams(3, 80, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
     res, peak = traced_peak(
         lambda: evolve_distribution(params, StateSpace(3, 80), "origin", 2.0, 4))
     assert res.route == "exact"
     assert peak <= 10.5e6, peak
+
+
+def test_streamed_exact_route_memory_is_bounded():
+    # the exact law from the origin at (3,80), 91,881 points, read one law
+    # at a time as the CLI reads it, lattice included: below the lattice and
+    # four lattice vectors.  W, the law and the KL terms are three; each
+    # multinomial pass adds one block of scratch, where full-lattice
+    # scratch vectors would pass the fourth
+    params = ModelParams(3, 80, (1.0, 2.0, 1.5), (1.0, 3.0, 6.0))
+    (space, lattice), _ = traced_peak(
+        lambda: (StateSpace(3, 80), tracemalloc.get_traced_memory()[0]))
+
+    def streamed():
+        stream = _transient_law(params, StateSpace(3, 80), "origin", 2.0, 4)
+        return _evolve(next(stream), stream)
+
+    res, peak = traced_peak(streamed)
+    assert res.route == "exact" and res.distributions is None
+    assert peak <= lattice + 4 * 8 * space.size, (peak, lattice)
 
 
 def _simulate_config(path, n, N, p, q, time, steps, initial="origin"):
