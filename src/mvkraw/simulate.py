@@ -194,9 +194,13 @@ def gillespie_run(
     seed: int,
     initial=None,
 ) -> GillespieResult:
+    """`gillespie_from_tables` on the model's rate tables and weight, from
+    `initial`: None or "origin" for the origin, or a lattice point."""
     B, D = rate_tables(params, space)
     W = weight_vector(params, space)
-    rank = 0 if initial is None else space.rank(initial)
+    # tested by type first: a point may be an array, which `==` would broadcast
+    origin = initial is None or isinstance(initial, str) and initial == "origin"
+    rank = 0 if origin else space.rank(initial)
     return gillespie_from_tables(
         B, D, space, n_events, seed, initial_rank=rank, reference=W
     )

@@ -22,9 +22,11 @@ orthonormal map T that `polynomials.table` reads the polynomials off.
 The numeric eigenbasis needs none of this: the N particles move
 independently, so the eigenvectors of the symmetric operator H are the N-th
 symmetric power of the eigenvectors of the (n+1) x (n+1) symmetrized
-one-body generator.  It holds for every valid model, coincident q
-included.  A dense eigendecomposition of H is the reference the tests
-compare it with.
+one-body generator, the same kernel call as T on another one-body matrix.
+Its columns are labelled as T's are, by mode numbers: column k carries
+m = space.coords[k].  For distinct q it is T up to column signs; it also
+holds for coincident q, where T does not exist.  A dense
+eigendecomposition of H is the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -305,7 +307,7 @@ class EigenBasis(NamedTuple):
     """Dense orthonormal eigenbasis of the symmetrized operator."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # columns are eigenvectors, same order as eigenvalues
+    vectors: np.ndarray  # column k: mode numbers space.coords[k], eigenvalue k
     degenerate: bool     # some eigenvalue gap < 1e-8 * norm: basis not unique
 
 
@@ -315,11 +317,12 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
     One particle is symmetrized to h = [[sum p, -sqrt(p q)^T],
     [-sqrt(p q), diag(q)]] with eigenpairs (lam_k, V[:, k]); the N-particle
     eigenvector with mode occupations m (m_0 = N - |m|) is column m of the
-    symmetric power of V, with eigenvalue sum_k m_k lam_k.
-    Columns are sorted by eigenvalue.  Works for any valid params,
-    including the coincident-q regime where the closed-form construction
-    fails.  The output is dense: CapExceeded above `sympower.DENSE_CAP`
-    lattice points.
+    symmetric power of V, with eigenvalue sum_k m_k lam_k.  Columns and
+    eigenvalues are in lattice rank order, as T's columns are: column k
+    carries the mode numbers m = space.coords[k], and for distinct q it is
+    column k of T up to sign.  Works for any valid params, including the
+    coincident-q regime where the closed-form construction fails.  The
+    output is dense: CapExceeded above `sympower.DENSE_CAP` lattice points.
     """
     from .sympower import coefficient_power  # kept out of `verify --level fast`
 
@@ -332,10 +335,8 @@ def numeric_eigenbasis(params: ModelParams, space: StateSpace) -> EigenBasis:
 
     occupations = np.column_stack((space.N - space.degrees, space.coords))
     evals = occupations @ lam
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = coefficient_power(V, space, order)
-    norm = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-    gaps = np.diff(evals)
+    ascending = np.sort(evals)
+    norm = max(abs(ascending[0]), abs(ascending[-1]), 1e-300)
+    gaps = np.diff(ascending)
     degenerate = bool(len(gaps) and gaps.min() < 1e-8 * norm)
-    return EigenBasis(evals, vecs, degenerate)
+    return EigenBasis(evals, coefficient_power(V, space), degenerate)

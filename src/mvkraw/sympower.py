@@ -28,7 +28,8 @@ stay.  Each F is the identity but for one 2 x 2 block G on a plane of
 slots (i, j), and Sym^N(F) is block-diagonal: a block holds the points whose
 other slots are fixed and whose x_i + x_j = k, and it is Sym^k(G), for a
 rotation the Wigner d-matrix of spin k/2.  Sym^N(diag s) scales column m by
-prod_i s_i^{m_i}.  At n = 1, M itself is the one 2 x 2 factor.
+prod_i s_i^{m_i}.  At n = 1, M itself is the one 2 x 2 factor, with
+s = 1, so a singular M is powered too and every n runs the same loop.
 
 Sym^k(G) for every k <= N comes from one pass of the Euler-averaged
 recursion on the 2 x 2 matrix, degree by degree.  For the homogeneous
@@ -47,17 +48,17 @@ stay near orthogonal too: T^T T - I reads 1.6e-14 at (2,40) and 4.9e-15 at
 (3,20) for the spectral R, against the all-factor product by at most
 1.8e-15.
 
-The table starts as the permutation matrix of the requested column order,
-C-contiguous, and every factor acts on its rows, so the eigenbasis comes
-out sorted by eigenvalue at no cost.  The first factor is written in as
-its blocks, not multiplied in; each later one is applied in place, one k
-at a time: the blocks of that k are gathered as rows, multiplied by
-Sym^k(G) in one matrix product and written back.  The blocks are
-disjoint, so the peak memory is the table plus one group of rows and its
-product.  Sym^N of the spectral R takes 17 ms at (2,40), 82 ms at (3,20),
-0.13 s at (4,12) and 0.58 s at (3,29) on one BLAS thread (2 shared
-cores), against 57 ms, 0.17 s, 0.25 s and 1.78 s with every shear
-multiplied in and the table starting from the identity.
+The table starts as the identity, C-contiguous, and every factor acts on
+its rows, so rows and columns are both lattice ranks: column m of the
+power of the one-body eigenvectors is the eigenvector with mode numbers
+m.  The first factor is written in as its blocks, not multiplied in; each
+later one is applied in place, one k at a time: the blocks of that k are
+gathered as rows, multiplied by Sym^k(G) in one matrix product and written
+back.  The blocks are disjoint, so the peak memory is the table plus one
+group of rows and its product.  Sym^N of the spectral R takes 17 ms at
+(2,40), 82 ms at (3,20), 0.13 s at (4,12) and 0.58 s at (3,29) on one
+BLAS thread (2 shared cores), against 57 ms, 0.17 s, 0.25 s and 1.78 s
+with every shear and the first factor multiplied in.
 
 `coefficient_row` is one row of C by the single-parent product.  It gives
 only the transient law, from the one-body kernel, which is nonnegative, so
@@ -85,7 +86,7 @@ from .model import _count_columns, _multinomial_rows
 DENSE_CAP = 5000
 
 
-def coefficient_power(M, space: StateSpace, order=None) -> np.ndarray:
+def coefficient_power(M, space: StateSpace) -> np.ndarray:
     """T[x, m] = C[x, m] sqrt(m!/x!), C[x, m] the coefficient of t^m in
     prod_i (M_i . t)^{x_i}: the symmetric power in the orthonormal basis.
 
@@ -93,38 +94,27 @@ def coefficient_power(M, space: StateSpace, order=None) -> np.ndarray:
     and column 0 belonging to the implicit slot x_0 = N - |x|.  T is
     orthogonal when M is and bounded by 1, where the plain coefficients of
     an orthogonal M grow like sqrt(x!/m!) and overflow near N=2000 at n=1.
-    With `order`, a permutation of the ranks, column k is column order[k]
-    of T (T[:, order], C-contiguous, at no extra cost).  Raises CapExceeded
-    above DENSE_CAP points, before allocating, and ValidationError for a
-    singular M with n >= 2.
+    T is C-contiguous.  Raises CapExceeded above DENSE_CAP points, before
+    allocating, and ValidationError for a singular M with n >= 2.
     """
-    n, N, size = space.n, space.N, _dense(space)
+    N, size = space.N, _dense(space)
     M = _one_body(M, space)
-    if n == 1:
-        for T in _plane_powers(M, N):
-            pass
-        return T if order is None else T.take(order, axis=1)
-    order = np.arange(size) if order is None else np.asarray(order)
-    factors, scale = _plane_factors(M)
+    # at n = 1, M is its own single plane factor, so a singular M is powered
+    factors, scale = ([((0, 1), M)], np.ones(2)) if space.n == 1 else _plane_factors(M)
     occ = np.column_stack((N - space.degrees, space.coords))
-    # T starts as the permutation P = I[:, order], C-contiguous; every factor
-    # acts on rows, so the product is Sym^N(M) P = Sym^N(M)[:, order]
-    column = np.empty(size, dtype=np.intp)
-    column[order] = np.arange(size)
-    T = np.zeros((size, size))
-    T[order, np.arange(size)] = 1.0
+    T = np.eye(size)
     if factors:
-        # Sym^N(F_K) P is the blocks of F_K, written over P with no product
+        # Sym^N(F_K) is its blocks, written over the identity with no product
         (i, j), G = factors.pop()
         for rows, W in zip(_plane_blocks(occ, i, j), _plane_powers(G, N)):
-            T[rows[:, None], column[rows][None]] = W[:, :, None]
+            T[rows[:, None], rows[None]] = W[:, :, None]
     for (i, j), G in reversed(factors):
         for rows, W in zip(_plane_blocks(occ, i, j), _plane_powers(G, N)):
             # one group: the rows of every block of one k, multiplied at once
             group = T[rows]
             T[rows] = (W @ group.reshape(len(W), -1)).reshape(group.shape)
     # Sym^N(diag s) is diag prod_i s_i^{m_i}, a column scaling on the right
-    T *= np.prod(scale ** occ[order], axis=1)
+    T *= np.prod(scale ** occ, axis=1)
     return T
 
 

@@ -98,6 +98,18 @@ def test_streams_are_pinned(setup):
     )
 
 
+def test_gillespie_initial_forms(setup):
+    # "origin" is the default start, as in the CLI; a point may be an array
+    params, space = setup
+    assert _digest(gillespie_run(params, space, 5_000, seed=7, initial="origin")) == \
+        _digest(gillespie_run(params, space, 5_000, seed=7))
+    point = np.array(space.points[3])
+    assert _digest(gillespie_run(params, space, 5_000, seed=7, initial=point)) == \
+        _digest(gillespie_run(params, space, 5_000, seed=7, initial=tuple(point.tolist())))
+    with pytest.raises(ValidationError):
+        gillespie_run(params, space, 5_000, seed=7, initial="stationary")
+
+
 def _event_loop(B, D, space, n_events, seed, initial_rank=0):
     """The walk one event at a time, as an oracle: one `append` and one
     `bisect_left` per event, over rows padded with a last bound of +inf."""

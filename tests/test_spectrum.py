@@ -21,6 +21,7 @@ from mvkraw import (
 from mvkraw.model import rate_tables
 from mvkraw.polynomials import degree_eigenvalues
 from mvkraw.spectrum import _perturbed, characteristic_matrix
+from mvkraw.sympower import coefficient_power
 
 
 def test_quadratic_anchor():
@@ -231,11 +232,24 @@ def test_numeric_eigenbasis_regular():
     assert np.allclose(np.sort(basis.eigenvalues), expected, atol=1e-10)
 
 
+def one_body_h(p, q) -> np.ndarray:
+    """The symmetrized one-body generator h of `numeric_eigenbasis`."""
+    p, q = np.asarray(p), np.asarray(q)
+    h = np.diag(np.concatenate(([p.sum()], q)))
+    h[0, 1:] = h[1:, 0] = -np.sqrt(p * q)
+    return h
+
+
 def test_numeric_eigenbasis_coincident_q():
+    # E(m) repeats and P does not exist, but the mode numbers label every
+    # column: E in rank order is sum_k m_k lam_k, lam the eigenvalues of h
     params = ModelParams(n=2, N=4, p=(1.0, 2.0), q=(3.0, 3.0))
     space = StateSpace(2, 4)
     basis = numeric_eigenbasis(params, space)
     V, lam = basis.vectors, basis.eigenvalues
+    occupations = np.column_stack((4 - space.degrees, space.coords))
+    one_body = np.linalg.eigh(one_body_h(params.p, params.q))[0]
+    assert np.array_equal(lam, occupations @ one_body)
     assert np.abs(V.T @ V - np.eye(space.size)).max() < 1e-12
     B, D = rate_tables(params, space)
     H = dense_operators(B, D, space)[1]
@@ -262,11 +276,39 @@ def test_numeric_eigenbasis_against_dense_eigh(p, q, N):
     H = dense_operators(B, D, space)[1]
     reference = scipy.linalg.eigh(H, eigvals_only=True)
     scale = max(1.0, float(np.abs(reference).max()))
-    assert np.all(np.diff(lam) >= 0)
-    assert np.abs(lam - reference).max() / scale < 1e-12
+    # eigenvalues in rank order: E(m) = sum_k m_k lam_k, m_0 = N - |m|
+    occupations = np.column_stack((N - space.degrees, space.coords))
+    assert np.array_equal(lam, occupations @ np.linalg.eigh(one_body_h(p, q))[0])
+    assert np.abs(np.sort(lam) - reference).max() / scale < 1e-12
     assert np.abs(V.T @ V - np.eye(space.size)).max() < 1e-12
     assert np.abs(H @ V - V * lam[None, :]).max() / scale < 1e-12
     assert basis.degenerate == bool(np.diff(reference).min() < 1e-8 * scale)
+
+
+@pytest.mark.parametrize(
+    "p, q, N",
+    [
+        ((1.0, 2.0), (1.0, 4.0), 10),
+        ((1.0, 2.0, 1.5), (1.0, 3.0, 6.0), 8),
+        ((1.0, 2.0, 1.5, 0.7), (1.0, 3.0, 6.0, 2.2), 4),
+        ((1.0,), (2.0,), 200),
+    ],
+)
+def test_numeric_eigenbasis_is_T_up_to_column_signs(p, q, N):
+    # column k carries the mode numbers space.coords[k], as T's column k
+    # does: both are the power of one-body eigenvectors, V = R diag(sigma)
+    params = ModelParams(n=len(p), N=N, p=p, q=q)
+    space = StateSpace(params.n, N)
+    spec = solve_spectrum(params)
+    basis = numeric_eigenbasis(params, space)
+    V = np.linalg.eigh(one_body_h(p, q))[1]
+    sigma = np.sign(np.diag(V.T @ spec.R))
+    occupations = np.column_stack((N - space.degrees, space.coords))
+    signs = np.prod(sigma ** occupations, axis=1)
+    T = coefficient_power(spec.R, space)
+    assert np.abs(basis.vectors - T * signs).max() < 1e-13
+    expected = degree_eigenvalues(spec, space)
+    assert np.abs(basis.eigenvalues - expected).max() < 1e-13 * np.abs(expected).max()
 
 
 def test_numeric_eigenbasis_guards():

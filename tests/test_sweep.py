@@ -14,10 +14,27 @@ import warnings
 import pytest
 from conftest import sweep_models
 
-from mvkraw import cli
+from mvkraw import ModelParams, cli
 
-DRAWS = list(sweep_models(20260815, 60))
-IDS = [f"draw{i:02d}-n{p.n}-N{p.N}" for i, p in enumerate(DRAWS)]
+
+
+def _cluster(q: float, *ulps: int) -> tuple:
+    """q and, for each k of `ulps`, the float k ulps above q (in its binade)."""
+    return tuple(q + k * math.ulp(q) for k in (0, *ulps))
+
+
+# fixed models whose q cluster within 1-4 ulps, at scales 1e-3..1e3
+CLUSTERS = [
+    ModelParams(2, 20, (1e-3, 2e-3), _cluster(1e-3, 1)),
+    ModelParams(2, 30, (7e2, 3e2), _cluster(1e3, 3)),
+    ModelParams(3, 10, (1.0, 2.0, 1.5), _cluster(1.0, 1, 2)),
+    ModelParams(3, 8, (2e-3, 5e-3, 1e-3), (*_cluster(3e-3, 4), 7e-3)),
+    ModelParams(4, 6, (1.0, 2.0, 1.5, 0.7), (*_cluster(1e3, 2, 4), 5e2)),
+    ModelParams(4, 4, (3e1, 1e-1, 4e0, 2e2), _cluster(0.1, 1, 2, 3)),
+]
+DRAWS = list(sweep_models(20260815, 60)) + CLUSTERS
+IDS = ([f"draw{i:02d}-n{p.n}-N{p.N}" for i, p in enumerate(DRAWS[:60])]
+       + [f"ulps{i}-n{p.n}-N{p.N}" for i, p in enumerate(CLUSTERS)])
 
 
 def _params(params) -> dict:

@@ -139,14 +139,36 @@ def test_power_matches_all_factor_product(n, N):
         assert np.abs(T - all_factor_power(M, space)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("n, N", SIZES)
-def test_column_order_is_a_permuted_power(n, N):
+@pytest.mark.parametrize("n, N", SIZES[1:])
+def test_diagonal_power_is_a_column_scaling(n, N):
+    # a diagonal M has no plane factor: T starts as I and is only scaled
     rng = np.random.default_rng(1000 + 10 * n + N)
     space = StateSpace(n, N)
-    order = rng.permutation(space.size)
-    general = np.eye(n + 1) + rng.normal(0.0, 0.4, (n + 1, n + 1))
-    for M in (general, np.diag(rng.uniform(0.5, 1.5, n + 1))):
-        T = coefficient_power(M, space, order)
+    s = rng.uniform(0.5, 1.5, n + 1)
+    T = coefficient_power(np.diag(s), space)
+    occ = np.column_stack((N - space.degrees, space.coords))
+    assert T.flags["C_CONTIGUOUS"]
+    assert np.array_equal(T, np.diag(np.prod(s ** occ, axis=1)))
+
+
+N1_IDS = ["R", "R-perturbed", "general", "singular"]
+
+
+def n1_inputs():
+    """The spectral R at n = 1, R perturbed by 1e-6, a general nonsingular
+    M and a singular one (in the order of N1_IDS)."""
+    spec = solve_spectrum(ModelParams(1, 40, (1.0,), (2.0,)))
+    general = np.eye(2) + np.random.default_rng(1001).normal(0.0, 0.4, (2, 2))
+    return [spec.R, _perturbed(spec, 1e-6).R, general, np.ones((2, 2))]
+
+
+@pytest.mark.parametrize("M", n1_inputs(), ids=N1_IDS)
+def test_n1_power_is_the_plane_power(M):
+    # at n = 1, M is its own single plane factor: T is the last layer of
+    # its Euler-averaged recursion, bit for bit, singular M included
+    for N in (1, 40):
+        for layer in _plane_powers(M, N):
+            pass
+        T = coefficient_power(M, StateSpace(1, N))
         assert T.flags["C_CONTIGUOUS"]
-        reference = coefficient_power(M, space)[:, order]
-        assert np.abs(T - reference).max() <= 1e-15 * np.abs(reference).max()
+        assert np.array_equal(T, layer)
